@@ -18,6 +18,9 @@ Estimators:
   (all three agree algebraically, which the test suite checks in exact
   rational arithmetic).
 - ``p01_aalen_johansen`` is the Markov occupation-probability comparator.
+- ``p01_curve`` evaluates any of the four (``check``, ``mm``, ``mm-stute``,
+  ``aj``) on a whole grid of t in one sweep of the cohort; the scalar
+  functions above are its one-point forms.
 
 ``simulation`` contains generators with a closed-form truth and the
 bias/variance Monte-Carlo harness; ``inference`` adds subject-level
@@ -49,6 +52,7 @@ from .estimators import (
     multinomial_uncensored,
     p01_aalen_johansen,
     p01_cif_ratio,
+    p01_curve,
     p01_km_integral,
     p01_landmark,
     p01_landmark_variance,
@@ -120,6 +124,7 @@ __all__ = [
     "multinomial_uncensored",
     "p01_aalen_johansen",
     "p01_cif_ratio",
+    "p01_curve",
     "p01_km_integral",
     "p01_landmark",
     "p01_landmark_variance",

@@ -27,12 +27,10 @@ from .errors import (
     SupportWarning,
     TooManyFailures,
 )
-from .estimators import artificial_censoring, p01_landmark_variance
+from .estimators import ESTIMATORS, artificial_censoring, p01_landmark_variance
 from .inference import bootstrap_ci
 from .records import TransitionQuery, read_cohort, write_cohort
 from .simulation import (
-    DEFAULT_LANDMARK,
-    ESTIMATORS,
     Scenario,
     ScenarioConfig,
     TruncationConfig,
@@ -106,16 +104,6 @@ class _Output:
             Path(self.target + ".manifest.json").write_text(manifest.to_json())
 
 
-def _collect_flags(caught: list[warnings.WarningMessage]) -> list[str]:
-    flags = []
-    for w in caught:
-        if issubclass(w.category, SupportWarning):
-            flags.append("support")
-        elif issubclass(w.category, RangeWarning):
-            flags.append("range")
-    return sorted(set(flags))
-
-
 def cmd_estimate(args: argparse.Namespace) -> int:
     try:
         cohort = read_cohort(args.input)
@@ -154,21 +142,30 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     rows: list[list[str]] = []
     succeeded = 0
     for method in methods:
-        fn = ESTIMATORS[method]
-        for q in queries:
-            flags: list[str] = []
-            blank = [""] * (len(header) - 4 - 1)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                try:
-                    estimate = float(fn(cohort, q))
-                except EstimationError as err:
-                    flags.append(f"error:{type(err).__name__}")
+        # one sweep per method; support does not depend on t, and range
+        # belongs to the rows whose ratio exceeds 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                values = ESTIMATORS[method](cohort, args.s, args.t)
+            except EstimationError as err:
+                blank = [""] * (len(header) - 4 - 1)
+                for q in queries:
                     rows.append(
-                        [method, _fmt(q.s), _fmt(q.t), ""] + blank + [";".join(flags)]
+                        [method, _fmt(q.s), _fmt(q.t), ""]
+                        + blank
+                        + [f"error:{type(err).__name__}"]
                     )
-                    continue
-                flags.extend(_collect_flags(caught))
+                continue
+        support = any(issubclass(w.category, SupportWarning) for w in caught)
+        ranged = any(issubclass(w.category, RangeWarning) for w in caught)
+        for q, value in zip(queries, values):
+            estimate = float(value)
+            flags: list[str] = []
+            if support:
+                flags.append("support")
+            if ranged and value > 1:
+                flags.append("range")
             succeeded += 1
             if method == "mm":
                 mm_values[q.t] = estimate

@@ -9,7 +9,7 @@ risk at v iff L < v <= R; at the origin that degenerates to L == 0.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -41,14 +41,8 @@ class StepFunction:
     def __call__(self, u: float) -> float:
         # rightmost jump at or before u; right-continuity means the jump
         # value applies from its time onward
-        lo, hi = 0, len(self.jump_times)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.jump_times[mid] <= u:
-                lo = mid + 1
-            else:
-                hi = mid
-        return self.initial_value if lo == 0 else self.values[lo - 1]
+        k = bisect_right(self.jump_times, u)
+        return self.initial_value if k == 0 else self.values[k - 1]
 
     def write_csv(self, sink) -> None:
         sink.write("time,value\n")

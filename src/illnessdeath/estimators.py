@@ -8,6 +8,14 @@ arithmetic runs in fractions.Fraction, which makes algebraic identities
 between the different representations testable to equality rather than
 tolerance.
 
+The four registered estimators (``ESTIMATORS``: check, mm, mm-stute, aj)
+are curves in t: ``p01_curve`` pulls the record columns into numpy once
+per (cohort, s), builds the product-limit grid once, and evaluates only the
+t-dependent illness indicator per t.  The scalar forms are one-point curves.
+The same array code serves float and ``exact=True`` (object arrays of
+Fraction); every sum and product runs left to right along the grid
+(``np.cumsum``/``np.cumprod``), so floats equal a plain loop bit for bit.
+
 Conventions shared by all routines: at tied times, events precede
 censorings; any hazard increment with an empty risk set contributes a unit
 factor; products over an empty index set are 1 and sums 0.
@@ -16,34 +24,56 @@ factor; products over an empty index set are 1 and sums 0.
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_left
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from .counting import CountingProcesses, StepFunction, build_counting
 from .errors import (
     DegenerateWeight,
     EmptyLandmark,
+    EmptyRiskSet,
     RangeWarning,
     SupportWarning,
     ZeroDenominator,
 )
-from .records import (
-    Cause,
-    IllnessDeathRecord,
-    TransitionQuery,
-    landmark_subset,
-)
+from .records import Cause, IllnessDeathRecord, TransitionQuery
 
 Number = float | Fraction
+
+_FRACTION = np.frompyfunc(Fraction, 2, 1)
 
 
 def _one(exact: bool) -> Number:
     return Fraction(1) if exact else 1.0
 
 
-def _ratio(num: int, den: int, exact: bool) -> Number:
-    return Fraction(num, den) if exact else num / den
+def _ratio(num, den, exact: bool):
+    """num / den for integer scalars or arrays, as Fraction or float."""
+    return _FRACTION(num, den) if exact else num / den
+
+
+def _running_total(terms: np.ndarray, zero: Number) -> np.ndarray:
+    """Sum each row of terms left to right, starting from zero.
+
+    This is the order a loop adds in; ``np.sum`` adds pairwise and the
+    builtin ``sum`` compensates, either of which changes the last bits.
+    """
+    start = np.full((len(terms), 1), zero, dtype=terms.dtype)
+    return np.cumsum(np.concatenate((start, terms), axis=1), axis=1)[:, -1]
+
+
+def _warn_censored_tail(events, censorings) -> None:
+    """SupportWarning when the largest observed time is a censoring."""
+    last_event = np.max(events) if len(events) else None
+    if len(censorings) and (last_event is None or np.max(censorings) >= last_event):
+        warnings.warn(
+            "largest observation is censored; the incidence limit is only "
+            "partially identified",
+            SupportWarning,
+            stacklevel=3,
+        )
 
 
 def kaplan_meier(cp: CountingProcesses, horizon: float, exact: bool = False) -> Number:
@@ -73,25 +103,6 @@ def kaplan_meier_curve(cp: CountingProcesses) -> StepFunction:
     return StepFunction(1.0, tuple(times), tuple(values))
 
 
-def _warn_censored_tail(cp: CountingProcesses) -> None:
-    last_event = None
-    last_cens = None
-    for i in range(len(cp.times) - 1, -1, -1):
-        if last_event is None and (cp.dn1[i] or cp.dn2[i]):
-            last_event = cp.times[i]
-        if last_cens is None and cp.dnc[i]:
-            last_cens = cp.times[i]
-        if last_event is not None and last_cens is not None:
-            break
-    if last_cens is not None and (last_event is None or last_cens >= last_event):
-        warnings.warn(
-            "largest observation is censored; the incidence limit is only "
-            "partially identified",
-            SupportWarning,
-            stacklevel=3,
-        )
-
-
 def cif_limit(cp: CountingProcesses, exact: bool = False, warn: bool = True) -> Number:
     """Limit of the cumulative incidence of kind-1 observations.
 
@@ -100,7 +111,10 @@ def cif_limit(cp: CountingProcesses, exact: bool = False, warn: bool = True) -> 
     absorb the time's events into the survival factor.
     """
     if warn:
-        _warn_censored_tail(cp)
+        _warn_censored_tail(
+            [v for i, v in enumerate(cp.times) if cp.dn(i)],
+            [v for i, v in enumerate(cp.times) if cp.dnc[i]],
+        )
     total = _one(exact) * 0
     surv = _one(exact)
     for i in range(len(cp.times)):
@@ -133,6 +147,267 @@ def cif_curve(cp: CountingProcesses) -> StepFunction:
     return StepFunction(0.0, tuple(times), tuple(values))
 
 
+# ---------------------------------------------------------------------------
+# the array kernel behind the registered estimators
+
+
+class _Columns(NamedTuple):
+    """The record fields the estimators read, one numpy array each."""
+
+    entry: np.ndarray
+    exit0: np.ndarray
+    final: np.ndarray
+    cause0: np.ndarray
+    observed: np.ndarray
+
+    @classmethod
+    def of(cls, records: Sequence[IllnessDeathRecord]) -> _Columns:
+        n = len(records)
+        return cls(
+            np.fromiter((r.entry for r in records), float, n),
+            np.fromiter((r.exit0 for r in records), float, n),
+            np.fromiter((r.final_time for r in records), float, n),
+            np.fromiter((r.cause0 for r in records), np.int8, n),
+            np.fromiter((r.observed for r in records), bool, n),
+        )
+
+    def take(self, mask: np.ndarray) -> _Columns:
+        return _Columns(*(column[mask] for column in self))
+
+    @property
+    def ill(self) -> np.ndarray:
+        return self.cause0 == Cause.ILL
+
+    @property
+    def state0(self) -> np.ndarray:
+        """Observed in state 0 at all, i.e. not recruited during illness."""
+        return ~(self.ill & (self.entry >= self.exit0))
+
+    def landmark(self, s: float) -> np.ndarray:
+        """Mask of the landmark subset at s (see records.landmark_subset)."""
+        if s == 0:
+            return (self.entry == 0) & (self.exit0 > 0) & self.state0
+        return (self.entry < s) & (s < self.exit0)
+
+    def event1(self, s: float, ts: np.ndarray) -> np.ndarray:
+        """(len(ts), n) mask: observed, ill in (s, t] and alive just after t."""
+        t = ts[:, None]
+        onset = self.observed & self.ill & (s < self.exit0)
+        return onset & (self.exit0 <= t) & (t < self.final)
+
+    def warn_censored_tail(self) -> None:
+        _warn_censored_tail(self.final[self.observed], self.final[~self.observed])
+
+
+def _at_risk(starts: np.ndarray, ends: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Risk-set sizes on left-open windows: #(start < v) - #(end < v)."""
+    return np.searchsorted(np.sort(starts), times) - np.searchsorted(
+        np.sort(ends), times
+    )
+
+
+class _ProductLimit:
+    """Pooled event process of a cohort on the grid of its distinct final times.
+
+    Every subject is at risk at its own final time, so ``y >= 1`` on this
+    grid; times that are only state-0 exits would add unit factors and zero
+    masses, so leaving them out changes no value, not even in float.
+    """
+
+    def __init__(self, cols: _Columns, exact: bool):
+        self.exact = exact
+        self.times, self.index = np.unique(cols.final, return_inverse=True)
+        self.y = _at_risk(cols.entry, cols.final, self.times)
+        self.d = np.bincount(self.index[cols.observed], minlength=len(self.times))
+        self.factor = 1 - _ratio(self.d, self.y, exact)
+        self.surv = np.cumprod(self.factor)  # through each grid time
+
+    def event1_counts(self, event1: np.ndarray) -> np.ndarray:
+        """Per-t kind-1 counts on the grid, from a (len(ts), n) mask."""
+        m = len(self.times)
+        rows, subjects = np.nonzero(event1)
+        flat = rows * m + self.index[subjects]
+        return np.bincount(flat, minlength=len(event1) * m).reshape(-1, m)
+
+    def incidence(self, event1: np.ndarray) -> np.ndarray:
+        """Incidence limit per t: kind-1 masses surv(T-) * dn1 / y, summed."""
+        one = _one(self.exact)
+        before = np.concatenate(([one], self.surv[:-1]))
+        masses = before * _ratio(self.event1_counts(event1), self.y, self.exact)
+        return _running_total(masses, one * 0)
+
+
+def _query_times(s: float, ts: Iterable[float]) -> np.ndarray:
+    ts = list(ts)
+    for t in ts or [s]:
+        TransitionQuery(s, t)  # same validation and errors as a single query
+    return np.asarray(ts, dtype=float)
+
+
+def _landmark_columns(cohort: Iterable[IllnessDeathRecord], s: float) -> _Columns:
+    cols = _Columns.of(list(cohort))
+    sub = cols.take(cols.landmark(s))
+    if not len(sub.final):
+        raise EmptyLandmark(f"no subject in state 0 at landmark s={s}")
+    return sub
+
+
+def _state0_survival(cols: _Columns, s: float, exact: bool) -> Number:
+    """Product-limit state-0 survival at s, the denominator of both mm forms."""
+    if not len(cols.final):
+        raise EmptyRiskSet("empty cohort")
+    state0 = cols.state0
+    exits = state0 & (cols.cause0 != Cause.CENSORED) & (cols.exit0 <= s)
+    times, d0 = np.unique(cols.exit0[exits], return_counts=True)
+    y0 = _at_risk(cols.entry[state0], cols.exit0[state0], times)
+    factors = np.concatenate(([_one(exact)], 1 - _ratio(d0, y0, exact)))
+    den = np.cumprod(factors)[-1]
+    if den == 0:
+        raise ZeroDenominator(f"estimated state-0 survival at s={s} is zero")
+    return den
+
+
+def _check_curve(
+    cohort: Iterable[IllnessDeathRecord],
+    s: float,
+    ts: Iterable[float],
+    exact: bool = False,
+) -> list[Number]:
+    ts = _query_times(s, ts)
+    sub = _landmark_columns(cohort, s)
+    sub.warn_censored_tail()
+    return _ProductLimit(sub, exact).incidence(sub.event1(s, ts)).tolist()
+
+
+def _mm_curve(
+    cohort: Iterable[IllnessDeathRecord],
+    s: float,
+    ts: Iterable[float],
+    exact: bool = False,
+) -> list[Number]:
+    ts = _query_times(s, ts)
+    cols = _Columns.of(list(cohort))
+    den = _state0_survival(cols, s, exact)
+    cols.warn_censored_tail()
+    out = _ProductLimit(cols, exact).incidence(cols.event1(s, ts)) / den
+    for value in out:
+        if value > 1:
+            message = f"ratio estimate {float(value):.6g} exceeds 1"
+            warnings.warn(message, RangeWarning, stacklevel=2)
+    return out.tolist()
+
+
+def _stute_curve(
+    cohort: Iterable[IllnessDeathRecord],
+    s: float,
+    ts: Iterable[float],
+    exact: bool = False,
+) -> list[Number]:
+    ts = _query_times(s, ts)
+    records = list(cohort)
+    cols = _Columns.of(records)
+    den = _state0_survival(cols, s, exact)
+    n = len(records)
+    ids = [r.id for r in records]
+    id_rank = np.empty(n, dtype=np.intp)
+    id_rank[sorted(range(n), key=ids.__getitem__)] = np.arange(n)
+    # final time, events before censorings, then id; lexsort is stable
+    order = np.lexsort((id_rank, ~cols.observed, cols.final))
+    one = _one(exact)
+    jump = _ratio(1, np.arange(n, 0, -1), exact)  # 1 / (n - rank + 1)
+    surv = np.cumprod(np.where(cols.observed[order], 1 - jump, one))
+    masses = np.concatenate(([one], surv[:-1])) * jump
+    terms = np.where(cols.event1(s, ts)[:, order], masses, one * 0)
+    return (_running_total(terms, one * 0) / den).tolist()
+
+
+def _aj_curve(
+    cohort: Iterable[IllnessDeathRecord],
+    s: float,
+    ts: Iterable[float],
+    exact: bool = False,
+) -> list[Number]:
+    ts = _query_times(s, ts)
+    cols = _Columns.of(list(cohort))
+    if not cols.landmark(s).any():
+        raise EmptyLandmark(f"no subject in state 0 at s={s}")
+    state0, ill = cols.state0, cols.ill
+    start1 = np.maximum(cols.entry, cols.exit0)
+    seen_ill = ill & (start1 < cols.final)  # joins the illness risk set
+    moves = (
+        cols.exit0[state0 & ill],
+        cols.exit0[cols.cause0 == Cause.ABSORBED],
+        cols.final[seen_ill & cols.observed],
+    )
+    times, index = np.unique(np.concatenate(moves), return_inverse=True)
+    kind = np.repeat(np.arange(3), [len(m) for m in moves])
+    d = np.bincount(kind * len(times) + index, minlength=3 * len(times))
+    d = d.reshape(3, len(times))
+    window = (times > s) & (times <= ts.max(initial=s))
+    times, d = times[window], d[:, window]
+    y0 = _at_risk(cols.entry[state0], cols.exit0[state0], times)
+    y1 = _at_risk(start1[seen_ill], cols.final[seen_ill], times)
+    one = _one(exact)
+    zero = one * 0
+
+    def hazard(d: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return np.where(y > 0, _ratio(d, np.maximum(y, 1), exact), zero)
+
+    h01, h02, h12 = hazard(d[0], y0), hazard(d[1], y0), hazard(d[2], y1)
+    stay0, stay1 = (1 - h01 - h02).tolist(), (1 - h12).tolist()
+    p0, p1 = one, zero
+    history = [p1]  # p1 after each transition time
+    for keep0, enter1, keep1 in zip(stay0, h01.tolist(), stay1):
+        p1 = p1 * keep1 + p0 * enter1
+        p0 = p0 * keep0
+        history.append(p1)
+    return [history[i] for i in np.searchsorted(times, ts, side="right")]
+
+
+# The registry the CLI, the bootstrap and the Monte-Carlo harness share.
+ESTIMATORS: dict[str, Callable[..., list[Number]]] = {
+    "check": _check_curve,
+    "mm": _mm_curve,
+    "mm-stute": _stute_curve,
+    "aj": _aj_curve,
+}
+
+
+def p01_curve(
+    cohort: Iterable[IllnessDeathRecord],
+    s: float,
+    ts: Iterable[float],
+    method: str,
+    exact: bool = False,
+) -> list[Number]:
+    """P01(s, t) for every t in ts, by one sweep of the cohort.
+
+    ``method`` names a registered estimator: ``check`` (p01_landmark),
+    ``mm`` (p01_cif_ratio), ``mm-stute`` (p01_km_integral) or ``aj``
+    (p01_aalen_johansen).  The result lists one value per t, in the order
+    of ts, each equal to the scalar form at TransitionQuery(s, t), with the
+    same warnings and errors; every error depends on s alone.
+    """
+    if method not in ESTIMATORS:
+        known = ", ".join(ESTIMATORS)
+        raise ValueError(f"unknown method {method!r}; choose from {known}")
+    return ESTIMATORS[method](cohort, s, ts, exact)
+
+
+def p01_landmark(
+    cohort: Sequence[IllnessDeathRecord],
+    query: TransitionQuery,
+    exact: bool = False,
+) -> Number:
+    """Landmark estimator: incidence limit on the subset in state 0 at s.
+
+    Robust to left-truncation because conditioning on the landmark makes
+    the question one about the subset's own future.  Raises EmptyLandmark
+    when no subject is under observation in state 0 at s.
+    """
+    return p01_curve(cohort, query.s, [query.t], "check", exact)[0]
+
+
 def p01_cif_ratio(
     cohort: Sequence[IllnessDeathRecord],
     query: TransitionQuery,
@@ -145,17 +420,7 @@ def p01_cif_ratio(
     in small samples because numerator and denominator are estimated from
     different processes.
     """
-    cp = build_counting(cohort, query)
-    den = kaplan_meier(cp, query.s, exact=exact)
-    if den == 0:
-        raise ZeroDenominator(f"estimated state-0 survival at s={query.s} is zero")
-    num = cif_limit(cp, exact=exact)
-    out = num / den
-    if out > 1:
-        warnings.warn(
-            f"ratio estimate {float(out):.6g} exceeds 1", RangeWarning, stacklevel=2
-        )
-    return out
+    return p01_curve(cohort, query.s, [query.t], "mm", exact)[0]
 
 
 def p01_km_integral(
@@ -170,22 +435,58 @@ def p01_km_integral(
     product-limit jump mass.  Algebraically identical to p01_cif_ratio under
     these tie rules, which ``exact=True`` makes checkable to equality.
     """
-    cp = build_counting(cohort, query)
-    den = kaplan_meier(cp, query.s, exact=exact)
-    if den == 0:
-        raise ZeroDenominator(f"estimated state-0 survival at s={query.s} is zero")
-    order = sorted(cohort, key=lambda r: (r.final_time, not r.observed, r.id))
-    n = len(order)
-    num = _one(exact) * 0
-    surv = _one(exact)
-    for rank, r in enumerate(order, start=1):
-        if not r.observed:
-            continue
-        mass = surv * _ratio(1, n - rank + 1, exact)
-        if r.cause0 is Cause.ILL and query.s < r.exit0 <= query.t < r.final_time:
-            num += mass
-        surv *= 1 - _ratio(1, n - rank + 1, exact)
-    return num / den
+    return p01_curve(cohort, query.s, [query.t], "mm-stute", exact)[0]
+
+
+def p01_aalen_johansen(
+    cohort: Sequence[IllnessDeathRecord],
+    query: TransitionQuery,
+    exact: bool = False,
+) -> Number:
+    """Markov occupation-probability estimator of the same quantity.
+
+    Propagates (state-0, state-1) occupation probabilities through the
+    empirical transition hazards on (s, t].  Consistent when the process is
+    Markov; used as a comparator because it remains computable, and biased,
+    when it is not.  Handles delayed entry into either living state.  A
+    subject whose illness and absorption are tied never enters the illness
+    risk set and contributes no illness exit.
+    """
+    return p01_curve(cohort, query.s, [query.t], "aj", exact)[0]
+
+
+def p01_landmark_variance(
+    cohort: Sequence[IllnessDeathRecord],
+    query: TransitionQuery,
+    exact: bool = False,
+) -> Number:
+    """Plug-in variance of the landmark estimator.
+
+    Sums squared influence of each pooled-process jump: a kind-1 jump at u
+    perturbs by the mass not yet committed (one minus the remaining
+    incidence), a kind-2 jump by the remaining incidence itself, both scaled
+    by the survival factor through u.  The remaining incidence is built by
+    one backward recursion over the grid.
+    """
+    sub = _landmark_columns(cohort, query.s)
+    grid = _ProductLimit(sub, exact)
+    dn1 = grid.event1_counts(sub.event1(query.s, np.array([query.t])))[0]
+    jump1 = _ratio(dn1, grid.y, exact)
+    jump2 = _ratio(grid.d - dn1, grid.y, exact)
+    zero = _one(exact) * 0
+    # remaining incidence strictly after each grid time, per t by recursion
+    step, factor = jump1.tolist(), grid.factor.tolist()
+    remaining = [zero] * len(step)
+    acc = zero
+    for i in range(len(step) - 2, -1, -1):
+        acc = step[i + 1] + factor[i + 1] * acc
+        remaining[i] = acc
+    remaining = np.array(remaining, dtype=grid.surv.dtype)
+    tail = grid.surv * grid.surv * (1 - remaining) * (1 - remaining) * jump1
+    committed = grid.surv * remaining
+    # per grid time, the kind-1 term before the kind-2 term
+    terms = np.stack((tail, committed * committed * jump2), axis=1).reshape(1, -1)
+    return _running_total(terms, zero).tolist()[0]
 
 
 def cif_limit_ipcw(
@@ -251,62 +552,6 @@ def tsai_crowley_weight(
     return out
 
 
-def p01_landmark(
-    cohort: Sequence[IllnessDeathRecord],
-    query: TransitionQuery,
-    exact: bool = False,
-) -> Number:
-    """Landmark estimator: incidence limit on the subset in state 0 at s.
-
-    Robust to left-truncation because conditioning on the landmark makes
-    the question one about the subset's own future.  Raises EmptyLandmark
-    when no subject is under observation in state 0 at s.
-    """
-    cp = build_counting(cohort, query, landmark=True)
-    return cif_limit(cp, exact=exact)
-
-
-def p01_landmark_variance(
-    cohort: Sequence[IllnessDeathRecord],
-    query: TransitionQuery,
-    exact: bool = False,
-) -> Number:
-    """Plug-in variance of the landmark estimator.
-
-    Sums squared influence of each pooled-process jump: a kind-1 jump at u
-    perturbs by the mass not yet committed (one minus the remaining
-    incidence), a kind-2 jump by the remaining incidence itself, both scaled
-    by the survival factor through u.  The remaining incidence is built by
-    one backward recursion over the grid.
-    """
-    cp = build_counting(cohort, query, landmark=True)
-    one = _one(exact)
-    zero = one * 0
-    m = len(cp.times)
-    remaining = [zero] * m
-    acc = zero
-    for i in range(m - 2, -1, -1):
-        j = i + 1
-        y = cp.y[j]
-        if y:
-            acc = _ratio(cp.dn1[j], y, exact) + (1 - _ratio(cp.dn(j), y, exact)) * acc
-        remaining[i] = acc
-    var = zero
-    surv = one
-    for i in range(m):
-        y = cp.y[i]
-        if not y:
-            continue
-        surv *= 1 - _ratio(cp.dn(i), y, exact)
-        if cp.dn1[i]:
-            tail = 1 - remaining[i]
-            var += surv * surv * tail * tail * _ratio(cp.dn1[i], y, exact)
-        if cp.dn2[i]:
-            committed = surv * remaining[i]
-            var += committed * committed * _ratio(cp.dn2[i], y, exact)
-    return var
-
-
 def risk_set_stability(
     cohort: Sequence[IllnessDeathRecord], query: TransitionQuery
 ) -> float:
@@ -323,62 +568,6 @@ def risk_set_stability(
             break
         worst = min(worst, cp.y[i] / base)
     return worst
-
-
-def p01_aalen_johansen(
-    cohort: Sequence[IllnessDeathRecord],
-    query: TransitionQuery,
-    exact: bool = False,
-) -> Number:
-    """Markov occupation-probability estimator of the same quantity.
-
-    Propagates (state-0, state-1) occupation probabilities through the
-    empirical transition hazards on (s, t].  Consistent when the process is
-    Markov; used as a comparator because it remains computable, and biased,
-    when it is not.  Handles delayed entry into either living state.  A
-    subject whose illness and absorption are tied never enters the illness
-    risk set and contributes no illness exit.
-    """
-    records = list(cohort)
-    if not landmark_subset(records, query.s):
-        raise EmptyLandmark(f"no subject in state 0 at s={query.s}")
-    entries0, exit0s = [], []
-    starts1, exit1s = [], []
-    d01: dict[float, int] = {}
-    d02: dict[float, int] = {}
-    d12: dict[float, int] = {}
-    for r in records:
-        if not r.entered_ill:
-            entries0.append(r.entry)
-            exit0s.append(r.exit0)
-            if r.cause0 is Cause.ILL:
-                d01[r.exit0] = d01.get(r.exit0, 0) + 1
-            elif r.cause0 is Cause.ABSORBED:
-                d02[r.exit0] = d02.get(r.exit0, 0) + 1
-        if r.cause0 is Cause.ILL:
-            start = max(r.entry, r.exit0)
-            if start < r.exit1:
-                starts1.append(start)
-                exit1s.append(r.exit1)
-                if r.cause1 is Cause.ABSORBED:
-                    d12[r.exit1] = d12.get(r.exit1, 0) + 1
-    entries0.sort()
-    exit0s.sort()
-    starts1.sort()
-    exit1s.sort()
-    one = _one(exact)
-    p0, p1 = one, one * 0
-    for v in sorted(set(d01) | set(d02) | set(d12)):
-        if not query.s < v <= query.t:
-            continue
-        y0 = bisect_left(entries0, v) - bisect_left(exit0s, v)
-        y1 = bisect_left(starts1, v) - bisect_left(exit1s, v)
-        h01 = _ratio(d01.get(v, 0), y0, exact) if y0 else one * 0
-        h02 = _ratio(d02.get(v, 0), y0, exact) if y0 else one * 0
-        h12 = _ratio(d12.get(v, 0), y1, exact) if y1 else one * 0
-        p1 = p1 * (1 - h12) + p0 * h01
-        p0 = p0 * (1 - h01 - h02)
-    return p1
 
 
 def multinomial_uncensored(

@@ -17,8 +17,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EstimationError, TooManyFailures
+from .estimators import ESTIMATORS
 from .records import IllnessDeathRecord, TransitionQuery
-from .simulation import ESTIMATORS, _rng
+from .simulation import _rng
 
 
 def _clip_unit(lo: float, hi: float) -> tuple[float, float]:
@@ -70,18 +71,18 @@ def bootstrap_ci(
         raise ValueError("level must be inside (0, 1)")
     if n_boot < 2:
         raise ValueError("n_boot must be >= 2")
-    fn = ESTIMATORS[estimator]
-    point = float(fn(cohort, query))
+    curve = ESTIMATORS[estimator]
     n = len(cohort)
     estimates: list[float] = []
     failed = 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
+        point = float(curve(cohort, query.s, [query.t])[0])
         for b in range(n_boot):
             idx = _rng(seed, b).integers(0, n, size=n)
             resample = [cohort[i] for i in idx]
             try:
-                estimates.append(float(fn(resample, query)))
+                estimates.append(float(curve(resample, query.s, [query.t])[0]))
             except EstimationError:
                 failed += 1
     if failed > n_boot / 2:

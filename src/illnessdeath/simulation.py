@@ -21,17 +21,12 @@ import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import IO, Callable, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
 from .errors import DegenerateCohort, EstimationError
-from .estimators import (
-    p01_aalen_johansen,
-    p01_cif_ratio,
-    p01_km_integral,
-    p01_landmark,
-)
+from .estimators import ESTIMATORS
 from .records import Cause, IllnessDeathRecord, TransitionQuery
 
 DEFAULT_SEED = 26
@@ -243,15 +238,6 @@ def markov_true_p01(
 # ---------------------------------------------------------------------------
 # Monte-Carlo harness
 
-ESTIMATORS: dict[str, Callable[[Sequence[IllnessDeathRecord], TransitionQuery], float]]
-ESTIMATORS = {
-    "check": p01_landmark,
-    "mm": p01_cif_ratio,
-    "mm-stute": p01_km_integral,
-    "aj": p01_aalen_johansen,
-}
-
-
 @dataclass(frozen=True)
 class BiasVarianceRow:
     estimator: str
@@ -289,12 +275,12 @@ def _mc_replication(args) -> tuple[int, int, list[float | None]]:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for name in estimators:
-            fn = ESTIMATORS[name]
-            for t in eval_times:
-                try:
-                    cells.append(float(fn(cohort, TransitionQuery(landmark, t))))
-                except EstimationError:
-                    cells.append(None)
+            try:
+                values = ESTIMATORS[name](cohort, landmark, eval_times)
+            except EstimationError:
+                cells.extend([None] * len(eval_times))
+            else:
+                cells.extend(float(v) for v in values)
     return rep_index, len(cohort), cells
 
 
@@ -303,9 +289,12 @@ def _worker_count(workers: int | None) -> int:
         return max(1, workers)
     raw = os.environ.get(WORKERS_ENV, "1")
     try:
-        return max(1, int(raw))
+        count = int(raw)
     except ValueError:
-        return 1
+        count = 0
+    if count < 1:
+        raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
+    return count
 
 
 def run_monte_carlo(

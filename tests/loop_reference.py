@@ -1,0 +1,140 @@
+"""Per-query loop forms of the four registered estimators and the variance.
+
+These are the estimators as plain loops over one query's counting
+processes (``build_counting``) or over the records, one t at a time.  The
+array kernel behind ``p01_curve`` sums and multiplies in the same order, so
+tests/test_curve.py demands equality with these, in float as well as in
+exact mode, together with the same exception types.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_left
+from fractions import Fraction
+
+from illnessdeath import (
+    Cause,
+    EmptyLandmark,
+    ZeroDenominator,
+    build_counting,
+    cif_limit,
+    kaplan_meier,
+    landmark_subset,
+)
+
+
+def _one(exact):
+    return Fraction(1) if exact else 1.0
+
+
+def _ratio(num, den, exact):
+    return Fraction(num, den) if exact else num / den
+
+
+def landmark(cohort, query, exact=False):
+    return cif_limit(build_counting(cohort, query, landmark=True), exact=exact)
+
+
+def _state0_survival(cp, query, exact):
+    den = kaplan_meier(cp, query.s, exact=exact)
+    if den == 0:
+        raise ZeroDenominator(f"estimated state-0 survival at s={query.s} is zero")
+    return den
+
+
+def cif_ratio(cohort, query, exact=False):
+    cp = build_counting(cohort, query)
+    den = _state0_survival(cp, query, exact)
+    return cif_limit(cp, exact=exact) / den
+
+
+def km_integral(cohort, query, exact=False):
+    cp = build_counting(cohort, query)
+    den = _state0_survival(cp, query, exact)
+    order = sorted(cohort, key=lambda r: (r.final_time, not r.observed, r.id))
+    n = len(order)
+    num = _one(exact) * 0
+    surv = _one(exact)
+    for rank, r in enumerate(order, start=1):
+        if not r.observed:
+            continue
+        mass = surv * _ratio(1, n - rank + 1, exact)
+        if r.cause0 is Cause.ILL and query.s < r.exit0 <= query.t < r.final_time:
+            num += mass
+        surv *= 1 - _ratio(1, n - rank + 1, exact)
+    return num / den
+
+
+def aalen_johansen(cohort, query, exact=False):
+    records = list(cohort)
+    if not landmark_subset(records, query.s):
+        raise EmptyLandmark(f"no subject in state 0 at s={query.s}")
+    entries0, exit0s, starts1, exit1s = [], [], [], []
+    d01, d02, d12 = {}, {}, {}
+    for r in records:
+        if not r.entered_ill:
+            entries0.append(r.entry)
+            exit0s.append(r.exit0)
+            if r.cause0 is Cause.ILL:
+                d01[r.exit0] = d01.get(r.exit0, 0) + 1
+            elif r.cause0 is Cause.ABSORBED:
+                d02[r.exit0] = d02.get(r.exit0, 0) + 1
+        if r.cause0 is Cause.ILL:
+            start = max(r.entry, r.exit0)
+            if start < r.exit1:
+                starts1.append(start)
+                exit1s.append(r.exit1)
+                if r.cause1 is Cause.ABSORBED:
+                    d12[r.exit1] = d12.get(r.exit1, 0) + 1
+    for times in (entries0, exit0s, starts1, exit1s):
+        times.sort()
+    one = _one(exact)
+    p0, p1 = one, one * 0
+    for v in sorted(set(d01) | set(d02) | set(d12)):
+        if not query.s < v <= query.t:
+            continue
+        y0 = bisect_left(entries0, v) - bisect_left(exit0s, v)
+        y1 = bisect_left(starts1, v) - bisect_left(exit1s, v)
+        h01 = _ratio(d01.get(v, 0), y0, exact) if y0 else one * 0
+        h02 = _ratio(d02.get(v, 0), y0, exact) if y0 else one * 0
+        h12 = _ratio(d12.get(v, 0), y1, exact) if y1 else one * 0
+        p1 = p1 * (1 - h12) + p0 * h01
+        p0 = p0 * (1 - h01 - h02)
+    return p1
+
+
+def landmark_variance(cohort, query, exact=False):
+    cp = build_counting(cohort, query, landmark=True)
+    one = _one(exact)
+    zero = one * 0
+    m = len(cp.times)
+    remaining = [zero] * m
+    acc = zero
+    for i in range(m - 2, -1, -1):
+        j = i + 1
+        y = cp.y[j]
+        if y:
+            acc = _ratio(cp.dn1[j], y, exact) + (1 - _ratio(cp.dn(j), y, exact)) * acc
+        remaining[i] = acc
+    var = zero
+    surv = one
+    for i in range(m):
+        y = cp.y[i]
+        if not y:
+            continue
+        surv *= 1 - _ratio(cp.dn(i), y, exact)
+        if cp.dn1[i]:
+            tail = 1 - remaining[i]
+            var += surv * surv * tail * tail * _ratio(cp.dn1[i], y, exact)
+        if cp.dn2[i]:
+            committed = surv * remaining[i]
+            var += committed * committed * _ratio(cp.dn2[i], y, exact)
+    return var
+
+
+BY_METHOD = {
+    "check": landmark,
+    "mm": cif_ratio,
+    "mm-stute": km_integral,
+    "aj": aalen_johansen,
+}

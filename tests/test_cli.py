@@ -9,7 +9,14 @@ import sys
 
 import pytest
 
-from illnessdeath import read_cohort
+from illnessdeath import (
+    Cause,
+    IllnessDeathRecord,
+    preset,
+    read_cohort,
+    simulate_cohort,
+    write_cohort,
+)
 from illnessdeath.cli import main
 
 
@@ -83,6 +90,53 @@ class TestEstimate:
         assert captured.out.splitlines()[0].startswith("method,s,t,estimate")
         manifest = json.loads(captured.err)
         assert manifest["subcommand"] == "estimate"
+
+    def test_boot_keeps_stderr_pure_json(self, tmp_path):
+        # a fresh interpreter prints warnings that escape; pytest would record them
+        cohort = simulate_cohort(preset("table1", n=60, seed=100).config)
+        assert not max(cohort, key=lambda r: r.final_time).observed
+        path = tmp_path / "cohort.csv"
+        write_cohort(cohort, path)
+        captured = subprocess.run(
+            [sys.executable, "-m", "illnessdeath", "estimate", "--input", str(path),
+             "--s", "10", "--t", "50", "--method", "check", "--boot", "20",
+             "--output", "-"],
+            capture_output=True, text=True,
+        )
+        assert captured.returncode == 0
+        row = list(csv.DictReader(captured.stdout.splitlines()))[0]
+        assert row["flags"] == "support"
+        assert json.loads(captured.stderr)["parameters"]["boot"] == 20
+
+    def test_time_grid_rows_match_single_t_runs(self, tmp_path):
+        # censored and left-truncated: the largest time is a censoring, the
+        # mm ratio exceeds 1 at t=3 only, and the two mm forms disagree
+        cohort = [
+            IllnessDeathRecord("a", 0, 0.5, Cause.ILL, 1, Cause.CENSORED),
+            IllnessDeathRecord("b", 0, 2, Cause.ILL, 9, Cause.ABSORBED),
+            IllnessDeathRecord("c", 0, 1, Cause.ABSORBED),
+            IllnessDeathRecord("d", 0.5, 2.5, Cause.ILL, 4, Cause.ABSORBED),
+            IllnessDeathRecord("e", 1, 12, Cause.CENSORED),
+        ]
+        path = tmp_path / "cohort.csv"
+        write_cohort(cohort, path)
+        base = ["estimate", "--input", str(path), "--s", "1.5", "--method", "all"]
+
+        def lines(times):
+            out = tmp_path / "out.csv"
+            assert main([*base, "--t", times, "--output", str(out)]) == 0
+            return out.read_text().splitlines()
+
+        grid = lines("10,3,5")
+        singles = [lines(t) for t in ("3", "5", "10")]
+        assert all(single[0] == grid[0] for single in singles)
+        assert grid[1:] == [single[1 + m] for m in range(4) for single in singles]
+        flags = {(r["method"], r["t"]): r["flags"] for r in csv.DictReader(grid)}
+        assert flags[("check", "3")] == flags[("check", "10")] == "support"
+        assert flags[("mm", "3")] == "range;support"
+        assert flags[("mm", "5")] == flags[("mm", "10")] == "support"
+        assert flags[("mm-stute", "3")] == flags[("mm-stute", "5")] == "stute-mismatch"
+        assert flags[("aj", "3")] == ""
 
     def test_bootstrap_columns(self, toy_csv, tmp_path):
         code, rows, manifest, _ = _run(
@@ -221,6 +275,18 @@ class TestSimulate:
         monkeypatch.setenv("ILLNESSDEATH_WORKERS", "2")
         assert main([*argv, "--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("workers", ["two", "-3", "0"])
+    def test_invalid_worker_env_is_usage_error(
+        self, tmp_path, monkeypatch, capsys, workers
+    ):
+        monkeypatch.setenv("ILLNESSDEATH_WORKERS", workers)
+        code, _, _, _ = _run(
+            tmp_path, "simulate", "--scenario", "table1", "--reps", "2", "--n", "10"
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "ILLNESSDEATH_WORKERS" in err
 
     def test_custom_scenario(self, tmp_path):
         cfg = tmp_path / "design.cfg"

@@ -1,0 +1,125 @@
+"""One sweep per (cohort, s): p01_curve against its scalar forms and references.
+
+The kernel behind ``p01_curve`` adds and multiplies in grid order, so its
+float values must equal the per-query loops of loop_reference.py with ``==``,
+and its exact values must equal them and the brute-force oracle.  Cohorts
+come from cohortgen: tied half-unit times, left-truncation and recruitment
+during illness; the t lists are unsorted and may repeat.
+"""
+
+from __future__ import annotations
+
+import random
+import warnings
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import loop_reference as loops
+import oracle_bruteforce as ob
+from cohortgen import random_cohort, to_oracle
+from illnessdeath import (
+    EstimationError,
+    TransitionQuery,
+    p01_aalen_johansen,
+    p01_cif_ratio,
+    p01_curve,
+    p01_km_integral,
+    p01_landmark,
+    p01_landmark_variance,
+)
+
+SCALAR = {
+    "check": p01_landmark,
+    "mm": p01_cif_ratio,
+    "mm-stute": p01_km_integral,
+    "aj": p01_aalen_johansen,
+}
+ORACLE = {
+    "check": ob.p01_landmark,
+    "mm": ob.p01_ratio,
+    "mm-stute": ob.stute_sum,
+    "aj": ob.aalen_johansen_p01,
+}
+LANDMARKS = (0.0, 0.5, 1.0, 1.5, 2.0, 0.75, 1.25)
+GAPS = (0.0, 0.5, 1.0, 2.0, 3.5, 0.75, 2.25, 6.0)
+
+
+def _outcome(fn):
+    """The value, or the type of the EstimationError raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return fn()
+        except EstimationError as err:
+            return type(err)
+
+
+def _per_t(curve, ts):
+    return [curve] * len(ts) if isinstance(curve, type) else curve
+
+
+@st.composite
+def cases(draw):
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    cohort = random_cohort(
+        rng, max_n=25, truncated=draw(st.booleans()), censored=draw(st.booleans())
+    )
+    s = draw(st.sampled_from(LANDMARKS))
+    gaps = draw(st.lists(st.sampled_from(GAPS), min_size=1, max_size=6))
+    return cohort, s, [s + g for g in gaps]
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=cases())
+def test_float_curve_equals_each_scalar_and_loop(case):
+    cohort, s, ts = case
+    for method, scalar in SCALAR.items():
+        curve = _per_t(_outcome(lambda: p01_curve(cohort, s, ts, method)), ts)
+        queries = [TransitionQuery(s, t) for t in ts]
+        assert curve == [_outcome(lambda: scalar(cohort, q)) for q in queries]
+        reference = loops.BY_METHOD[method]
+        assert curve == [_outcome(lambda: reference(cohort, q)) for q in queries]
+    for t in ts:
+        q = TransitionQuery(s, t)
+        assert _outcome(lambda: p01_landmark_variance(cohort, q)) == _outcome(
+            lambda: loops.landmark_variance(cohort, q)
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=cases())
+def test_exact_curve_equals_each_scalar_loop_and_oracle(case):
+    cohort, s, ts = case
+    mirror = to_oracle(cohort)
+    lo = F(s).limit_denominator(4)
+    his = [F(t).limit_denominator(4) for t in ts]
+    for method, scalar in SCALAR.items():
+        curve = _outcome(lambda: p01_curve(cohort, s, ts, method, exact=True))
+        queries = [TransitionQuery(s, t) for t in ts]
+        assert _per_t(curve, ts) == [
+            _outcome(lambda: scalar(cohort, q, exact=True)) for q in queries
+        ]
+        reference = loops.BY_METHOD[method]
+        assert _per_t(curve, ts) == [
+            _outcome(lambda: reference(cohort, q, exact=True)) for q in queries
+        ]
+        if not isinstance(curve, type):
+            assert all(isinstance(v, F) for v in curve)
+            assert curve == [ORACLE[method](mirror, lo, hi) for hi in his]
+    for t, hi in zip(ts, his):
+        variance = _outcome(
+            lambda: p01_landmark_variance(cohort, TransitionQuery(s, t), exact=True)
+        )
+        if not isinstance(variance, type):
+            assert variance == ob.variance_landmark(mirror, lo, hi)
+
+
+def test_curve_validates_like_a_query(cohort4):
+    with pytest.raises(ValueError):
+        p01_curve(cohort4, 2.0, [3.0, 1.0], "check")
+    with pytest.raises(ValueError):
+        p01_curve(cohort4, 1.5, [3.5], "magic")
+    assert p01_curve(cohort4, 1.5, [], "aj") == []
