@@ -14,7 +14,7 @@ import hashlib
 import json
 import sys
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -34,6 +34,7 @@ from .simulation import (
     Scenario,
     ScenarioConfig,
     TruncationConfig,
+    _override,
     preset,
     run_monte_carlo,
 )
@@ -287,21 +288,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 print("error: --scenario custom requires --config", file=sys.stderr)
                 return 2
             scenario = _custom_scenario(args.config)
-            overrides = {}
-            if args.n is not None:
-                overrides["n"] = args.n
-            if args.reps is not None:
-                overrides["replications"] = args.reps
-            if args.seed is not None:
-                overrides["seed"] = args.seed
-            if overrides:
-                scenario = replace(
-                    scenario, config=replace(scenario.config, **overrides)
-                )
         else:
-            scenario = preset(
-                args.scenario, n=args.n, replications=args.reps, seed=args.seed
-            )
+            scenario = preset(args.scenario)
+        scenario = _override(scenario, args.n, args.reps, args.seed)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -23,9 +23,12 @@ factor; products over an empty index set are 1 and sums 0.
 
 from __future__ import annotations
 
+import math
 import warnings
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Sequence
+from functools import partial
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -76,75 +79,84 @@ def _warn_censored_tail(events, censorings) -> None:
         )
 
 
-def kaplan_meier(cp: CountingProcesses, horizon: float, exact: bool = False) -> Number:
-    """Product-limit probability of still occupying state 0 at `horizon`.
-
-    The product runs over observed state-0 exit times up to and including
-    the horizon; a time with an empty risk set contributes nothing.
-    """
-    out = _one(exact)
-    for i, v in enumerate(cp.times):
-        if v > horizon:
-            break
-        if cp.dn0[i] and cp.y0[i]:
-            out *= 1 - _ratio(cp.dn0[i], cp.y0[i], exact)
-    return out
-
-
-def kaplan_meier_curve(cp: CountingProcesses) -> StepFunction:
-    """State-0 survival as a right-continuous step function."""
+def _km_steps(cp: CountingProcesses, exact: bool) -> StepFunction:
+    """State-0 survival; a state-0 exit time with an empty risk set is no step."""
     times, values = [], []
-    out = 1.0
-    for i, v in enumerate(cp.times):
-        if cp.dn0[i] and cp.y0[i]:
-            out *= 1 - cp.dn0[i] / cp.y0[i]
+    out = _one(exact)
+    for v, d, y in zip(cp.times, cp.dn0, cp.y0):
+        if d and y:
+            out *= 1 - _ratio(d, y, exact)
             times.append(v)
             values.append(out)
-    return StepFunction(1.0, tuple(times), tuple(values))
+    return StepFunction(_one(exact), tuple(times), tuple(values))
 
 
-def cif_limit(cp: CountingProcesses, exact: bool = False, warn: bool = True) -> Number:
-    """Limit of the cumulative incidence of kind-1 observations.
+def _cif_steps(cp: CountingProcesses, exact: bool) -> StepFunction:
+    """Incidence of kind-1 observations, stepping at each of them.
 
     One forward pass: at each time, first credit the kind-1 mass weighted by
     the survival of the pooled event process strictly before that time, then
     absorb the time's events into the survival factor.
     """
-    if warn:
-        _warn_censored_tail(
-            [v for i, v in enumerate(cp.times) if cp.dn(i)],
-            [v for i, v in enumerate(cp.times) if cp.dnc[i]],
-        )
+    times, values = [], []
     total = _one(exact) * 0
     surv = _one(exact)
-    for i in range(len(cp.times)):
-        y = cp.y[i]
-        if not y:
-            continue
-        if cp.dn1[i]:
-            total += surv * _ratio(cp.dn1[i], y, exact)
-        d = cp.dn(i)
-        if d:
-            surv *= 1 - _ratio(d, y, exact)
-    return total
-
-
-def cif_curve(cp: CountingProcesses) -> StepFunction:
-    """Partial sums of the incidence limit as a step function."""
-    times, values = [], []
-    total, surv = 0.0, 1.0
     for i, v in enumerate(cp.times):
         y = cp.y[i]
         if not y:
             continue
         if cp.dn1[i]:
-            total += surv * (cp.dn1[i] / y)
+            total += surv * _ratio(cp.dn1[i], y, exact)
             times.append(v)
             values.append(total)
         d = cp.dn(i)
         if d:
-            surv *= 1 - d / y
-    return StepFunction(0.0, tuple(times), tuple(values))
+            surv *= 1 - _ratio(d, y, exact)
+    return StepFunction(_one(exact) * 0, tuple(times), tuple(values))
+
+
+def kaplan_meier(cp: CountingProcesses, horizon: float, exact: bool = False) -> Number:
+    """Product-limit probability of still occupying state 0 at `horizon`.
+
+    The product runs over observed state-0 exit times up to and including
+    the horizon.
+    """
+    return _km_steps(cp, exact)(horizon)
+
+
+def kaplan_meier_curve(cp: CountingProcesses) -> StepFunction:
+    """State-0 survival as a right-continuous step function."""
+    return _km_steps(cp, False)
+
+
+def cif_limit(cp: CountingProcesses, exact: bool = False) -> Number:
+    """Limit of the cumulative incidence of kind-1 observations."""
+    _warn_censored_tail(
+        [v for i, v in enumerate(cp.times) if cp.dn(i)],
+        [v for i, v in enumerate(cp.times) if cp.dnc[i]],
+    )
+    return _cif_steps(cp, exact)(math.inf)
+
+
+def cif_curve(cp: CountingProcesses) -> StepFunction:
+    """Partial sums of the incidence limit as a step function."""
+    return _cif_steps(cp, False)
+
+
+def _censoring_survival(
+    dc: Sequence[int], y: Sequence[int], d: Sequence[int], g: Number, exact: bool
+) -> Iterator[Number]:
+    """Censoring survival from g just before each grid time, then through the last.
+
+    Factors 1 - dc / (y - d) use the post-event risk set, so events tied
+    with a censoring take precedence; y >= d + dc on the grid, so y - d > 0
+    wherever a censoring occurs.
+    """
+    for c, at_risk, events in zip(dc, y, d):
+        yield g
+        if c:
+            g *= 1 - _ratio(c, at_risk - events, exact)
+    yield g
 
 
 # ---------------------------------------------------------------------------
@@ -279,34 +291,13 @@ def _check_curve(
     return _ProductLimit(sub, exact).incidence(sub.event1(s, ts)).tolist()
 
 
-def _mm_curve(
-    cohort: Iterable[IllnessDeathRecord],
-    s: float,
-    ts: Iterable[float],
-    exact: bool = False,
-) -> list[Number]:
-    ts = _query_times(s, ts)
-    cols = _Columns.of(list(cohort))
-    den = _state0_survival(cols, s, exact)
-    cols.warn_censored_tail()
-    out = _ProductLimit(cols, exact).incidence(cols.event1(s, ts)) / den
-    for value in out:
-        if value > 1:
-            message = f"ratio estimate {float(value):.6g} exceeds 1"
-            warnings.warn(message, RangeWarning, stacklevel=2)
-    return out.tolist()
+def _pooled_incidence(records, cols: _Columns, event1, exact: bool) -> np.ndarray:
+    """mm: the incidence limit of the full cohort's pooled event process."""
+    return _ProductLimit(cols, exact).incidence(event1)
 
 
-def _stute_curve(
-    cohort: Iterable[IllnessDeathRecord],
-    s: float,
-    ts: Iterable[float],
-    exact: bool = False,
-) -> list[Number]:
-    ts = _query_times(s, ts)
-    records = list(cohort)
-    cols = _Columns.of(records)
-    den = _state0_survival(cols, s, exact)
+def _ordered_incidence(records, cols: _Columns, event1, exact: bool) -> np.ndarray:
+    """mm-stute: the same sum with the ordered-weights jump masses."""
     n = len(records)
     ids = [r.id for r in records]
     id_rank = np.empty(n, dtype=np.intp)
@@ -317,8 +308,33 @@ def _stute_curve(
     jump = _ratio(1, np.arange(n, 0, -1), exact)  # 1 / (n - rank + 1)
     surv = np.cumprod(np.where(cols.observed[order], 1 - jump, one))
     masses = np.concatenate(([one], surv[:-1])) * jump
-    terms = np.where(cols.event1(s, ts)[:, order], masses, one * 0)
-    return (_running_total(terms, one * 0) / den).tolist()
+    terms = np.where(event1[:, order], masses, one * 0)
+    return _running_total(terms, one * 0)
+
+
+def _ratio_curve(
+    incidence: Callable[..., np.ndarray],
+    cohort: Iterable[IllnessDeathRecord],
+    s: float,
+    ts: Iterable[float],
+    exact: bool = False,
+) -> list[Number]:
+    """Both mm forms: full-cohort incidence per t over state-0 survival at s.
+
+    ``incidence(records, columns, event1 mask, exact)`` gives the numerators;
+    the errors, SupportWarning and RangeWarning (ratio above 1) are shared.
+    """
+    ts = _query_times(s, ts)
+    records = list(cohort)
+    cols = _Columns.of(records)
+    den = _state0_survival(cols, s, exact)
+    cols.warn_censored_tail()
+    out = incidence(records, cols, cols.event1(s, ts), exact) / den
+    for value in out:
+        if value > 1:
+            message = f"ratio estimate {float(value):.6g} exceeds 1"
+            warnings.warn(message, RangeWarning, stacklevel=2)
+    return out.tolist()
 
 
 def _aj_curve(
@@ -367,8 +383,8 @@ def _aj_curve(
 # The registry the CLI, the bootstrap and the Monte-Carlo harness share.
 ESTIMATORS: dict[str, Callable[..., list[Number]]] = {
     "check": _check_curve,
-    "mm": _mm_curve,
-    "mm-stute": _stute_curve,
+    "mm": partial(_ratio_curve, _pooled_incidence),
+    "mm-stute": partial(_ratio_curve, _ordered_incidence),
     "aj": _aj_curve,
 }
 
@@ -504,21 +520,16 @@ def cif_limit_ipcw(
     cp = build_counting(cohort, query)
     if cp.y_origin != cp.size:
         raise ValueError("weighted form requires every entry at the origin")
+    d = map(cp.dn, range(len(cp.times)))
+    weights = _censoring_survival(cp.dnc, cp.y, d, _one(exact), exact)
     total = _one(exact) * 0
-    g = _one(exact)
-    for i in range(len(cp.times)):
-        if cp.dn1[i]:
+    for dn1, g in zip(cp.dn1, weights):
+        if dn1:
             if g == 0:
                 raise DegenerateWeight(
                     "censoring weight vanished before the last kind-1 event"
                 )
-            total += _ratio(cp.dn1[i], 1, exact) / g
-        if cp.dnc[i]:
-            denom = cp.y[i] - cp.dn(i)
-            if denom:
-                g *= 1 - _ratio(cp.dnc[i], denom, exact)
-            else:
-                g = g * 0
+            total += _ratio(dn1, 1, exact) / g
     return total / cp.y_origin
 
 
@@ -535,20 +546,14 @@ def tsai_crowley_weight(
     inside (s, u).  Factors condition on the post-event risk set at ties.
     """
     cp = build_counting(cohort, query)
-    out = _one(exact)
-    for i, v in enumerate(cp.times):
-        if v > query.s:
-            break
-        if cp.dn0c[i]:
-            out *= 1 - _ratio(cp.dn0c[i], cp.y0[i] - cp.dn0[i], exact)
+    upto_s = bisect_right(cp.times, query.s)
+    *_, out = _censoring_survival(cp.dn0c[:upto_s], cp.y0, cp.dn0, _one(exact), exact)
     if u <= query.s:
         return out
     sub = build_counting(cohort, query, landmark=True)
-    for i, v in enumerate(sub.times):
-        if v >= u:
-            break
-        if sub.dnc[i]:
-            out *= 1 - _ratio(sub.dnc[i], sub.y[i] - sub.dn(i), exact)
+    before_u = bisect_left(sub.times, u)
+    d = map(sub.dn, range(before_u))
+    *_, out = _censoring_survival(sub.dnc[:before_u], sub.y, d, out, exact)
     return out
 
 

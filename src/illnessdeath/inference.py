@@ -16,10 +16,10 @@ from typing import Sequence
 
 import numpy as np
 
+from ._rng import philox
 from .errors import EstimationError, TooManyFailures
 from .estimators import ESTIMATORS
 from .records import IllnessDeathRecord, TransitionQuery
-from .simulation import _rng
 
 
 def _clip_unit(lo: float, hi: float) -> tuple[float, float]:
@@ -79,7 +79,7 @@ def bootstrap_ci(
         warnings.simplefilter("ignore")
         point = float(curve(cohort, query.s, [query.t])[0])
         for b in range(n_boot):
-            idx = _rng(seed, b).integers(0, n, size=n)
+            idx = philox(seed, b).integers(0, n, size=n)
             resample = [cohort[i] for i in idx]
             try:
                 estimates.append(float(curve(resample, query.s, [query.t])[0]))

@@ -25,6 +25,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
+from ._rng import philox
 from .errors import DegenerateCohort, EstimationError
 from .estimators import ESTIMATORS
 from .records import Cause, IllnessDeathRecord, TransitionQuery
@@ -76,10 +77,6 @@ class ScenarioConfig:
             raise ValueError("seed must be >= 0")
 
 
-def _rng(seed: int, rep_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, rep_index))))
-
-
 def _skew_normal(
     rng: np.random.Generator, n: int, cfg: TruncationConfig
 ) -> np.ndarray:
@@ -116,6 +113,38 @@ def true_p01(
     )
 
 
+def _exponential(rng: np.random.Generator, n: int, rate: float) -> np.ndarray:
+    """n exponential times; at rate 0 the event never happens and nothing is drawn."""
+    return rng.exponential(1 / rate, n) if rate > 0 else np.full(n, np.inf)
+
+
+def _onset_and_illness(rng, n, ill, direct) -> tuple[np.ndarray, np.ndarray]:
+    """The first two draws of every generator: state-0 exit times and kinds."""
+    lam = ill + direct
+    return _exponential(rng, n, lam), rng.random(n) < ill / lam
+
+
+def _classify(rep_index, entry, onset, ill, absorb, cens) -> list[IllnessDeathRecord]:
+    """Observed records of the subjects alive at entry (entry < absorb).
+
+    Each path ends at min(absorb, cens), absorbed iff absorb <= cens.  An ill
+    subject whose onset precedes censoring carries its illness stay
+    (recruitment during illness, onset <= entry < cens, included); every
+    other subject leaves state 0 at the path's end.
+    """
+    keep = np.flatnonzero(entry < absorb)
+    seen_ill = ill & (onset <= cens)
+    columns = (entry, onset, seen_ill, np.minimum(absorb, cens), absorb <= cens)
+    cohort = []
+    for i, start, exit0, is_ill, end, absorbed in zip(
+        keep.tolist(), *(column[keep].tolist() for column in columns)
+    ):
+        cause = Cause.ABSORBED if absorbed else Cause.CENSORED
+        path = (exit0, Cause.ILL, end, cause) if is_ill else (end, cause)
+        cohort.append(IllnessDeathRecord(f"r{rep_index}s{i}", start, *path))
+    return cohort
+
+
 def simulate_cohort(
     config: ScenarioConfig, rep_index: int = 0
 ) -> list[IllnessDeathRecord]:
@@ -127,40 +156,16 @@ def simulate_cohort(
     exit0 <= entry.  Censoring runs from study entry, so every retained
     subject is observed for a positive span.
     """
-    rng = _rng(config.seed, rep_index)
+    rng = philox(config.seed, rep_index)
     n = config.n
-    lam = config.hazard_ill + config.hazard_direct
-    onset = rng.exponential(1 / lam, n)
-    ill = rng.random(n) < config.hazard_ill / lam
-    if config.censor_hazard > 0:
-        span = rng.exponential(1 / config.censor_hazard, n)
-    else:
-        span = np.full(n, np.inf)
+    onset, ill = _onset_and_illness(rng, n, config.hazard_ill, config.hazard_direct)
+    span = _exponential(rng, n, config.censor_hazard)
     if config.truncation is not None:
         entry = np.maximum(_skew_normal(rng, n, config.truncation), 0.0)
     else:
         entry = np.zeros(n)
     absorb = np.where(ill, config.progression_factor * onset, onset)
-
-    cohort = []
-    for i in range(n):
-        if entry[i] >= absorb[i]:
-            continue
-        ident = f"r{rep_index}s{i}"
-        cens = entry[i] + span[i]
-        if not ill[i]:
-            if absorb[i] <= cens:
-                rec = IllnessDeathRecord(ident, entry[i], absorb[i], Cause.ABSORBED)
-            else:
-                rec = IllnessDeathRecord(ident, entry[i], cens, Cause.CENSORED)
-        elif onset[i] <= cens:
-            # covers recruitment during illness too: onset <= entry < cens
-            end = min(absorb[i], cens)
-            cause = Cause.ABSORBED if absorb[i] <= cens else Cause.CENSORED
-            rec = IllnessDeathRecord(ident, entry[i], onset[i], Cause.ILL, end, cause)
-        else:
-            rec = IllnessDeathRecord(ident, entry[i], cens, Cause.CENSORED)
-        cohort.append(rec)
+    cohort = _classify(rep_index, entry, onset, ill, absorb, entry + span)
     if not cohort:
         raise DegenerateCohort(f"replication {rep_index} retained no subjects")
     return cohort
@@ -184,33 +189,12 @@ def simulate_markov_cohort(
         raise ValueError("n and all transition hazards must be positive")
     if censor_hazard < 0:
         raise ValueError("censor hazard must be >= 0")
-    rng = _rng(seed, rep_index)
-    lam = hazard_ill + hazard_direct
-    onset = rng.exponential(1 / lam, n)
-    ill = rng.random(n) < hazard_ill / lam
-    sojourn = rng.exponential(1 / hazard_progression, n)
-    if censor_hazard > 0:
-        cens = rng.exponential(1 / censor_hazard, n)
-    else:
-        cens = np.full(n, np.inf)
+    rng = philox(seed, rep_index)
+    onset, ill = _onset_and_illness(rng, n, hazard_ill, hazard_direct)
+    sojourn = _exponential(rng, n, hazard_progression)
+    cens = _exponential(rng, n, censor_hazard)
     absorb = np.where(ill, onset + sojourn, onset)
-    cohort = []
-    for i in range(n):
-        ident = f"r{rep_index}s{i}"
-        if not ill[i]:
-            if absorb[i] <= cens[i]:
-                cohort.append(IllnessDeathRecord(ident, 0.0, absorb[i], Cause.ABSORBED))
-            else:
-                cohort.append(IllnessDeathRecord(ident, 0.0, cens[i], Cause.CENSORED))
-        elif onset[i] <= cens[i]:
-            end = min(absorb[i], cens[i])
-            cause = Cause.ABSORBED if absorb[i] <= cens[i] else Cause.CENSORED
-            cohort.append(
-                IllnessDeathRecord(ident, 0.0, onset[i], Cause.ILL, end, cause)
-            )
-        else:
-            cohort.append(IllnessDeathRecord(ident, 0.0, cens[i], Cause.CENSORED))
-    return cohort
+    return _classify(rep_index, np.zeros(n), onset, ill, absorb, cens)
 
 
 def markov_true_p01(
@@ -393,13 +377,13 @@ def preset(
     if name not in base:
         raise ValueError(f"unknown scenario {name!r}; choose from {sorted(base)}")
     config, estimators = base[name]
-    overrides = {}
-    if n is not None:
-        overrides["n"] = n
-    if replications is not None:
-        overrides["replications"] = replications
-    if seed is not None:
-        overrides["seed"] = seed
-    if overrides:
-        config = replace(config, **overrides)
-    return Scenario(config=config, estimators=estimators)
+    return _override(Scenario(config, estimators), n, replications, seed)
+
+
+def _override(
+    scenario: Scenario, n: int | None, replications: int | None, seed: int | None
+) -> Scenario:
+    """The scenario with every given (not None) size, count or seed replaced."""
+    given = {"n": n, "replications": replications, "seed": seed}
+    overrides = {key: value for key, value in given.items() if value is not None}
+    return replace(scenario, config=replace(scenario.config, **overrides))

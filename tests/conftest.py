@@ -1,6 +1,16 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from illnessdeath import Cause, IllnessDeathRecord, TransitionQuery
+
+# the `python -m illnessdeath` subprocesses import the same source tree that
+# the pytest `pythonpath` setting puts on this interpreter's sys.path
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (_SRC, os.environ.get("PYTHONPATH")))
+)
 
 
 @pytest.fixture

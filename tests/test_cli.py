@@ -135,7 +135,8 @@ class TestEstimate:
         assert flags[("check", "3")] == flags[("check", "10")] == "support"
         assert flags[("mm", "3")] == "range;support"
         assert flags[("mm", "5")] == flags[("mm", "10")] == "support"
-        assert flags[("mm-stute", "3")] == flags[("mm-stute", "5")] == "stute-mismatch"
+        assert flags[("mm-stute", "3")] == "range;stute-mismatch;support"
+        assert flags[("mm-stute", "5")] == "stute-mismatch;support"
         assert flags[("aj", "3")] == ""
 
     def test_bootstrap_columns(self, toy_csv, tmp_path):

@@ -1,11 +1,14 @@
+import random
 import warnings
 from fractions import Fraction as F
 
 import pytest
 
+from cohortgen import random_cohort, random_query
 from illnessdeath import (
     Cause,
     EmptyLandmark,
+    EstimationError,
     IllnessDeathRecord,
     RangeWarning,
     SupportWarning,
@@ -307,3 +310,33 @@ class TestArtificialCensoring:
     def test_rejects_nonpositive_tau(self, cohort4):
         with pytest.raises(ValueError):
             artificial_censoring(cohort4, 0)
+
+
+def _warning_categories(estimator, cohort, query, exact):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            estimator(cohort, query, exact=exact)
+        except EstimationError as err:
+            return type(err)
+    return {w.category for w in caught}
+
+
+def test_mm_forms_warn_alike_on_untruncated_cohorts():
+    # in exact arithmetic the two forms are equal, so they must raise the
+    # same error or emit the same categories; in float a ratio within one
+    # rounding of 1 may exceed it in one form only, so only support is shared
+    seen = set()
+    for seed in range(1500):
+        rng = random.Random(seed)
+        cohort = random_cohort(rng, max_n=25, censored=seed % 4 != 0)
+        query = random_query(rng)
+        ratio = _warning_categories(p01_cif_ratio, cohort, query, exact=True)
+        stute = _warning_categories(p01_km_integral, cohort, query, exact=True)
+        assert ratio == stute
+        if isinstance(ratio, set):
+            seen |= ratio
+            ratio = _warning_categories(p01_cif_ratio, cohort, query, exact=False)
+            stute = _warning_categories(p01_km_integral, cohort, query, exact=False)
+            assert (SupportWarning in ratio) == (SupportWarning in stute)
+    assert seen == {SupportWarning, RangeWarning}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import math
 
@@ -22,6 +23,7 @@ from illnessdeath import (
     simulate_cohort,
     simulate_markov_cohort,
     true_p01,
+    write_cohort,
 )
 
 
@@ -84,6 +86,41 @@ class TestCohortGenerator:
         censored = [r for r in cohort if not r.observed]
         assert censored
         assert all(r.final_time > r.entry for r in censored)
+
+
+def _digest(cohort):
+    sink = io.StringIO()
+    write_cohort(cohort, sink)
+    return hashlib.sha256(sink.getvalue().encode()).hexdigest()
+
+
+# SHA-256 of the write_cohort text; a change here breaks reproducibility of
+# every published seed, so it must be deliberate
+COHORT_DIGESTS = {
+    ("table1", 0): "1cf86165efbfcbc2ac1a9c61a2b8d30919dbf4164477ecfa211c06703b73c6b7",
+    ("table1", 1): "27217f2932df243d51079dbab116da6b42df3c6644f9db311d813205b56617f1",
+    ("table1", 2): "c41c8794a51810eed8604aad08cbeaf6142c92fbcabfeb6a5d6abbfca4165c9b",
+    ("table3", 0): "34d05b244d3c8f929ec9373d7bdd13e29006ac1e3645c32bbb63071a613a995b",
+    ("table3", 1): "275538007510711ef95463bf79bac5e049fb57fdaed898715aa29520511082f5",
+    ("table3", 2): "78dcccde5cbe9eb698e3e9be9cb11e3ed6222168b149b63c2c6ed93f275f936a",
+}
+MARKOV_DIGESTS = {
+    0: "0c874b81d6173128505ff75d37a82b40ce2a73a1c4dab4bc62a074e1c1f384e0",
+    1: "5c9ef8ed724913e26aa6c09cd08de22a3cccf2d70d2d59f7bf8e8de70cc6e809",
+    2: "50ab011940f97d777e0dcc259b06a5a16b416cd7177909ebab2208f2237740fa",
+}
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("name,rep", sorted(COHORT_DIGESTS))
+    def test_cohort_bytes(self, name, rep):
+        cohort = simulate_cohort(preset(name).config, rep)
+        assert _digest(cohort) == COHORT_DIGESTS[(name, rep)]
+
+    @pytest.mark.parametrize("seed", sorted(MARKOV_DIGESTS))
+    def test_markov_cohort_bytes(self, seed):
+        cohort = simulate_markov_cohort(500, censor_hazard=0.01, seed=seed)
+        assert _digest(cohort) == MARKOV_DIGESTS[seed]
 
 
 class TestUncensoredAgreement:
