@@ -33,6 +33,7 @@ from .counting import CountingProcesses, StepFunction, build_counting
 from .errors import (
     DegenerateCohort,
     DegenerateWeight,
+    DelayedEntry,
     EmptyLandmark,
     EmptyRiskSet,
     EstimationError,
@@ -95,6 +96,7 @@ __all__ = [
     "CountingProcesses",
     "DegenerateCohort",
     "DegenerateWeight",
+    "DelayedEntry",
     "EmptyLandmark",
     "EmptyRiskSet",
     "EstimationError",

@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import IO, Sequence
 
 from . import __version__
+from .counting import Columns
 from .errors import (
     DegenerateCohort,
     EstimationError,
@@ -39,7 +40,7 @@ from .simulation import (
     run_monte_carlo,
 )
 
-METHODS = ("check", "mm", "mm-stute", "aj")
+METHODS = tuple(ESTIMATORS)
 STUTE_MISMATCH = 1e-9
 
 
@@ -131,6 +132,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         print("error: --level must be inside (0, 1)", file=sys.stderr)
         return 2
     methods = list(METHODS) if args.method == "all" else [args.method]
+    cols = Columns.of(cohort)
 
     header = ["method", "s", "t", "estimate"]
     if args.boot:
@@ -148,7 +150,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                values = ESTIMATORS[method](cohort, args.s, args.t)
+                values = ESTIMATORS[method](cols, args.s, args.t)
             except EstimationError as err:
                 blank = [""] * (len(header) - 4 - 1)
                 for q in queries:
@@ -177,7 +179,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             if args.boot:
                 try:
                     ci = bootstrap_ci(
-                        cohort,
+                        cols,
                         q,
                         estimator=method,
                         n_boot=args.boot,
@@ -200,7 +202,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                 if method == "check":
                     with warnings.catch_warnings():
                         warnings.simplefilter("ignore")
-                        cells += [_fmt(float(p01_landmark_variance(cohort, q)))]
+                        cells += [_fmt(float(p01_landmark_variance(cols, q)))]
                 else:
                     cells += [""]
             cells += [";".join(sorted(set(flags)))]

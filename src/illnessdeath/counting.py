@@ -1,27 +1,105 @@
-"""Counting processes and risk sets on the pooled event grid.
+"""The columnar cohort, its risk sets and its counting processes.
 
-All estimators consume the same precomputed structure: distinct observed
-times with integer event counts and risk-set sizes, for both the state-0
-process and the derived two-risk process of a given window.  Risk sets use
-left-open observation windows, so a subject with entry L and exit R is at
-risk at v iff L < v <= R; at the origin that degenerates to L == 0.
+Every estimator reads a cohort as numpy columns (``Columns``), built once
+per cohort from the records.  The counting processes are computed from the
+same columns: distinct observed times with integer event counts and
+risk-set sizes, for both the state-0 process and the derived two-risk
+process of a given window.  Risk sets use left-open observation windows, so
+a subject with entry L and exit R is at risk at v iff L < v <= R; at the
+origin that degenerates to L == 0.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
+
+import numpy as np
 
 from .errors import EmptyLandmark, EmptyRiskSet
-from .records import (
-    Cause,
-    EventKind,
-    IllnessDeathRecord,
-    TransitionQuery,
-    derive_competing_risks,
-    landmark_subset,
-)
+from .records import Cause, IllnessDeathRecord, TransitionQuery
+
+
+class Columns(NamedTuple):
+    """The record fields the estimators read, one numpy array each.
+
+    ``id_rank`` ranks the subjects by record id, the last tie-break of the
+    ordered weights; rows taken from one cohort keep their ranks, so a
+    repeated subject repeats its rank.  A NamedTuple's ``len`` counts its
+    fields: the number of subjects is ``len(cols.final)``.
+    """
+
+    entry: np.ndarray
+    exit0: np.ndarray
+    final: np.ndarray
+    cause0: np.ndarray
+    observed: np.ndarray
+    id_rank: np.ndarray
+
+    @classmethod
+    def of(cls, cohort: Iterable[IllnessDeathRecord] | Columns) -> Columns:
+        """The columns of a cohort of records; Columns come back unchanged."""
+        if isinstance(cohort, Columns):
+            return cohort
+        records = list(cohort)
+        n = len(records)
+        ids = [r.id for r in records]
+        id_rank = np.empty(n, dtype=np.intp)
+        id_rank[sorted(range(n), key=ids.__getitem__)] = np.arange(n)
+        return cls(
+            np.fromiter((r.entry for r in records), float, n),
+            np.fromiter((r.exit0 for r in records), float, n),
+            np.fromiter((r.final_time for r in records), float, n),
+            np.fromiter((r.cause0 for r in records), np.int8, n),
+            np.fromiter((r.observed for r in records), bool, n),
+            id_rank,
+        )
+
+    def take(self, rows: np.ndarray) -> Columns:
+        """The subjects at a mask, or at indices (repeats allowed)."""
+        return Columns(*(column[rows] for column in self))
+
+    @property
+    def ill(self) -> np.ndarray:
+        return self.cause0 == Cause.ILL
+
+    @property
+    def state0(self) -> np.ndarray:
+        """Observed in state 0 at all, i.e. not recruited during illness."""
+        return self.entry < self.exit0
+
+    def landmark(self, s: float) -> np.ndarray:
+        """Mask of the subjects under observation in state 0 at s.
+
+        For s > 0 this is ``entry < s < exit0``; at s = 0 the windows are
+        left-open, so it is the subjects observed from the origin and still
+        in state 0 just after it (see records.landmark_subset).
+        """
+        if s == 0:
+            return (self.entry == 0) & (self.exit0 > 0)
+        return (self.entry < s) & (s < self.exit0)
+
+    def event1(self, s: float, ts: np.ndarray) -> np.ndarray:
+        """(len(ts), n) mask: observed, ill in (s, t] and alive just after t."""
+        t = ts[:, None]
+        onset = self.observed & self.ill & (s < self.exit0)
+        return onset & (self.exit0 <= t) & (t < self.final)
+
+
+def _at_risk(starts: np.ndarray, ends: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Risk-set sizes on left-open windows: #(start < v) - #(end < v)."""
+    return np.searchsorted(np.sort(starts), times) - np.searchsorted(
+        np.sort(ends), times
+    )
+
+
+def _landmark_columns(cohort: Iterable[IllnessDeathRecord], s: float) -> Columns:
+    cols = Columns.of(cohort)
+    sub = cols.take(cols.landmark(s))
+    if not len(sub.final):
+        raise EmptyLandmark(f"no subject in state 0 at landmark s={s}")
+    return sub
 
 
 @dataclass(frozen=True)
@@ -57,10 +135,9 @@ class CountingProcesses:
     ``dn0``/``dn0c`` count observed exits/censorings from state 0 and ``y0``
     the matching risk set; subjects recruited during illness never appear in
     them.  ``dn1``/``dn2``/``dnc`` count the two-risk classifications of the
-    window and ``y`` everyone still under observation.  ``y0_origin`` and
-    ``y_origin`` are the risk sets at the time origin (entry == 0); for a
-    landmark structure ``y_origin`` is the subset size, the risk set just
-    after the landmark.
+    window and ``y`` everyone still under observation.  ``y_origin`` is the
+    risk set at the time origin (entry == 0); for a landmark structure it is
+    the subset size, the risk set just after the landmark.
     """
 
     query: TransitionQuery
@@ -74,7 +151,6 @@ class CountingProcesses:
     dn2: tuple[int, ...]
     dnc: tuple[int, ...]
     y: tuple[int, ...]
-    y0_origin: int
     y_origin: int
 
     def dn(self, i: int) -> int:
@@ -89,61 +165,37 @@ def build_counting(
 ) -> CountingProcesses:
     """Assemble counting processes, optionally on the landmark subset at s.
 
-    Raises EmptyLandmark (a subclass of EmptyRiskSet) when the landmark
-    subset is empty, EmptyRiskSet when the cohort itself is.
+    The grid holds every state-0 exit and every final time.  Raises
+    EmptyLandmark (a subclass of EmptyRiskSet) when the landmark subset is
+    empty, EmptyRiskSet when the cohort itself is.
     """
     if landmark:
-        records = landmark_subset(cohort, query.s)
-        if not records:
-            raise EmptyLandmark(f"no subject in state 0 at landmark s={query.s}")
+        cols = _landmark_columns(cohort, query.s)
     else:
-        records = list(cohort)
-        if not records:
+        cols = Columns.of(cohort)
+        if not len(cols.final):
             raise EmptyRiskSet("empty cohort")
-
-    entries_all = sorted(r.entry for r in records)
-    finals_all = sorted(r.final_time for r in records)
-    state0 = [r for r in records if not r.entered_ill]
-    entries0 = sorted(r.entry for r in state0)
-    exit0s = sorted(r.exit0 for r in state0)
-
-    counts: dict[float, list[int]] = {}
-
-    def at(v: float) -> list[int]:
-        return counts.setdefault(v, [0, 0, 0, 0, 0])
-
-    for r in state0:
-        at(r.exit0)[1 if r.cause0 is Cause.CENSORED else 0] += 1
-    for r in records:
-        obs = derive_competing_risks(r, query)
-        at(obs.time)[2 + (2 if obs.kind is EventKind.CENSORED else obs.kind - 1)] += 1
-
-    times = tuple(sorted(counts))
-    dn0, dn0c, dn1, dn2, dnc, y0, y = [], [], [], [], [], [], []
-    for v in times:
-        c = counts[v]
-        dn0.append(c[0])
-        dn0c.append(c[1])
-        dn1.append(c[2])
-        dn2.append(c[3])
-        dnc.append(c[4])
-        y0.append(bisect_left(entries0, v) - bisect_left(exit0s, v))
-        y.append(bisect_left(entries_all, v) - bisect_left(finals_all, v))
-
-    y0_origin = sum(1 for r in state0 if r.entry == 0)
-    y_origin = len(records) if landmark else sum(1 for r in records if r.entry == 0)
+    state0 = cols.state0
+    exits = cols.exit0[state0]
+    times, index = np.unique(np.concatenate((exits, cols.final)), return_inverse=True)
+    m = len(times)
+    at_exit, at_final = index[: len(exits)], index[len(exits) :]
+    censored0 = cols.cause0[state0] == Cause.CENSORED
+    event1 = cols.event1(query.s, np.array([query.t]))[0]
+    kind = np.where(cols.observed, np.where(event1, 0, 1), 2)  # dn1, dn2, dnc
+    dn1, dn2, dnc = np.bincount(kind * m + at_final, minlength=3 * m).reshape(3, m)
+    y_origin = len(cols.final) if landmark else np.count_nonzero(cols.entry == 0)
     return CountingProcesses(
         query=query,
         landmark=landmark,
-        size=len(records),
-        times=times,
-        dn0=tuple(dn0),
-        dn0c=tuple(dn0c),
-        y0=tuple(y0),
-        dn1=tuple(dn1),
-        dn2=tuple(dn2),
-        dnc=tuple(dnc),
-        y=tuple(y),
-        y0_origin=y0_origin,
-        y_origin=y_origin,
+        size=len(cols.final),
+        times=tuple(times.tolist()),
+        dn0=tuple(np.bincount(at_exit[~censored0], minlength=m).tolist()),
+        dn0c=tuple(np.bincount(at_exit[censored0], minlength=m).tolist()),
+        y0=tuple(_at_risk(cols.entry[state0], exits, times).tolist()),
+        dn1=tuple(dn1.tolist()),
+        dn2=tuple(dn2.tolist()),
+        dnc=tuple(dnc.tolist()),
+        y=tuple(_at_risk(cols.entry, cols.final, times).tolist()),
+        y_origin=int(y_origin),
     )

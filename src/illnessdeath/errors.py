@@ -25,6 +25,10 @@ class DegenerateWeight(EstimationError):
     """The censoring weight hit zero while weighted mass remains."""
 
 
+class DelayedEntry(EstimationError, ValueError):
+    """The estimator requires every subject under observation from the origin."""
+
+
 class DegenerateCohort(EstimationError):
     """A simulated cohort retained no subjects."""
 

@@ -9,9 +9,10 @@ between the different representations testable to equality rather than
 tolerance.
 
 The four registered estimators (``ESTIMATORS``: check, mm, mm-stute, aj)
-are curves in t: ``p01_curve`` pulls the record columns into numpy once
-per (cohort, s), builds the product-limit grid once, and evaluates only the
-t-dependent illness indicator per t.  The scalar forms are one-point curves.
+are curves in t over the cohort's columns (``counting.Columns``, which
+callers read once per cohort): each builds the product-limit grid once per
+(cohort, s) and evaluates only the t-dependent illness indicator per t.
+The scalar forms are one-point curves.
 The same array code serves float and ``exact=True`` (object arrays of
 Fraction); every sum and product runs left to right along the grid
 (``np.cumsum``/``np.cumprod``), so floats equal a plain loop bit for bit.
@@ -28,13 +29,15 @@ import warnings
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .counting import CountingProcesses, StepFunction, build_counting
+from .counting import Columns, CountingProcesses, StepFunction, build_counting
+from .counting import _at_risk, _landmark_columns
 from .errors import (
     DegenerateWeight,
+    DelayedEntry,
     EmptyLandmark,
     EmptyRiskSet,
     RangeWarning,
@@ -163,61 +166,6 @@ def _censoring_survival(
 # the array kernel behind the registered estimators
 
 
-class _Columns(NamedTuple):
-    """The record fields the estimators read, one numpy array each."""
-
-    entry: np.ndarray
-    exit0: np.ndarray
-    final: np.ndarray
-    cause0: np.ndarray
-    observed: np.ndarray
-
-    @classmethod
-    def of(cls, records: Sequence[IllnessDeathRecord]) -> _Columns:
-        n = len(records)
-        return cls(
-            np.fromiter((r.entry for r in records), float, n),
-            np.fromiter((r.exit0 for r in records), float, n),
-            np.fromiter((r.final_time for r in records), float, n),
-            np.fromiter((r.cause0 for r in records), np.int8, n),
-            np.fromiter((r.observed for r in records), bool, n),
-        )
-
-    def take(self, mask: np.ndarray) -> _Columns:
-        return _Columns(*(column[mask] for column in self))
-
-    @property
-    def ill(self) -> np.ndarray:
-        return self.cause0 == Cause.ILL
-
-    @property
-    def state0(self) -> np.ndarray:
-        """Observed in state 0 at all, i.e. not recruited during illness."""
-        return ~(self.ill & (self.entry >= self.exit0))
-
-    def landmark(self, s: float) -> np.ndarray:
-        """Mask of the landmark subset at s (see records.landmark_subset)."""
-        if s == 0:
-            return (self.entry == 0) & (self.exit0 > 0) & self.state0
-        return (self.entry < s) & (s < self.exit0)
-
-    def event1(self, s: float, ts: np.ndarray) -> np.ndarray:
-        """(len(ts), n) mask: observed, ill in (s, t] and alive just after t."""
-        t = ts[:, None]
-        onset = self.observed & self.ill & (s < self.exit0)
-        return onset & (self.exit0 <= t) & (t < self.final)
-
-    def warn_censored_tail(self) -> None:
-        _warn_censored_tail(self.final[self.observed], self.final[~self.observed])
-
-
-def _at_risk(starts: np.ndarray, ends: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Risk-set sizes on left-open windows: #(start < v) - #(end < v)."""
-    return np.searchsorted(np.sort(starts), times) - np.searchsorted(
-        np.sort(ends), times
-    )
-
-
 class _ProductLimit:
     """Pooled event process of a cohort on the grid of its distinct final times.
 
@@ -226,7 +174,7 @@ class _ProductLimit:
     masses, so leaving them out changes no value, not even in float.
     """
 
-    def __init__(self, cols: _Columns, exact: bool):
+    def __init__(self, cols: Columns, exact: bool):
         self.exact = exact
         self.times, self.index = np.unique(cols.final, return_inverse=True)
         self.y = _at_risk(cols.entry, cols.final, self.times)
@@ -256,15 +204,7 @@ def _query_times(s: float, ts: Iterable[float]) -> np.ndarray:
     return np.asarray(ts, dtype=float)
 
 
-def _landmark_columns(cohort: Iterable[IllnessDeathRecord], s: float) -> _Columns:
-    cols = _Columns.of(list(cohort))
-    sub = cols.take(cols.landmark(s))
-    if not len(sub.final):
-        raise EmptyLandmark(f"no subject in state 0 at landmark s={s}")
-    return sub
-
-
-def _state0_survival(cols: _Columns, s: float, exact: bool) -> Number:
+def _state0_survival(cols: Columns, s: float, exact: bool) -> Number:
     """Product-limit state-0 survival at s, the denominator of both mm forms."""
     if not len(cols.final):
         raise EmptyRiskSet("empty cohort")
@@ -287,23 +227,20 @@ def _check_curve(
 ) -> list[Number]:
     ts = _query_times(s, ts)
     sub = _landmark_columns(cohort, s)
-    sub.warn_censored_tail()
+    _warn_censored_tail(sub.final[sub.observed], sub.final[~sub.observed])
     return _ProductLimit(sub, exact).incidence(sub.event1(s, ts)).tolist()
 
 
-def _pooled_incidence(records, cols: _Columns, event1, exact: bool) -> np.ndarray:
+def _pooled_incidence(cols: Columns, event1, exact: bool) -> np.ndarray:
     """mm: the incidence limit of the full cohort's pooled event process."""
     return _ProductLimit(cols, exact).incidence(event1)
 
 
-def _ordered_incidence(records, cols: _Columns, event1, exact: bool) -> np.ndarray:
+def _ordered_incidence(cols: Columns, event1, exact: bool) -> np.ndarray:
     """mm-stute: the same sum with the ordered-weights jump masses."""
-    n = len(records)
-    ids = [r.id for r in records]
-    id_rank = np.empty(n, dtype=np.intp)
-    id_rank[sorted(range(n), key=ids.__getitem__)] = np.arange(n)
+    n = len(cols.final)
     # final time, events before censorings, then id; lexsort is stable
-    order = np.lexsort((id_rank, ~cols.observed, cols.final))
+    order = np.lexsort((cols.id_rank, ~cols.observed, cols.final))
     one = _one(exact)
     jump = _ratio(1, np.arange(n, 0, -1), exact)  # 1 / (n - rank + 1)
     surv = np.cumprod(np.where(cols.observed[order], 1 - jump, one))
@@ -321,15 +258,14 @@ def _ratio_curve(
 ) -> list[Number]:
     """Both mm forms: full-cohort incidence per t over state-0 survival at s.
 
-    ``incidence(records, columns, event1 mask, exact)`` gives the numerators;
+    ``incidence(columns, event1 mask, exact)`` gives the numerators;
     the errors, SupportWarning and RangeWarning (ratio above 1) are shared.
     """
     ts = _query_times(s, ts)
-    records = list(cohort)
-    cols = _Columns.of(records)
+    cols = Columns.of(cohort)
     den = _state0_survival(cols, s, exact)
-    cols.warn_censored_tail()
-    out = incidence(records, cols, cols.event1(s, ts), exact) / den
+    _warn_censored_tail(cols.final[cols.observed], cols.final[~cols.observed])
+    out = incidence(cols, cols.event1(s, ts), exact) / den
     for value in out:
         if value > 1:
             message = f"ratio estimate {float(value):.6g} exceeds 1"
@@ -344,7 +280,7 @@ def _aj_curve(
     exact: bool = False,
 ) -> list[Number]:
     ts = _query_times(s, ts)
-    cols = _Columns.of(list(cohort))
+    cols = Columns.of(cohort)
     if not cols.landmark(s).any():
         raise EmptyLandmark(f"no subject in state 0 at s={s}")
     state0, ill = cols.state0, cols.ill
@@ -519,7 +455,7 @@ def cif_limit_ipcw(
     """
     cp = build_counting(cohort, query)
     if cp.y_origin != cp.size:
-        raise ValueError("weighted form requires every entry at the origin")
+        raise DelayedEntry("weighted form requires every entry at the origin")
     d = map(cp.dn, range(len(cp.times)))
     weights = _censoring_survival(cp.dnc, cp.y, d, _one(exact), exact)
     total = _one(exact) * 0
@@ -545,12 +481,13 @@ def tsai_crowley_weight(
     second block censoring of the landmark subset's pooled process strictly
     inside (s, u).  Factors condition on the post-event risk set at ties.
     """
-    cp = build_counting(cohort, query)
+    cols = Columns.of(cohort)
+    cp = build_counting(cols, query)
     upto_s = bisect_right(cp.times, query.s)
     *_, out = _censoring_survival(cp.dn0c[:upto_s], cp.y0, cp.dn0, _one(exact), exact)
     if u <= query.s:
         return out
-    sub = build_counting(cohort, query, landmark=True)
+    sub = build_counting(cols, query, landmark=True)
     before_u = bisect_left(sub.times, u)
     d = map(sub.dn, range(before_u))
     *_, out = _censoring_survival(sub.dnc[:before_u], sub.y, d, out, exact)
@@ -586,17 +523,13 @@ def multinomial_uncensored(
     in (s, t] with absorption after t.  Every product-limit estimator in
     this module collapses to this ratio when nothing is censored.
     """
-    for r in cohort:
-        if r.entry != 0 or not r.observed:
-            raise ValueError("cohort must be fully observed from the origin")
-    den = sum(1 for r in cohort if r.exit0 > query.s)
+    cols = Columns.of(cohort)
+    if not ((cols.entry == 0) & cols.observed).all():
+        raise ValueError("cohort must be fully observed from the origin")
+    den = int(np.count_nonzero(cols.exit0 > query.s))
     if not den:
         raise ZeroDenominator(f"no subject beyond s={query.s}")
-    num = sum(
-        1
-        for r in cohort
-        if r.cause0 is Cause.ILL and query.s < r.exit0 <= query.t < r.final_time
-    )
+    num = int(np.count_nonzero(cols.event1(query.s, np.array([query.t]))))
     return _ratio(num, den, exact)
 
 

@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from ._rng import philox
+from .counting import Columns
 from .errors import EstimationError, TooManyFailures
 from .estimators import ESTIMATORS
 from .records import IllnessDeathRecord, TransitionQuery
@@ -72,17 +73,17 @@ def bootstrap_ci(
     if n_boot < 2:
         raise ValueError("n_boot must be >= 2")
     curve = ESTIMATORS[estimator]
-    n = len(cohort)
+    cols = Columns.of(cohort)
+    n = len(cols.final)
     estimates: list[float] = []
     failed = 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        point = float(curve(cohort, query.s, [query.t])[0])
+        point = float(curve(cols, query.s, [query.t])[0])
         for b in range(n_boot):
             idx = philox(seed, b).integers(0, n, size=n)
-            resample = [cohort[i] for i in idx]
             try:
-                estimates.append(float(curve(resample, query.s, [query.t])[0]))
+                estimates.append(float(curve(cols.take(idx), query.s, [query.t])[0]))
             except EstimationError:
                 failed += 1
     if failed > n_boot / 2:

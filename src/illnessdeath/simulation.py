@@ -26,6 +26,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from ._rng import philox
+from .counting import Columns
 from .errors import DegenerateCohort, EstimationError
 from .estimators import ESTIMATORS
 from .records import Cause, IllnessDeathRecord, TransitionQuery
@@ -255,12 +256,13 @@ def _mc_replication(args) -> tuple[int, int, list[float | None]]:
         cohort = simulate_cohort(config, rep_index)
     except DegenerateCohort:
         return rep_index, 0, [None] * (len(estimators) * len(eval_times))
+    cols = Columns.of(cohort)
     cells: list[float | None] = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for name in estimators:
             try:
-                values = ESTIMATORS[name](cohort, landmark, eval_times)
+                values = ESTIMATORS[name](cols, landmark, eval_times)
             except EstimationError:
                 cells.extend([None] * len(eval_times))
             else:

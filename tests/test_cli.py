@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
+import random
 import subprocess
 import sys
 
@@ -17,6 +19,7 @@ from illnessdeath import (
     simulate_cohort,
     write_cohort,
 )
+from cohortgen import random_cohort
 from illnessdeath.cli import main
 
 
@@ -138,6 +141,30 @@ class TestEstimate:
         assert flags[("mm-stute", "3")] == "range;stute-mismatch;support"
         assert flags[("mm-stute", "5")] == "stute-mismatch;support"
         assert flags[("aj", "3")] == ""
+
+    @pytest.mark.parametrize(
+        "extra, digest",
+        [
+            ([], "9f36d82d59560d07e90d01caab0150b97df14a311d6eca61b09297b66a1256d7"),
+            (
+                ["--boot", "40", "--seed", "3"],
+                "7a37761659bbb933503f28279cd3520aa0e08e84f83655a8de37449085fb8fd8",
+            ),
+        ],
+    )
+    def test_all_methods_bytes_are_pinned(self, tmp_path, capsys, extra, digest):
+        # tied, left-truncated cohort; the rows carry support and
+        # stute-mismatch flags, the variance column or the bootstrap columns
+        cohort = random_cohort(random.Random(3), max_n=40, truncated=True)
+        path = tmp_path / "cohort.csv"
+        write_cohort(cohort, path)
+        code = main(
+            ["estimate", "--input", str(path), "--s", "1.5", "--t", "2,3.5,5",
+             "--method", "all", *extra, "--output", "-"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_bootstrap_columns(self, toy_csv, tmp_path):
         code, rows, manifest, _ = _run(

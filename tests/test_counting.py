@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,7 +13,8 @@ from illnessdeath import (
     build_counting,
 )
 
-from cohortgen import random_cohort, random_query
+import oracle_bruteforce as ob
+from cohortgen import random_cohort, random_query, to_oracle
 
 
 class TestBuildCounting:
@@ -83,6 +85,46 @@ class TestBuildCounting:
             for i, u in enumerate(cp.times):
                 if cp.dn1[i] or cp.dn2[i] or cp.dnc[i]:
                     assert u in finals
+
+
+@pytest.mark.parametrize("landmark", [False, True])
+@pytest.mark.parametrize("censored", [False, True])
+@pytest.mark.parametrize("truncated", [False, True])
+def test_every_field_matches_the_oracle_recount(truncated, censored, landmark):
+    # build_counting shares its masks with the estimator kernel; this recounts
+    # every field from scratch with the oracle's own classification and
+    # landmark rule, at every grid time
+    rng = random.Random(4 * truncated + 2 * censored + landmark)
+    for _ in range(60):
+        cohort = random_cohort(rng, max_n=30, truncated=truncated, censored=censored)
+        q = random_query(rng)
+        lo, hi = Fraction(q.s), Fraction(q.t)
+        subjects = to_oracle(cohort)
+        if landmark:
+            subjects = ob.landmark(subjects, lo)
+            if not subjects:
+                with pytest.raises(EmptyLandmark):
+                    build_counting(cohort, q, landmark=True)
+                continue
+        cp = build_counting(cohort, q, landmark=landmark)
+        grid = sorted(
+            {s["exit0"] for s in subjects if ob.entered_in_state0(s)}
+            | {ob.final_time(s) for s in subjects}
+        )
+        data = [ob.classify(s, lo, hi) for s in subjects]
+
+        def kind(name):
+            return tuple(sum(1 for v, k in data if v == u and k == name) for u in grid)
+
+        assert cp.times == tuple(grid)
+        assert cp.dn0 == tuple(ob.d_state0_event(subjects, u) for u in grid)
+        assert cp.dn0c == tuple(ob.d_state0_censor(subjects, u) for u in grid)
+        assert cp.y0 == tuple(ob.y_state0(subjects, u) for u in grid)
+        assert (cp.dn1, cp.dn2, cp.dnc) == (kind("ev1"), kind("ev2"), kind("cen"))
+        assert cp.y == tuple(ob.y_total(subjects, u) for u in grid)
+        assert cp.size == len(subjects)
+        at_origin = sum(1 for s in subjects if s["entry"] == 0)
+        assert cp.y_origin == (len(subjects) if landmark else at_origin)
 
 
 class TestStepFunction:

@@ -7,6 +7,7 @@ import pytest
 from cohortgen import random_cohort, random_query
 from illnessdeath import (
     Cause,
+    DelayedEntry,
     EmptyLandmark,
     EstimationError,
     IllnessDeathRecord,
@@ -128,6 +129,12 @@ class TestIpcwForm:
         cohort = [IllnessDeathRecord("a", 1, 3, Cause.ABSORBED)]
         with pytest.raises(ValueError):
             cif_limit_ipcw(cohort, query)
+
+    def test_delayed_entry_is_an_estimation_error(self, query):
+        cohort = [IllnessDeathRecord("a", 1, 3, Cause.ABSORBED)]
+        with pytest.raises(DelayedEntry) as info:
+            cif_limit_ipcw(cohort, query)
+        assert isinstance(info.value, EstimationError)
 
     def test_near_degenerate_weight_keeps_identity(self):
         # a weight of zero before the last kind-1 event is structurally
