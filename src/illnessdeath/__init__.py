@@ -31,6 +31,7 @@ __version__ = "0.1.0"
 
 from .counting import CountingProcesses, StepFunction, build_counting
 from .errors import (
+    CensoredCohort,
     DegenerateCohort,
     DegenerateWeight,
     DelayedEntry,
@@ -91,6 +92,7 @@ __all__ = [
     "BiasVarianceRow",
     "BiasVarianceTable",
     "Cause",
+    "CensoredCohort",
     "CiResult",
     "CompetingRisksObservation",
     "CountingProcesses",

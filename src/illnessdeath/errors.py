@@ -29,6 +29,10 @@ class DelayedEntry(EstimationError, ValueError):
     """The estimator requires every subject under observation from the origin."""
 
 
+class CensoredCohort(EstimationError, ValueError):
+    """The estimator requires every absorption to be observed."""
+
+
 class DegenerateCohort(EstimationError):
     """A simulated cohort retained no subjects."""
 

@@ -36,6 +36,7 @@ import numpy as np
 from .counting import Columns, CountingProcesses, StepFunction, build_counting
 from .counting import _at_risk, _landmark_columns
 from .errors import (
+    CensoredCohort,
     DegenerateWeight,
     DelayedEntry,
     EmptyLandmark,
@@ -198,6 +199,24 @@ class _ProductLimit:
 
 
 def _query_times(s: float, ts: Iterable[float]) -> np.ndarray:
+    """ts as a float array, validated like TransitionQuery(s, t) for each t.
+
+    A float64 array is checked in one pass (0 <= s <= min(ts) < inf makes
+    s finite too); anything else, or any array that fails the check, goes
+    through TransitionQuery for its exact error.  Only float64 elements pass
+    TransitionQuery's type check (numpy ints, bools and narrower floats do
+    not), so only float64 takes the shortcut.
+    """
+    if (
+        type(ts) is np.ndarray
+        and ts.dtype == np.float64
+        and ts.ndim == 1
+        and len(ts)
+        and isinstance(s, (int, float))
+        and np.isfinite(ts).all()
+        and 0 <= s <= ts.min()
+    ):
+        return ts
     ts = list(ts)
     for t in ts or [s]:
         TransitionQuery(s, t)  # same validation and errors as a single query
@@ -521,11 +540,14 @@ def multinomial_uncensored(
 
     The empirical share of subjects in state 0 at s whose illness onset lies
     in (s, t] with absorption after t.  Every product-limit estimator in
-    this module collapses to this ratio when nothing is censored.
+    this module collapses to this ratio when nothing is censored.  Raises
+    DelayedEntry on a delayed entry, otherwise CensoredCohort on a censoring.
     """
     cols = Columns.of(cohort)
-    if not ((cols.entry == 0) & cols.observed).all():
-        raise ValueError("cohort must be fully observed from the origin")
+    if (cols.entry > 0).any():
+        raise DelayedEntry("crude ratio requires every entry at the origin")
+    if not cols.observed.all():
+        raise CensoredCohort("crude ratio requires every absorption observed")
     den = int(np.count_nonzero(cols.exit0 > query.s))
     if not den:
         raise ZeroDenominator(f"no subject beyond s={query.s}")

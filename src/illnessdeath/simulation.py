@@ -27,8 +27,8 @@ import numpy as np
 
 from ._rng import philox
 from .counting import Columns
-from .errors import DegenerateCohort, EstimationError
-from .estimators import ESTIMATORS
+from .errors import DegenerateCohort, EstimationError, MalformedRecord
+from .estimators import ESTIMATORS, _query_times
 from .records import Cause, IllnessDeathRecord, TransitionQuery
 
 DEFAULT_SEED = 26
@@ -125,25 +125,97 @@ def _onset_and_illness(rng, n, ill, direct) -> tuple[np.ndarray, np.ndarray]:
     return _exponential(rng, n, lam), rng.random(n) < ill / lam
 
 
-def _classify(rep_index, entry, onset, ill, absorb, cens) -> list[IllnessDeathRecord]:
-    """Observed records of the subjects alive at entry (entry < absorb).
+_POWERS_OF_TEN = 10 ** np.arange(1, 19)
 
-    Each path ends at min(absorb, cens), absorbed iff absorb <= cens.  An ill
-    subject whose onset precedes censoring carries its illness stay
-    (recruitment during illness, onset <= entry < cens, included); every
-    other subject leaves state 0 at the path's end.
+
+def _decimal_rank(indices: np.ndarray) -> np.ndarray:
+    """Rank of each index among all of them written as decimal strings.
+
+    Padding every index with trailing zeros to one width keeps the string
+    order; an index that pads to a longer one's value is its prefix and
+    ranks first, so ties go to the shorter index.
     """
-    keep = np.flatnonzero(entry < absorb)
-    seen_ill = ill & (onset <= cens)
-    columns = (entry, onset, seen_ill, np.minimum(absorb, cens), absorb <= cens)
+    digits = np.searchsorted(_POWERS_OF_TEN, indices, side="right")  # len(str) - 1
+    padded = indices * 10 ** (digits.max(initial=0) - digits)
+    rank = np.empty(len(indices), dtype=np.intp)
+    rank[np.lexsort((digits, padded))] = np.arange(len(indices))
+    return rank
+
+
+def _records(rep_index, keep, cols: Columns) -> list[IllnessDeathRecord]:
+    """The records of classified subjects; ``keep`` holds their draw indices."""
+    columns = (cols.entry, cols.exit0, cols.ill, cols.final, cols.observed)
     cohort = []
     for i, start, exit0, is_ill, end, absorbed in zip(
-        keep.tolist(), *(column[keep].tolist() for column in columns)
+        keep.tolist(), *(column.tolist() for column in columns)
     ):
         cause = Cause.ABSORBED if absorbed else Cause.CENSORED
         path = (exit0, Cause.ILL, end, cause) if is_ill else (end, cause)
         cohort.append(IllnessDeathRecord(f"r{rep_index}s{i}", start, *path))
     return cohort
+
+
+def _check_records(rep_index, keep, cols: Columns) -> None:
+    """Raise MalformedRecord unless every row makes a valid record.
+
+    One vectorised pass over the IllnessDeathRecord invariants, plus the
+    column-only one that a subject who never fell ill ends at its state-0
+    exit.  The first bad row is built as its record, so the error is the
+    one the record constructor raises.
+    """
+    times = np.stack((cols.entry, cols.exit0, cols.final))
+    valid = (np.isfinite(times) & (times >= 0)).all(axis=0) & np.where(
+        cols.ill,
+        (cols.exit0 <= cols.final) & (cols.entry < cols.final),
+        (cols.entry < cols.exit0) & (cols.final == cols.exit0),
+    )
+    if not valid.all():
+        row = np.flatnonzero(~valid)[:1]
+        _records(rep_index, keep[row], cols.take(row))
+        raise MalformedRecord(f"r{rep_index}s{keep[row[0]]}: inconsistent columns")
+
+
+def _classify(
+    rep_index, entry, onset, ill, absorb, cens
+) -> tuple[np.ndarray, Columns]:
+    """Draw indices and columns of the subjects alive at entry (entry < absorb).
+
+    Each path ends at min(absorb, cens), absorbed iff absorb <= cens.  An ill
+    subject whose onset precedes censoring carries its illness stay
+    (recruitment during illness, onset <= entry < cens, included); every
+    other subject leaves state 0 at the path's end.  Subject i of
+    replication r has the id ``f"r{r}s{i}"``; the ids share their prefix,
+    so ``id_rank`` ranks the indices as decimal strings.
+    """
+    keep = np.flatnonzero(entry < absorb)
+    seen_ill = (ill & (onset <= cens))[keep]
+    end = np.minimum(absorb, cens)[keep]
+    absorbed = (absorb <= cens)[keep]
+    cause0 = np.where(absorbed, Cause.ABSORBED, Cause.CENSORED).astype(np.int8)
+    cause0[seen_ill] = Cause.ILL
+    exit0 = np.where(seen_ill, onset[keep], end)
+    cols = Columns(entry[keep], exit0, end, cause0, absorbed, _decimal_rank(keep))
+    _check_records(rep_index, keep, cols)
+    return keep, cols
+
+
+def _simulate_columns(
+    config: ScenarioConfig, rep_index: int = 0
+) -> tuple[np.ndarray, Columns]:
+    """Draw indices and columns of simulate_cohort(config, rep_index)."""
+    rng = philox(config.seed, rep_index)
+    n = config.n
+    onset, ill = _onset_and_illness(rng, n, config.hazard_ill, config.hazard_direct)
+    span = _exponential(rng, n, config.censor_hazard)
+    if config.truncation is not None:
+        entry = np.maximum(_skew_normal(rng, n, config.truncation), 0.0)
+    else:
+        entry = np.zeros(n)
+    absorb = np.where(ill, config.progression_factor * onset, onset)
+    keep, cols = _classify(rep_index, entry, onset, ill, absorb, entry + span)
+    if not len(keep):
+        raise DegenerateCohort(f"replication {rep_index} retained no subjects")
+    return keep, cols
 
 
 def simulate_cohort(
@@ -157,19 +229,23 @@ def simulate_cohort(
     exit0 <= entry.  Censoring runs from study entry, so every retained
     subject is observed for a positive span.
     """
-    rng = philox(config.seed, rep_index)
-    n = config.n
-    onset, ill = _onset_and_illness(rng, n, config.hazard_ill, config.hazard_direct)
-    span = _exponential(rng, n, config.censor_hazard)
-    if config.truncation is not None:
-        entry = np.maximum(_skew_normal(rng, n, config.truncation), 0.0)
-    else:
-        entry = np.zeros(n)
-    absorb = np.where(ill, config.progression_factor * onset, onset)
-    cohort = _classify(rep_index, entry, onset, ill, absorb, entry + span)
-    if not cohort:
-        raise DegenerateCohort(f"replication {rep_index} retained no subjects")
-    return cohort
+    return _records(rep_index, *_simulate_columns(config, rep_index))
+
+
+def _markov_columns(
+    n, hazard_ill, hazard_direct, hazard_progression, censor_hazard, seed, rep_index
+) -> tuple[np.ndarray, Columns]:
+    """Draw indices and columns of simulate_markov_cohort."""
+    if min(n, hazard_ill, hazard_direct, hazard_progression) <= 0:
+        raise ValueError("n and all transition hazards must be positive")
+    if censor_hazard < 0:
+        raise ValueError("censor hazard must be >= 0")
+    rng = philox(seed, rep_index)
+    onset, ill = _onset_and_illness(rng, n, hazard_ill, hazard_direct)
+    sojourn = _exponential(rng, n, hazard_progression)
+    cens = _exponential(rng, n, censor_hazard)
+    absorb = np.where(ill, onset + sojourn, onset)
+    return _classify(rep_index, np.zeros(n), onset, ill, absorb, cens)
 
 
 def simulate_markov_cohort(
@@ -186,16 +262,10 @@ def simulate_markov_cohort(
     Useful as a positive control: on such data the occupation-probability
     estimator and the landmark estimator target the same quantity.
     """
-    if min(n, hazard_ill, hazard_direct, hazard_progression) <= 0:
-        raise ValueError("n and all transition hazards must be positive")
-    if censor_hazard < 0:
-        raise ValueError("censor hazard must be >= 0")
-    rng = philox(seed, rep_index)
-    onset, ill = _onset_and_illness(rng, n, hazard_ill, hazard_direct)
-    sojourn = _exponential(rng, n, hazard_progression)
-    cens = _exponential(rng, n, censor_hazard)
-    absorb = np.where(ill, onset + sojourn, onset)
-    return _classify(rep_index, np.zeros(n), onset, ill, absorb, cens)
+    draw = _markov_columns(
+        n, hazard_ill, hazard_direct, hazard_progression, censor_hazard, seed, rep_index
+    )
+    return _records(rep_index, *draw)
 
 
 def markov_true_p01(
@@ -253,10 +323,9 @@ class BiasVarianceTable:
 def _mc_replication(args) -> tuple[int, int, list[float | None]]:
     config, rep_index, estimators, landmark, eval_times = args
     try:
-        cohort = simulate_cohort(config, rep_index)
+        _, cols = _simulate_columns(config, rep_index)
     except DegenerateCohort:
         return rep_index, 0, [None] * (len(estimators) * len(eval_times))
-    cols = Columns.of(cohort)
     cells: list[float | None] = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -267,7 +336,7 @@ def _mc_replication(args) -> tuple[int, int, list[float | None]]:
                 cells.extend([None] * len(eval_times))
             else:
                 cells.extend(float(v) for v in values)
-    return rep_index, len(cohort), cells
+    return rep_index, len(cols.final), cells
 
 
 def _worker_count(workers: int | None) -> int:
@@ -303,8 +372,10 @@ def run_monte_carlo(
     times = list(eval_times)
     if any(t < landmark for t in times):
         raise ValueError("every evaluation time must be >= the landmark")
+    # checked here once, so that each curve's own check of the grid is one pass
+    grid = _query_times(landmark, times)
     tasks = [
-        (config, rep, tuple(estimators), landmark, tuple(times))
+        (config, rep, tuple(estimators), landmark, grid)
         for rep in range(config.replications)
     ]
     nworkers = _worker_count(workers)

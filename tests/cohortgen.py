@@ -62,6 +62,21 @@ def random_cohort(
     return cohort
 
 
+def with_ill_at_origin(
+    rng: random.Random, cohort: list[IllnessDeathRecord], k: int = 2
+) -> list[IllnessDeathRecord]:
+    """The cohort plus k subjects recruited while ill at the origin.
+
+    Each has entry = exit0 = 0 and cause0 ILL: observed from the origin but
+    never in state 0, so the s = 0 landmark must leave it out.
+    """
+    extra = []
+    for i in range(k):
+        exit1, cause1 = _grid(rng, 1, 12), rng.choice([Cause.ABSORBED, Cause.CENSORED])
+        extra.append(IllnessDeathRecord(f"o{i}", 0.0, 0.0, Cause.ILL, exit1, cause1))
+    return cohort + extra
+
+
 def random_query(rng: random.Random) -> TransitionQuery:
     # mix of on-grid values (hitting observation times exactly) and offsets
     s = rng.choice([0.0, 0.5, 1.0, 1.5, 2.0, 0.75, 1.25])

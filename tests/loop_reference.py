@@ -12,9 +12,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 
+import numpy as np
+
 from illnessdeath import (
     Cause,
     EmptyLandmark,
+    TransitionQuery,
     ZeroDenominator,
     build_counting,
     cif_limit,
@@ -29,6 +32,14 @@ def _one(exact):
 
 def _ratio(num, den, exact):
     return Fraction(num, den) if exact else num / den
+
+
+def query_times(s, ts):
+    """A curve's t grid, checked by one TransitionQuery per t (s alone if none)."""
+    ts = list(ts)
+    for t in ts or [s]:
+        TransitionQuery(s, t)
+    return np.asarray(ts, dtype=float)
 
 
 def landmark(cohort, query, exact=False):

@@ -14,7 +14,7 @@ from illnessdeath import (
 )
 
 import oracle_bruteforce as ob
-from cohortgen import random_cohort, random_query, to_oracle
+from cohortgen import random_cohort, random_query, to_oracle, with_ill_at_origin
 
 
 class TestBuildCounting:
@@ -97,34 +97,43 @@ def test_every_field_matches_the_oracle_recount(truncated, censored, landmark):
     rng = random.Random(4 * truncated + 2 * censored + landmark)
     for _ in range(60):
         cohort = random_cohort(rng, max_n=30, truncated=truncated, censored=censored)
-        q = random_query(rng)
-        lo, hi = Fraction(q.s), Fraction(q.t)
-        subjects = to_oracle(cohort)
-        if landmark:
-            subjects = ob.landmark(subjects, lo)
-            if not subjects:
-                with pytest.raises(EmptyLandmark):
-                    build_counting(cohort, q, landmark=True)
-                continue
-        cp = build_counting(cohort, q, landmark=landmark)
-        grid = sorted(
-            {s["exit0"] for s in subjects if ob.entered_in_state0(s)}
-            | {ob.final_time(s) for s in subjects}
-        )
-        data = [ob.classify(s, lo, hi) for s in subjects]
+        _assert_matches_oracle_recount(cohort, random_query(rng), landmark)
+    # subjects recruited while ill at the origin, which random_cohort never
+    # makes, must stay out of the s = 0 landmark
+    for gap in (0.0, 0.5, 1.0, 2.0, 3.5, 0.75, 2.25, 6.0):
+        cohort = random_cohort(rng, max_n=30, truncated=truncated, censored=censored)
+        cohort = with_ill_at_origin(rng, cohort)
+        _assert_matches_oracle_recount(cohort, TransitionQuery(0.0, gap), landmark)
 
-        def kind(name):
-            return tuple(sum(1 for v, k in data if v == u and k == name) for u in grid)
 
-        assert cp.times == tuple(grid)
-        assert cp.dn0 == tuple(ob.d_state0_event(subjects, u) for u in grid)
-        assert cp.dn0c == tuple(ob.d_state0_censor(subjects, u) for u in grid)
-        assert cp.y0 == tuple(ob.y_state0(subjects, u) for u in grid)
-        assert (cp.dn1, cp.dn2, cp.dnc) == (kind("ev1"), kind("ev2"), kind("cen"))
-        assert cp.y == tuple(ob.y_total(subjects, u) for u in grid)
-        assert cp.size == len(subjects)
-        at_origin = sum(1 for s in subjects if s["entry"] == 0)
-        assert cp.y_origin == (len(subjects) if landmark else at_origin)
+def _assert_matches_oracle_recount(cohort, q, landmark):
+    lo, hi = Fraction(q.s), Fraction(q.t)
+    subjects = to_oracle(cohort)
+    if landmark:
+        subjects = ob.landmark(subjects, lo)
+        if not subjects:
+            with pytest.raises(EmptyLandmark):
+                build_counting(cohort, q, landmark=True)
+            return
+    cp = build_counting(cohort, q, landmark=landmark)
+    grid = sorted(
+        {s["exit0"] for s in subjects if ob.entered_in_state0(s)}
+        | {ob.final_time(s) for s in subjects}
+    )
+    data = [ob.classify(s, lo, hi) for s in subjects]
+
+    def kind(name):
+        return tuple(sum(1 for v, k in data if v == u and k == name) for u in grid)
+
+    assert cp.times == tuple(grid)
+    assert cp.dn0 == tuple(ob.d_state0_event(subjects, u) for u in grid)
+    assert cp.dn0c == tuple(ob.d_state0_censor(subjects, u) for u in grid)
+    assert cp.y0 == tuple(ob.y_state0(subjects, u) for u in grid)
+    assert (cp.dn1, cp.dn2, cp.dnc) == (kind("ev1"), kind("ev2"), kind("cen"))
+    assert cp.y == tuple(ob.y_total(subjects, u) for u in grid)
+    assert cp.size == len(subjects)
+    at_origin = sum(1 for s in subjects if s["entry"] == 0)
+    assert cp.y_origin == (len(subjects) if landmark else at_origin)
 
 
 class TestStepFunction:

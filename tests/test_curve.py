@@ -9,17 +9,19 @@ during illness; the t lists are unsorted and may repeat.
 
 from __future__ import annotations
 
+import math
 import random
 import warnings
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import loop_reference as loops
 import oracle_bruteforce as ob
-from cohortgen import random_cohort, to_oracle
+from cohortgen import random_cohort, to_oracle, with_ill_at_origin
 from illnessdeath import (
     EstimationError,
     TransitionQuery,
@@ -30,6 +32,7 @@ from illnessdeath import (
     p01_landmark,
     p01_landmark_variance,
 )
+from illnessdeath.estimators import _query_times
 
 SCALAR = {
     "check": p01_landmark,
@@ -72,8 +75,31 @@ def cases(draw):
     return cohort, s, [s + g for g in gaps]
 
 
+def _origin_case(seed, truncated, censored):
+    """A cohort with subjects recruited while ill at the origin, at s = 0."""
+    rng = random.Random(seed)
+    cohort = random_cohort(rng, max_n=25, truncated=truncated, censored=censored)
+    return with_ill_at_origin(rng, cohort), 0.0, [3.5, 0.0, 1.0, 6.0, 2.25]
+
+
+# random_cohort never recruits a subject while ill at the origin, so these
+# explicit cases check that the s = 0 landmark leaves such subjects out
+ORIGIN_CASES = [
+    _origin_case(1, truncated=False, censored=True),
+    _origin_case(2, truncated=True, censored=True),
+    _origin_case(3, truncated=False, censored=False),
+]
+
+
+def _with_origin_cases(test):
+    for case in ORIGIN_CASES:
+        test = example(case=case)(test)
+    return test
+
+
 @settings(max_examples=80, deadline=None)
 @given(case=cases())
+@_with_origin_cases
 def test_float_curve_equals_each_scalar_and_loop(case):
     cohort, s, ts = case
     for method, scalar in SCALAR.items():
@@ -91,6 +117,7 @@ def test_float_curve_equals_each_scalar_and_loop(case):
 
 @settings(max_examples=60, deadline=None)
 @given(case=cases())
+@_with_origin_cases
 def test_exact_curve_equals_each_scalar_loop_and_oracle(case):
     cohort, s, ts = case
     mirror = to_oracle(cohort)
@@ -123,3 +150,69 @@ def test_curve_validates_like_a_query(cohort4):
     with pytest.raises(ValueError):
         p01_curve(cohort4, 1.5, [3.5], "magic")
     assert p01_curve(cohort4, 1.5, [], "aj") == []
+
+
+# every kind of value a caller might pass as s or as one t
+TIMES = st.one_of(
+    st.floats(min_value=-2, max_value=60),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e308]),
+    st.integers(min_value=-3, max_value=60),
+    st.integers(),
+    st.booleans(),
+    st.fractions(min_value=-2, max_value=60, max_denominator=4),
+    st.sampled_from(["3.0", "12", "nan", "-1"]),
+    st.floats(min_value=-2, max_value=60).map(np.float64),
+    st.integers(min_value=-3, max_value=60).map(np.int64),
+    st.floats(min_value=-2, max_value=60, width=32).map(np.float32),
+    st.booleans().map(np.bool_),
+)
+
+
+@st.composite
+def time_grids(draw):
+    """(s, ts): valid grids, in every container, and arbitrary values."""
+    if draw(st.booleans()):
+        s = draw(st.floats(min_value=0, max_value=20))
+        gap = st.floats(min_value=0, max_value=40)
+        # mostly valid gaps, now and then one that breaks the grid
+        gaps = st.one_of(gap, gap, gap, st.sampled_from([math.inf, math.nan, -1.0]))
+        values = [s + g for g in draw(st.lists(gaps, max_size=8))]
+    else:
+        s = draw(TIMES)
+        values = draw(st.lists(TIMES, max_size=8))
+    forms = ["list", "tuple", "array", "float64", "int64", "masked", "column", "0-d"]
+    form = draw(st.sampled_from(forms))
+    if form in ("list", "tuple"):
+        return s, (values if form == "list" else tuple(values))
+    dtype = {"array": None, "int64": np.int64}.get(form, float)
+    try:
+        ts = np.asarray(values, dtype=dtype)
+    except (ValueError, TypeError, OverflowError):
+        assume(False)
+    if form == "masked":
+        return s, np.ma.masked_invalid(ts)
+    if form == "column":
+        return s, ts.reshape(-1, 1)
+    if form == "0-d":
+        return s, np.asarray(ts[0]) if len(ts) else ts.reshape(1, 0)
+    return s, ts
+
+
+def _result(fn, s, ts):
+    try:
+        return fn(s, ts)
+    except Exception as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=time_grids())
+def test_query_times_shortcut_matches_the_per_query_loop(case):
+    s, ts = case
+    got, want = _result(_query_times, s, ts), _result(loops.query_times, s, ts)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    if type(ts) is np.ndarray and ts.dtype == np.float64 and len(ts):
+        assert got is ts  # every valid float64 grid takes the one-pass check

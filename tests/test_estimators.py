@@ -7,6 +7,7 @@ import pytest
 from cohortgen import random_cohort, random_query
 from illnessdeath import (
     Cause,
+    CensoredCohort,
     DelayedEntry,
     EmptyLandmark,
     EstimationError,
@@ -285,6 +286,17 @@ class TestMultinomial:
     def test_rejects_censored_cohort(self, cohort4, query):
         with pytest.raises(ValueError):
             multinomial_uncensored(cohort4, query)
+
+    def test_rejections_are_typed_estimation_errors(self, cohort3, cohort4, query):
+        # a delayed entry is reported first, even on a censored cohort
+        late = IllnessDeathRecord("E", 1, 4, Cause.ABSORBED)
+        for cohort in (cohort3 + [late], cohort4 + [late]):
+            with pytest.raises(DelayedEntry) as info:
+                multinomial_uncensored(cohort, query)
+            assert isinstance(info.value, EstimationError)
+        with pytest.raises(CensoredCohort) as info:
+            multinomial_uncensored(cohort4, query)
+        assert isinstance(info.value, EstimationError)
 
 
 class TestArtificialCensoring:

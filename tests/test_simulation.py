@@ -6,10 +6,14 @@ import hashlib
 import io
 import math
 
+import numpy as np
 import pytest
 
 from illnessdeath import (
     Cause,
+    DegenerateCohort,
+    IllnessDeathRecord,
+    MalformedRecord,
     ScenarioConfig,
     TransitionQuery,
     TruncationConfig,
@@ -25,6 +29,8 @@ from illnessdeath import (
     true_p01,
     write_cohort,
 )
+from illnessdeath import simulation
+from illnessdeath.counting import Columns
 
 
 class TestTrueValue:
@@ -121,6 +127,88 @@ class TestPinnedOutput:
     def test_markov_cohort_bytes(self, seed):
         cohort = simulate_markov_cohort(500, censor_hazard=0.01, seed=seed)
         assert _digest(cohort) == MARKOV_DIGESTS[seed]
+
+
+def _assert_same_columns(got, want):
+    assert type(got) is Columns
+    for name, a, b in zip(Columns._fields, got, want):
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+
+
+# designs beyond the presets: uncensored; tiny, heavily censored and
+# truncated (many empty cohorts); large enough for four-digit ids
+CUSTOM_DESIGNS = {
+    "uncensored": ScenarioConfig(n=7, censor_hazard=0.0, seed=3),
+    "censored-truncated": ScenarioConfig(
+        n=3, censor_hazard=0.2, truncation=TruncationConfig(location=20.0), seed=4
+    ),
+    "large-truncated": ScenarioConfig(n=1500, truncation=TruncationConfig(), seed=8),
+}
+
+
+class TestColumnarSimulator:
+    @pytest.mark.parametrize("name", ["table1", "table2", "table3", *CUSTOM_DESIGNS])
+    def test_columns_equal_the_records_columns(self, name):
+        if name in CUSTOM_DESIGNS:
+            config = CUSTOM_DESIGNS[name]
+        else:
+            config = preset(name).config
+        reps = 3 if config.n > 100 else 40
+        degenerate = 0
+        for rep in range(reps):
+            try:
+                _, cols = simulation._simulate_columns(config, rep)
+            except DegenerateCohort as err:
+                degenerate += 1
+                with pytest.raises(DegenerateCohort, match=str(err)):
+                    simulate_cohort(config, rep)
+                continue
+            _assert_same_columns(cols, Columns.of(simulate_cohort(config, rep)))
+        assert (degenerate > 0) == (name == "censored-truncated")
+
+    @pytest.mark.parametrize("censor_hazard", [0.0, 0.05])
+    def test_markov_columns_equal_the_records_columns(self, censor_hazard):
+        for seed in range(5):
+            args = (200, 0.039, 0.026, 0.05, censor_hazard, seed, seed)
+            _, cols = simulation._markov_columns(*args)
+            _assert_same_columns(cols, Columns.of(simulate_markov_cohort(*args)))
+
+    @pytest.mark.parametrize(
+        "field,ill,value,message",
+        [
+            ("entry", False, lambda c, i: c.exit0[i], "entry must precede exit0"),
+            ("entry", False, lambda c, i: np.nan, "entry must be a finite time >= 0"),
+            ("exit0", True, lambda c, i: -1.0, "exit0 must be a finite time >= 0"),
+            ("final", True, lambda c, i: np.inf, "exit1 must be finite and >= exit0"),
+            ("final", True, lambda c, i: c.exit0[i] / 2, "exit1 must be finite and"),
+            # columns only: a subject who never fell ill ends at its state-0 exit
+            ("final", False, lambda c, i: c.exit0[i] + 1, "inconsistent columns"),
+        ],
+    )
+    def test_corrupted_column_is_malformed(self, field, ill, value, message):
+        keep, cols = simulation._simulate_columns(preset("table1").config, 0)
+        simulation._check_records(0, keep, cols)
+        i = int(np.flatnonzero(cols.ill == ill)[5])
+        getattr(cols, field)[i] = value(cols, i)
+        # the message of the record constructor, with the subject's id
+        with pytest.raises(MalformedRecord, match=f"^r0s{keep[i]}: {message}"):
+            simulation._check_records(0, keep, cols)
+
+    def test_monte_carlo_builds_no_records(self, monkeypatch):
+        built = []
+        check = IllnessDeathRecord.__post_init__
+
+        def counting_check(record):
+            built.append(record.id)
+            check(record)
+
+        monkeypatch.setattr(IllnessDeathRecord, "__post_init__", counting_check)
+        config = preset("table3", n=40, replications=6, seed=5).config
+        run_monte_carlo(config, ("check", "mm", "mm-stute", "aj"), workers=1)
+        assert built == []
+        simulate_cohort(config, 0)  # the guard does see records being built
+        assert built
 
 
 class TestUncensoredAgreement:
