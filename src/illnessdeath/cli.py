@@ -1,22 +1,24 @@
 """Command-line interface: estimate on CSV cohorts, simulate, transform.
 
-Exit codes: 0 success (possibly with per-row warning markers), 2 usage or
-malformed input, 3 every requested estimate failed, 4 every simulated
-replication degenerated.  Every run writes a JSON manifest of the resolved
-parameters next to its output (or to stderr when writing to stdout), so any
-output can be reproduced byte-for-byte from its manifest.
+Exit codes: 0 success (possibly with per-row warning markers), 2 usage,
+malformed input or an unwritable output, 3 every requested estimate
+failed, 4 every simulated replication degenerated.  Every run writes a JSON
+manifest of the resolved parameters next to its output (or to stderr when
+writing to stdout), so any output can be reproduced byte-for-byte from its
+manifest.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Callable, Sequence
 
 from . import __version__
 from .counting import Columns
@@ -50,9 +52,9 @@ class RunManifest:
 
     subcommand: str
     parameters: dict
-    seed: int | None
-    input_digest: str | None
-    version: str
+    seed: int | None = None
+    input_digest: str | None = None
+    version: str = __version__
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
@@ -83,131 +85,119 @@ def _positive_int(raw: str) -> int:
     return value
 
 
-class _Output:
-    """Output sink that is either a file or stdout ('-')."""
+class _UsageError(Exception):
+    """A bad option, input or output path: main prints it and exits 2."""
 
-    def __init__(self, target: str):
-        self.target = target
 
-    def __enter__(self) -> IO[str]:
-        if self.target == "-":
-            return sys.stdout
-        self._handle = open(self.target, "w", newline="")
-        return self._handle
+@contextlib.contextmanager
+def _usage(*errors: type[Exception]):
+    """Report the given errors, raised inside the block, as usage errors."""
+    try:
+        yield
+    except errors as err:
+        raise _UsageError(err) from None
 
-    def __exit__(self, *exc) -> None:
-        if self.target != "-":
-            self._handle.close()
 
-    def write_manifest(self, manifest: RunManifest) -> None:
-        if self.target == "-":
-            sys.stderr.write(manifest.to_json())
+def _emit(target: str, write: Callable[[IO[str]], None], manifest: RunManifest) -> None:
+    """Write to a file with ``<file>.manifest.json`` beside it, or to stdout
+    ('-') with the manifest on stderr."""
+    if target == "-":
+        write(sys.stdout)
+        sys.stderr.write(manifest.to_json())
+        return
+    with _usage(OSError):
+        handle = open(target, "w", newline="")
+    with handle:
+        write(handle)
+    Path(target + ".manifest.json").write_text(manifest.to_json())
+
+
+def _method_rows(
+    args: argparse.Namespace,
+    cols: Columns,
+    queries: list[TransitionQuery],
+    method: str,
+    mm_values: dict[float, float],
+) -> list[list[str]]:
+    """One method's rows: one sweep over the t grid, then per t the variance
+    or bootstrap cells and the flags.  A failed sweep gives blank rows."""
+    blank = [""] * (7 if args.boot else 1)
+    # one sweep; support does not depend on t, range belongs to the rows above 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            values = ESTIMATORS[method](cols, args.s, args.t)
+        except EstimationError as err:
+            flag = f"error:{type(err).__name__}"
+            return [[method, _fmt(q.s), _fmt(q.t), "", *blank, flag] for q in queries]
+    support = any(issubclass(w.category, SupportWarning) for w in caught)
+    ranged = any(issubclass(w.category, RangeWarning) for w in caught)
+    rows = []
+    for q, value in zip(queries, values):
+        estimate = float(value)
+        flags: list[str] = []
+        if support:
+            flags.append("support")
+        if ranged and value > 1:
+            flags.append("range")
+        if method == "mm":
+            mm_values[q.t] = estimate
+        if method == "mm-stute" and q.t in mm_values:
+            if abs(estimate - mm_values[q.t]) > STUTE_MISMATCH:
+                flags.append("stute-mismatch")
+        cells = [method, _fmt(q.s), _fmt(q.t), _fmt(estimate)]
+        if args.boot:
+            try:
+                ci = bootstrap_ci(
+                    cols,
+                    q,
+                    estimator=method,
+                    n_boot=args.boot,
+                    level=args.level,
+                    seed=args.seed,
+                )
+                bounds = (ci.boot_variance, *ci.quantile_ci, *ci.normal_ci)
+                cells += [*map(_fmt, bounds), str(ci.n_boot), str(ci.n_failed)]
+            except TooManyFailures:
+                flags.append("error:TooManyFailures")
+                cells += blank
+        elif method == "check":
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                cells += [_fmt(float(p01_landmark_variance(cols, q)))]
         else:
-            Path(self.target + ".manifest.json").write_text(manifest.to_json())
+            cells += blank
+        rows.append(cells + [";".join(sorted(set(flags)))])
+    return rows
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    try:
+    with _usage(MalformedRecord, OSError):
         cohort = read_cohort(args.input)
-    except (MalformedRecord, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     if not cohort:
-        print("error: input contains no records", file=sys.stderr)
-        return 2
-    try:
+        raise _UsageError("input contains no records")
+    with _usage(ValueError):
         queries = [TransitionQuery(args.s, t) for t in args.t]
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     if args.tau is not None:
-        if args.tau <= 0:
-            print("error: --tau must be positive", file=sys.stderr)
-            return 2
+        if not args.tau > 0:  # NaN included
+            raise _UsageError("--tau must be positive")
         cohort = artificial_censoring(cohort, args.tau)
     if args.boot and args.boot < 2:
-        print("error: --boot needs at least 2 resamples", file=sys.stderr)
-        return 2
+        raise _UsageError("--boot needs at least 2 resamples")
     if not 0 < args.level < 1:
-        print("error: --level must be inside (0, 1)", file=sys.stderr)
-        return 2
+        raise _UsageError("--level must be inside (0, 1)")
     methods = list(METHODS) if args.method == "all" else [args.method]
     cols = Columns.of(cohort)
-
     header = ["method", "s", "t", "estimate"]
     if args.boot:
         header += ["boot_variance", "q_lo", "q_hi", "n_lo", "n_hi", "n_boot", "n_failed"]
     else:
         header += ["variance"]
-    header += ["flags"]
-
+    rows = [header + ["flags"]]
     mm_values: dict[float, float] = {}
-    rows: list[list[str]] = []
-    succeeded = 0
     for method in methods:
-        # one sweep per method; support does not depend on t, and range
-        # belongs to the rows whose ratio exceeds 1
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                values = ESTIMATORS[method](cols, args.s, args.t)
-            except EstimationError as err:
-                blank = [""] * (len(header) - 4 - 1)
-                for q in queries:
-                    rows.append(
-                        [method, _fmt(q.s), _fmt(q.t), ""]
-                        + blank
-                        + [f"error:{type(err).__name__}"]
-                    )
-                continue
-        support = any(issubclass(w.category, SupportWarning) for w in caught)
-        ranged = any(issubclass(w.category, RangeWarning) for w in caught)
-        for q, value in zip(queries, values):
-            estimate = float(value)
-            flags: list[str] = []
-            if support:
-                flags.append("support")
-            if ranged and value > 1:
-                flags.append("range")
-            succeeded += 1
-            if method == "mm":
-                mm_values[q.t] = estimate
-            if method == "mm-stute" and q.t in mm_values:
-                if abs(estimate - mm_values[q.t]) > STUTE_MISMATCH:
-                    flags.append("stute-mismatch")
-            cells = [method, _fmt(q.s), _fmt(q.t), _fmt(estimate)]
-            if args.boot:
-                try:
-                    ci = bootstrap_ci(
-                        cols,
-                        q,
-                        estimator=method,
-                        n_boot=args.boot,
-                        level=args.level,
-                        seed=args.seed,
-                    )
-                    cells += [
-                        _fmt(ci.boot_variance),
-                        _fmt(ci.quantile_ci[0]),
-                        _fmt(ci.quantile_ci[1]),
-                        _fmt(ci.normal_ci[0]),
-                        _fmt(ci.normal_ci[1]),
-                        str(ci.n_boot),
-                        str(ci.n_failed),
-                    ]
-                except TooManyFailures:
-                    flags.append("error:TooManyFailures")
-                    cells += [""] * 7
-            else:
-                if method == "check":
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore")
-                        cells += [_fmt(float(p01_landmark_variance(cols, q)))]
-                else:
-                    cells += [""]
-            cells += [";".join(sorted(set(flags)))]
-            rows.append(cells)
-
+        rows += _method_rows(args, cols, queries, method, mm_values)
+    text = "".join(",".join(row) + "\n" for row in rows)
     manifest = RunManifest(
         subcommand="estimate",
         parameters={
@@ -221,18 +211,29 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         },
         seed=args.seed,
         input_digest=_digest(args.input),
-        version=__version__,
     )
-    out = _Output(args.output)
-    with out as sink:
-        sink.write(",".join(header) + "\n")
-        for row in rows:
-            sink.write(",".join(row) + "\n")
-    out.write_manifest(manifest)
-    return 0 if succeeded else 3
+    _emit(args.output, lambda sink: sink.write(text), manifest)
+    return 0 if any(row[3] for row in rows[1:]) else 3
 
 
-def _read_config_file(path: str) -> dict[str, str]:
+# config key -> its type; a truncation_<name> key sets TruncationConfig.<name>
+_CONFIG_FIELDS = {
+    "n": int,
+    "hazard_ill": float,
+    "hazard_direct": float,
+    "progression_factor": float,
+    "censor_hazard": float,
+    "seed": int,
+    "replications": int,
+    "truncation_location": float,
+    "truncation_scale": float,
+    "truncation_shape": float,
+}
+
+
+def _custom_scenario(path: str) -> Scenario:
+    """The scenario of a key=value file.  Every line is read before any value
+    is converted, and a repeated key keeps its last value."""
     raw: dict[str, str] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = line.strip()
@@ -242,35 +243,12 @@ def _read_config_file(path: str) -> dict[str, str]:
             raise ValueError(f"{path}:{lineno}: expected key=value")
         key, _, value = stripped.partition("=")
         raw[key.strip()] = value.strip()
-    return raw
-
-
-_CONFIG_FIELDS = {
-    "n": int,
-    "hazard_ill": float,
-    "hazard_direct": float,
-    "progression_factor": float,
-    "censor_hazard": float,
-    "seed": int,
-    "replications": int,
-}
-_TRUNCATION_FIELDS = {
-    "truncation_location": ("location", float),
-    "truncation_scale": ("scale", float),
-    "truncation_shape": ("shape", float),
-}
-
-
-def _custom_scenario(path: str) -> Scenario:
-    raw = _read_config_file(path)
-    kwargs = {}
-    trunc_kwargs = {}
+    kwargs: dict = {}
+    trunc_kwargs: dict = {}
     for key, value in raw.items():
         if key in _CONFIG_FIELDS:
-            kwargs[key] = _CONFIG_FIELDS[key](value)
-        elif key in _TRUNCATION_FIELDS:
-            name, cast = _TRUNCATION_FIELDS[key]
-            trunc_kwargs[name] = cast(value)
+            name = key.removeprefix("truncation_")
+            (kwargs if name == key else trunc_kwargs)[name] = _CONFIG_FIELDS[key](value)
         elif key == "truncation":
             if value not in ("none", "skew_normal"):
                 raise ValueError(f"truncation must be none or skew_normal, got {value}")
@@ -284,85 +262,56 @@ def _custom_scenario(path: str) -> Scenario:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    try:
+    if args.scenario == "custom" and not args.config:
+        raise _UsageError("--scenario custom requires --config")
+    with _usage(ValueError, OSError):
         if args.scenario == "custom":
-            if not args.config:
-                print("error: --scenario custom requires --config", file=sys.stderr)
-                return 2
             scenario = _custom_scenario(args.config)
         else:
             scenario = preset(args.scenario)
         scenario = _override(scenario, args.n, args.reps, args.seed)
-    except (ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     landmark = scenario.landmark if args.s is None else args.s
     eval_times = scenario.eval_times if args.t is None else tuple(args.t)
     try:
-        table = run_monte_carlo(
-            scenario.config,
-            estimators=scenario.estimators,
-            eval_times=eval_times,
-            landmark=landmark,
-        )
+        with _usage(ValueError):
+            table = run_monte_carlo(
+                scenario.config,
+                estimators=scenario.estimators,
+                eval_times=eval_times,
+                landmark=landmark,
+            )
     except DegenerateCohort as err:
         print(f"error: {err}", file=sys.stderr)
         return 4
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-
-    config = scenario.config
+    config = asdict(scenario.config)  # its truncation becomes a dict too
     manifest = RunManifest(
         subcommand="simulate",
         parameters={
+            **{key: value for key, value in config.items() if key != "seed"},
             "scenario": args.scenario,
-            "n": config.n,
-            "replications": config.replications,
-            "hazard_ill": config.hazard_ill,
-            "hazard_direct": config.hazard_direct,
-            "progression_factor": config.progression_factor,
-            "censor_hazard": config.censor_hazard,
-            "truncation": None
-            if config.truncation is None
-            else asdict(config.truncation),
             "estimators": list(scenario.estimators),
             "s": landmark,
             "t": list(eval_times),
             "mean_cohort_size": table.mean_cohort_size,
         },
-        seed=config.seed,
-        input_digest=None,
-        version=__version__,
+        seed=config["seed"],
     )
-    out = _Output(args.output)
-    with out as sink:
-        table.to_csv(sink)
-    out.write_manifest(manifest)
+    _emit(args.output, table.to_csv, manifest)
     return 0
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
-    try:
+    with _usage(MalformedRecord, OSError):
         cohort = read_cohort(args.input)
-    except (MalformedRecord, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    if args.tau <= 0:
-        print("error: --tau must be positive", file=sys.stderr)
-        return 2
+    if not args.tau > 0:
+        raise _UsageError("--tau must be positive")
     clipped = artificial_censoring(cohort, args.tau)
     manifest = RunManifest(
         subcommand="transform",
         parameters={"input": args.input, "tau": args.tau},
-        seed=None,
         input_digest=_digest(args.input),
-        version=__version__,
     )
-    out = _Output(args.output)
-    with out as sink:
-        write_cohort(clipped, sink)
-    out.write_manifest(manifest)
+    _emit(args.output, lambda sink: write_cohort(clipped, sink), manifest)
     return 0
 
 
@@ -414,7 +363,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _UsageError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

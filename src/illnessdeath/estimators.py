@@ -16,6 +16,9 @@ The scalar forms are one-point curves.
 The same array code serves float and ``exact=True`` (object arrays of
 Fraction); every sum and product runs left to right along the grid
 (``np.cumsum``/``np.cumprod``), so floats equal a plain loop bit for bit.
+Every product-limit survival and incidence, of the curves and of the
+counting-process functions alike, comes from one primitive (``_survival``
+and ``_incidence``); tests/loop_reference.py holds the loop forms.
 
 Conventions shared by all routines: at tied times, events precede
 censorings; any hazard increment with an empty risk set contributes a unit
@@ -29,12 +32,13 @@ import warnings
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import compress
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .counting import Columns, CountingProcesses, StepFunction, build_counting
-from .counting import _at_risk, _landmark_columns
+from .counting import _ABSORBED, _CENSORED, _at_risk, _landmark_columns
 from .errors import (
     CensoredCohort,
     DegenerateWeight,
@@ -61,20 +65,9 @@ def _ratio(num, den, exact: bool):
     return _FRACTION(num, den) if exact else num / den
 
 
-def _running_total(terms: np.ndarray, zero: Number) -> np.ndarray:
-    """Sum each row of terms left to right, starting from zero.
-
-    This is the order a loop adds in; ``np.sum`` adds pairwise and the
-    builtin ``sum`` compensates, either of which changes the last bits.
-    """
-    start = np.full((len(terms), 1), zero, dtype=terms.dtype)
-    return np.cumsum(np.concatenate((start, terms), axis=1), axis=1)[:, -1]
-
-
 def _warn_censored_tail(events, censorings) -> None:
     """SupportWarning when the largest observed time is a censoring."""
-    last_event = np.max(events) if len(events) else None
-    if len(censorings) and (last_event is None or np.max(censorings) >= last_event):
+    if len(censorings) and np.max(censorings) >= np.max(events, initial=-np.inf):
         warnings.warn(
             "largest observation is censored; the incidence limit is only "
             "partially identified",
@@ -83,40 +76,46 @@ def _warn_censored_tail(events, censorings) -> None:
         )
 
 
+def _survival(d, y, exact: bool, start: Number | None = None) -> np.ndarray:
+    """Product-limit survival from start (1 by default) over a sorted grid.
+
+    Element i is the survival just before grid time i, the last element the
+    survival through the last grid time: cumprod(1 - d / max(y, 1)).  An
+    empty risk set never carries an event, so the floor makes its factor
+    exactly 1, as a loop that skips the time would.
+    """
+    factors = 1 - _ratio(d, np.maximum(y, 1), exact)
+    first = _one(exact) if start is None else start
+    return np.cumprod(np.concatenate(([first], factors)))
+
+
+def _incidence(before: np.ndarray, dn1, y, exact: bool) -> np.ndarray:
+    """Running kind-1 incidence: masses surv(T-) * dn1 / y, summed left to right.
+
+    Element i is the incidence through grid time i.  ``np.cumsum`` adds in
+    a loop's order, as every sum in this module does; ``np.sum`` adds
+    pairwise and the builtin ``sum`` compensates, which changes the last bits.
+    """
+    return np.cumsum(before * _ratio(dn1, np.maximum(y, 1), exact), axis=-1)
+
+
+def _steps(cp: CountingProcesses, jumps, values, initial: Number) -> StepFunction:
+    """The step function with the values at the grid times marked by jumps."""
+    times = tuple(compress(cp.times, jumps))
+    return StepFunction(initial, times, tuple(values[jumps].tolist()))
+
+
 def _km_steps(cp: CountingProcesses, exact: bool) -> StepFunction:
-    """State-0 survival; a state-0 exit time with an empty risk set is no step."""
-    times, values = [], []
-    out = _one(exact)
-    for v, d, y in zip(cp.times, cp.dn0, cp.y0):
-        if d and y:
-            out *= 1 - _ratio(d, y, exact)
-            times.append(v)
-            values.append(out)
-    return StepFunction(_one(exact), tuple(times), tuple(values))
+    """State-0 survival, stepping at each state-0 exit time."""
+    surv = _survival(cp.dn0, cp.y0, exact)[1:]
+    return _steps(cp, np.greater(cp.dn0, 0), surv, _one(exact))
 
 
 def _cif_steps(cp: CountingProcesses, exact: bool) -> StepFunction:
-    """Incidence of kind-1 observations, stepping at each of them.
-
-    One forward pass: at each time, first credit the kind-1 mass weighted by
-    the survival of the pooled event process strictly before that time, then
-    absorb the time's events into the survival factor.
-    """
-    times, values = [], []
-    total = _one(exact) * 0
-    surv = _one(exact)
-    for i, v in enumerate(cp.times):
-        y = cp.y[i]
-        if not y:
-            continue
-        if cp.dn1[i]:
-            total += surv * _ratio(cp.dn1[i], y, exact)
-            times.append(v)
-            values.append(total)
-        d = cp.dn(i)
-        if d:
-            surv *= 1 - _ratio(d, y, exact)
-    return StepFunction(_one(exact) * 0, tuple(times), tuple(values))
+    """Incidence of kind-1 observations, stepping at each of them."""
+    before = _survival(np.add(cp.dn1, cp.dn2), cp.y, exact)[:-1]
+    running = _incidence(before, cp.dn1, cp.y, exact)
+    return _steps(cp, np.greater(cp.dn1, 0), running, _one(exact) * 0)
 
 
 def kaplan_meier(cp: CountingProcesses, horizon: float, exact: bool = False) -> Number:
@@ -135,10 +134,9 @@ def kaplan_meier_curve(cp: CountingProcesses) -> StepFunction:
 
 def cif_limit(cp: CountingProcesses, exact: bool = False) -> Number:
     """Limit of the cumulative incidence of kind-1 observations."""
-    _warn_censored_tail(
-        [v for i, v in enumerate(cp.times) if cp.dn(i)],
-        [v for i, v in enumerate(cp.times) if cp.dnc[i]],
-    )
+    times = np.asarray(cp.times, dtype=float)
+    events = np.add(cp.dn1, cp.dn2) > 0
+    _warn_censored_tail(times[events], times[np.greater(cp.dnc, 0)])
     return _cif_steps(cp, exact)(math.inf)
 
 
@@ -147,20 +145,14 @@ def cif_curve(cp: CountingProcesses) -> StepFunction:
     return _cif_steps(cp, False)
 
 
-def _censoring_survival(
-    dc: Sequence[int], y: Sequence[int], d: Sequence[int], g: Number, exact: bool
-) -> Iterator[Number]:
-    """Censoring survival from g just before each grid time, then through the last.
+def _censoring_survival(dc, y, d, exact: bool, start: Number | None = None):
+    """Censoring survival from start: just before each grid time, then after all.
 
     Factors 1 - dc / (y - d) use the post-event risk set, so events tied
     with a censoring take precedence; y >= d + dc on the grid, so y - d > 0
     wherever a censoring occurs.
     """
-    for c, at_risk, events in zip(dc, y, d):
-        yield g
-        if c:
-            g *= 1 - _ratio(c, at_risk - events, exact)
-    yield g
+    return _survival(dc, np.subtract(y, d), exact, start)
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +165,8 @@ class _ProductLimit:
     Every subject is at risk at its own final time, so ``y >= 1`` on this
     grid; times that are only state-0 exits would add unit factors and zero
     masses, so leaving them out changes no value, not even in float.
+    ``surv`` is the pooled survival just before each grid time, then
+    through the last.
     """
 
     def __init__(self, cols: Columns, exact: bool):
@@ -180,8 +174,7 @@ class _ProductLimit:
         self.times, self.index = np.unique(cols.final, return_inverse=True)
         self.y = _at_risk(cols.entry, cols.final, self.times)
         self.d = np.bincount(self.index[cols.observed], minlength=len(self.times))
-        self.factor = 1 - _ratio(self.d, self.y, exact)
-        self.surv = np.cumprod(self.factor)  # through each grid time
+        self.surv = _survival(self.d, self.y, exact)
 
     def event1_counts(self, event1: np.ndarray) -> np.ndarray:
         """Per-t kind-1 counts on the grid, from a (len(ts), n) mask."""
@@ -191,11 +184,9 @@ class _ProductLimit:
         return np.bincount(flat, minlength=len(event1) * m).reshape(-1, m)
 
     def incidence(self, event1: np.ndarray) -> np.ndarray:
-        """Incidence limit per t: kind-1 masses surv(T-) * dn1 / y, summed."""
-        one = _one(self.exact)
-        before = np.concatenate(([one], self.surv[:-1]))
-        masses = before * _ratio(self.event1_counts(event1), self.y, self.exact)
-        return _running_total(masses, one * 0)
+        """Incidence limit per t: the kind-1 masses of each row, summed."""
+        counts = self.event1_counts(event1)
+        return _incidence(self.surv[:-1], counts, self.y, self.exact)[:, -1]
 
 
 def _query_times(s: float, ts: Iterable[float]) -> np.ndarray:
@@ -228,11 +219,10 @@ def _state0_survival(cols: Columns, s: float, exact: bool) -> Number:
     if not len(cols.final):
         raise EmptyRiskSet("empty cohort")
     state0 = cols.state0
-    exits = state0 & (cols.cause0 != Cause.CENSORED) & (cols.exit0 <= s)
+    exits = state0 & (cols.cause0 != _CENSORED) & (cols.exit0 <= s)
     times, d0 = np.unique(cols.exit0[exits], return_counts=True)
     y0 = _at_risk(cols.entry[state0], cols.exit0[state0], times)
-    factors = np.concatenate(([_one(exact)], 1 - _ratio(d0, y0, exact)))
-    den = np.cumprod(factors)[-1]
+    den = _survival(d0, y0, exact)[-1]
     if den == 0:
         raise ZeroDenominator(f"estimated state-0 survival at s={s} is zero")
     return den
@@ -265,7 +255,7 @@ def _ordered_incidence(cols: Columns, event1, exact: bool) -> np.ndarray:
     surv = np.cumprod(np.where(cols.observed[order], 1 - jump, one))
     masses = np.concatenate(([one], surv[:-1])) * jump
     terms = np.where(event1[:, order], masses, one * 0)
-    return _running_total(terms, one * 0)
+    return np.cumsum(terms, axis=1)[:, -1]
 
 
 def _ratio_curve(
@@ -307,7 +297,7 @@ def _aj_curve(
     seen_ill = ill & (start1 < cols.final)  # joins the illness risk set
     moves = (
         cols.exit0[state0 & ill],
-        cols.exit0[cols.cause0 == Cause.ABSORBED],
+        cols.exit0[cols.cause0 == _ABSORBED],
         cols.final[seen_ill & cols.observed],
     )
     times, index = np.unique(np.concatenate(moves), return_inverse=True)
@@ -318,15 +308,11 @@ def _aj_curve(
     times, d = times[window], d[:, window]
     y0 = _at_risk(cols.entry[state0], cols.exit0[state0], times)
     y1 = _at_risk(start1[seen_ill], cols.final[seen_ill], times)
-    one = _one(exact)
-    zero = one * 0
-
-    def hazard(d: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.where(y > 0, _ratio(d, np.maximum(y, 1), exact), zero)
-
-    h01, h02, h12 = hazard(d[0], y0), hazard(d[1], y0), hazard(d[2], y1)
+    # an empty risk set carries no transition, so its hazards are 0
+    h01, h02 = _ratio(d[:2], np.maximum(y0, 1), exact)
+    h12 = _ratio(d[2], np.maximum(y1, 1), exact)
     stay0, stay1 = (1 - h01 - h02).tolist(), (1 - h12).tolist()
-    p0, p1 = one, zero
+    p0, p1 = _one(exact), _one(exact) * 0
     history = [p1]  # p1 after each transition time
     for keep0, enter1, keep1 in zip(stay0, h01.tolist(), stay1):
         p1 = p1 * keep1 + p0 * enter1
@@ -445,19 +431,20 @@ def p01_landmark_variance(
     jump1 = _ratio(dn1, grid.y, exact)
     jump2 = _ratio(grid.d - dn1, grid.y, exact)
     zero = _one(exact) * 0
+    surv = grid.surv[1:]  # through each grid time
     # remaining incidence strictly after each grid time, per t by recursion
-    step, factor = jump1.tolist(), grid.factor.tolist()
+    step, factor = jump1.tolist(), (1 - _ratio(grid.d, grid.y, exact)).tolist()
     remaining = [zero] * len(step)
     acc = zero
     for i in range(len(step) - 2, -1, -1):
         acc = step[i + 1] + factor[i + 1] * acc
         remaining[i] = acc
-    remaining = np.array(remaining, dtype=grid.surv.dtype)
-    tail = grid.surv * grid.surv * (1 - remaining) * (1 - remaining) * jump1
-    committed = grid.surv * remaining
+    remaining = np.array(remaining, dtype=surv.dtype)
+    tail = surv * surv * (1 - remaining) * (1 - remaining) * jump1
+    committed = surv * remaining
     # per grid time, the kind-1 term before the kind-2 term
-    terms = np.stack((tail, committed * committed * jump2), axis=1).reshape(1, -1)
-    return _running_total(terms, zero).tolist()[0]
+    terms = np.stack((tail, committed * committed * jump2), axis=1).ravel()
+    return np.cumsum(terms).tolist()[-1]
 
 
 def cif_limit_ipcw(
@@ -475,16 +462,13 @@ def cif_limit_ipcw(
     cp = build_counting(cohort, query)
     if cp.y_origin != cp.size:
         raise DelayedEntry("weighted form requires every entry at the origin")
-    d = map(cp.dn, range(len(cp.times)))
-    weights = _censoring_survival(cp.dnc, cp.y, d, _one(exact), exact)
-    total = _one(exact) * 0
-    for dn1, g in zip(cp.dn1, weights):
-        if dn1:
-            if g == 0:
-                raise DegenerateWeight(
-                    "censoring weight vanished before the last kind-1 event"
-                )
-            total += _ratio(dn1, 1, exact) / g
+    dn1 = np.asarray(cp.dn1, dtype=np.int64)
+    events = dn1 > 0
+    weights = _censoring_survival(cp.dnc, cp.y, np.add(cp.dn1, cp.dn2), exact)[:-1]
+    if (weights[events] == 0).any():
+        raise DegenerateWeight("censoring weight vanished before the last kind-1 event")
+    terms = _ratio(dn1[events], 1, exact) / weights[events]
+    total = np.cumsum(np.concatenate(([_one(exact) * 0], terms))).tolist()[-1]
     return total / cp.y_origin
 
 
@@ -502,15 +486,14 @@ def tsai_crowley_weight(
     """
     cols = Columns.of(cohort)
     cp = build_counting(cols, query)
-    upto_s = bisect_right(cp.times, query.s)
-    *_, out = _censoring_survival(cp.dn0c[:upto_s], cp.y0, cp.dn0, _one(exact), exact)
+    k = bisect_right(cp.times, query.s)
+    out = _censoring_survival(cp.dn0c[:k], cp.y0[:k], cp.dn0[:k], exact).tolist()[-1]
     if u <= query.s:
         return out
     sub = build_counting(cols, query, landmark=True)
-    before_u = bisect_left(sub.times, u)
-    d = map(sub.dn, range(before_u))
-    *_, out = _censoring_survival(sub.dnc[:before_u], sub.y, d, out, exact)
-    return out
+    k = bisect_left(sub.times, u)
+    d = np.add(sub.dn1[:k], sub.dn2[:k])
+    return _censoring_survival(sub.dnc[:k], sub.y[:k], d, exact, out).tolist()[-1]
 
 
 def risk_set_stability(
@@ -522,13 +505,8 @@ def risk_set_stability(
     of the window is supported by very few subjects.
     """
     cp = build_counting(cohort, query, landmark=True)
-    base = cp.y_origin
-    worst = 1.0
-    for i, v in enumerate(cp.times):
-        if v > query.t:
-            break
-        worst = min(worst, cp.y[i] / base)
-    return worst
+    inside = cp.y[: bisect_right(cp.times, query.t)]
+    return min(inside, default=cp.y_origin) / cp.y_origin
 
 
 def multinomial_uncensored(

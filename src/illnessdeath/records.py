@@ -108,8 +108,12 @@ class TransitionQuery:
     t: float
 
     def __post_init__(self) -> None:
-        if not _is_time(self.s) or not _is_time(self.t):
-            raise ValueError("query times must be finite")
+        for x in (self.s, self.t):
+            if not isinstance(x, (int, float)):
+                kind = f"{type(x).__module__}.{type(x).__qualname__}"
+                raise ValueError(f"query times must be int or float, not {kind}")
+            if not math.isfinite(x):
+                raise ValueError("query times must be finite")
         if not 0 <= self.s <= self.t:
             raise ValueError(f"need 0 <= s <= t, got s={self.s}, t={self.t}")
 

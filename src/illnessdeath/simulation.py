@@ -26,7 +26,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from ._rng import philox
-from .counting import Columns
+from .counting import _ABSORBED, _CENSORED, _ILL, Columns
 from .errors import DegenerateCohort, EstimationError, MalformedRecord
 from .estimators import ESTIMATORS, _query_times
 from .records import Cause, IllnessDeathRecord, TransitionQuery
@@ -68,7 +68,7 @@ class ScenarioConfig:
             raise ValueError("n must be >= 1")
         if not (self.hazard_ill > 0 and self.hazard_direct > 0):
             raise ValueError("transition hazards must be positive")
-        if self.censor_hazard < 0:
+        if not self.censor_hazard >= 0:
             raise ValueError("censor hazard must be >= 0 (0 disables censoring)")
         if not (self.progression_factor > 1):
             raise ValueError("progression factor must exceed 1")
@@ -191,8 +191,8 @@ def _classify(
     seen_ill = (ill & (onset <= cens))[keep]
     end = np.minimum(absorb, cens)[keep]
     absorbed = (absorb <= cens)[keep]
-    cause0 = np.where(absorbed, Cause.ABSORBED, Cause.CENSORED).astype(np.int8)
-    cause0[seen_ill] = Cause.ILL
+    cause0 = np.where(absorbed, _ABSORBED, _CENSORED).astype(np.int8)
+    cause0[seen_ill] = _ILL
     exit0 = np.where(seen_ill, onset[keep], end)
     cols = Columns(entry[keep], exit0, end, cause0, absorbed, _decimal_rank(keep))
     _check_records(rep_index, keep, cols)
@@ -238,7 +238,7 @@ def _markov_columns(
     """Draw indices and columns of simulate_markov_cohort."""
     if min(n, hazard_ill, hazard_direct, hazard_progression) <= 0:
         raise ValueError("n and all transition hazards must be positive")
-    if censor_hazard < 0:
+    if not censor_hazard >= 0:
         raise ValueError("censor hazard must be >= 0")
     rng = philox(seed, rep_index)
     onset, ill = _onset_and_illness(rng, n, hazard_ill, hazard_direct)

@@ -1,27 +1,36 @@
-"""Per-query loop forms of the four registered estimators and the variance.
+"""Loop forms of the product-limit estimators, the reference for the array core.
 
 These are the estimators as plain loops over one query's counting
-processes (``build_counting``) or over the records, one t at a time.  The
-array kernel behind ``p01_curve`` sums and multiplies in the same order, so
-tests/test_curve.py demands equality with these, in float as well as in
-exact mode, together with the same exception types.
+processes (``build_counting``) or over the records, one grid time or one t
+at a time: the state-0 Kaplan-Meier and the incidence step functions, the
+censoring survival, the weighted incidence, the Tsai-Crowley weight, the
+risk-set diagnostic and the four registered estimators with the landmark
+variance.  The array code in ``illnessdeath.estimators`` sums and
+multiplies in the same order, so tests/test_curve.py demands equality with
+these, in float as well as in exact mode, together with the same Python
+types, warnings and exception types.  Nothing here calls an estimator of
+the package.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import math
+import warnings
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import numpy as np
 
 from illnessdeath import (
     Cause,
+    DegenerateWeight,
+    DelayedEntry,
     EmptyLandmark,
+    StepFunction,
+    SupportWarning,
     TransitionQuery,
     ZeroDenominator,
     build_counting,
-    cif_limit,
-    kaplan_meier,
     landmark_subset,
 )
 
@@ -32,6 +41,123 @@ def _one(exact):
 
 def _ratio(num, den, exact):
     return Fraction(num, den) if exact else num / den
+
+
+def _warn_censored_tail(events, censorings):
+    last_event = max(events) if events else None
+    if censorings and (last_event is None or max(censorings) >= last_event):
+        warnings.warn(
+            "largest observation is censored; the incidence limit is only "
+            "partially identified",
+            SupportWarning,
+            stacklevel=3,
+        )
+
+
+def km_steps(cp, exact):
+    """State-0 survival; a state-0 exit time with an empty risk set is no step."""
+    times, values = [], []
+    out = _one(exact)
+    for v, d, y in zip(cp.times, cp.dn0, cp.y0):
+        if d and y:
+            out *= 1 - _ratio(d, y, exact)
+            times.append(v)
+            values.append(out)
+    return StepFunction(_one(exact), tuple(times), tuple(values))
+
+
+def cif_steps(cp, exact):
+    """Incidence of kind-1 observations, stepping at each of them.
+
+    At each time, first credit the kind-1 mass weighted by the survival of
+    the pooled event process strictly before that time, then absorb the
+    time's events into the survival factor.
+    """
+    times, values = [], []
+    total = _one(exact) * 0
+    surv = _one(exact)
+    for i, v in enumerate(cp.times):
+        y = cp.y[i]
+        if not y:
+            continue
+        if cp.dn1[i]:
+            total += surv * _ratio(cp.dn1[i], y, exact)
+            times.append(v)
+            values.append(total)
+        d = cp.dn(i)
+        if d:
+            surv *= 1 - _ratio(d, y, exact)
+    return StepFunction(_one(exact) * 0, tuple(times), tuple(values))
+
+
+def censoring_survival(dc, y, d, g, exact):
+    """Censoring survival from g just before each grid time, then through the last."""
+    for c, at_risk, events in zip(dc, y, d):
+        yield g
+        if c:
+            g *= 1 - _ratio(c, at_risk - events, exact)
+    yield g
+
+
+def kaplan_meier(cp, horizon, exact=False):
+    return km_steps(cp, exact)(horizon)
+
+
+def kaplan_meier_curve(cp):
+    return km_steps(cp, False)
+
+
+def cif_limit(cp, exact=False):
+    _warn_censored_tail(
+        [v for i, v in enumerate(cp.times) if cp.dn(i)],
+        [v for i, v in enumerate(cp.times) if cp.dnc[i]],
+    )
+    return cif_steps(cp, exact)(math.inf)
+
+
+def cif_curve(cp):
+    return cif_steps(cp, False)
+
+
+def cif_limit_ipcw(cohort, query, exact=False):
+    cp = build_counting(cohort, query)
+    if cp.y_origin != cp.size:
+        raise DelayedEntry("weighted form requires every entry at the origin")
+    d = map(cp.dn, range(len(cp.times)))
+    weights = censoring_survival(cp.dnc, cp.y, d, _one(exact), exact)
+    total = _one(exact) * 0
+    for dn1, g in zip(cp.dn1, weights):
+        if dn1:
+            if g == 0:
+                raise DegenerateWeight(
+                    "censoring weight vanished before the last kind-1 event"
+                )
+            total += _ratio(dn1, 1, exact) / g
+    return total / cp.y_origin
+
+
+def tsai_crowley_weight(cohort, query, u, exact=False):
+    cp = build_counting(cohort, query)
+    upto_s = bisect_right(cp.times, query.s)
+    *_, out = censoring_survival(cp.dn0c[:upto_s], cp.y0, cp.dn0, _one(exact), exact)
+    if u <= query.s:
+        return out
+    sub = build_counting(cohort, query, landmark=True)
+    before_u = bisect_left(sub.times, u)
+    d = map(sub.dn, range(before_u))
+    *_, out = censoring_survival(sub.dnc[:before_u], sub.y, d, out, exact)
+    return out
+
+
+def risk_set_stability(cohort, query):
+    cp = build_counting(cohort, query, landmark=True)
+    base = cp.y_origin
+    worst = 1.0
+    for i, v in enumerate(cp.times):
+        if v > query.t:
+            break
+        worst = min(worst, cp.y[i] / base)
+    return worst
 
 
 def query_times(s, ts):

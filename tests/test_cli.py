@@ -37,6 +37,15 @@ def _run(tmp_path, *argv):
     return code, rows, manifest, out
 
 
+def _check_unwritable_output(tmp_path, capsys, *argv):
+    """An --output in a missing directory exits 2 with the OS error, and no
+    output or manifest is written."""
+    missing = tmp_path / "no-such-dir"
+    assert main([*argv, "--output", str(missing / "out.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno")
+    assert not missing.exists()
+
+
 class TestEstimate:
     def test_check_row(self, toy_csv, tmp_path):
         code, rows, manifest, _ = _run(
@@ -251,11 +260,15 @@ class TestEstimateUsageErrors:
         )
         assert code == 2
 
-    def test_bad_tau_boot_level(self, toy_csv, tmp_path):
+    def test_bad_tau_boot_level(self, toy_csv, tmp_path, capsys):
         base = ["estimate", "--input", toy_csv, "--s", "1.5", "--t", "3.5"]
         assert _run(tmp_path, *base, "--tau", "0")[0] == 2
         assert _run(tmp_path, *base, "--boot", "1")[0] == 2
         assert _run(tmp_path, *base, "--level", "1.5")[0] == 2
+        capsys.readouterr()
+        assert _run(tmp_path, *base, "--tau", "nan")[0] == 2
+        assert capsys.readouterr().err == "error: --tau must be positive\n"
+        _check_unwritable_output(tmp_path, capsys, *base)
 
     def test_unknown_method_is_usage_error(self, toy_csv, tmp_path):
         code = main(
@@ -357,6 +370,21 @@ class TestSimulate:
         )
         assert code == 4
 
+    def test_nan_hazard_and_unwritable_output_are_usage_errors(
+        self, tmp_path, capsys
+    ):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text("n = 10\nreplications = 2\ncensor_hazard = nan\n")
+        code, _, manifest, _ = _run(
+            tmp_path, "simulate", "--scenario", "custom", "--config", str(cfg)
+        )
+        assert code == 2 and manifest is None
+        assert capsys.readouterr().err.startswith("error: censor hazard must be >= 0")
+        _check_unwritable_output(
+            tmp_path, capsys, "simulate", "--scenario", "table1", "--reps", "2",
+            "--n", "10",
+        )
+
     def test_zero_reps_is_usage_error(self, tmp_path):
         code, _, _, _ = _run(
             tmp_path, "simulate", "--scenario", "table1", "--reps", "0"
@@ -387,11 +415,20 @@ class TestTransform:
             original = handle.read()
         assert out.read_text() == original
 
-    def test_bad_tau(self, toy_csv, tmp_path):
+    def test_bad_tau(self, toy_csv, tmp_path, capsys):
         code, _, _, _ = _run(
             tmp_path, "transform", "--input", toy_csv, "--tau", "-1"
         )
         assert code == 2
+        capsys.readouterr()
+        code, _, manifest, _ = _run(
+            tmp_path, "transform", "--input", toy_csv, "--tau", "nan"
+        )
+        assert code == 2 and manifest is None
+        assert capsys.readouterr().err == "error: --tau must be positive\n"
+        _check_unwritable_output(
+            tmp_path, capsys, "transform", "--input", toy_csv, "--tau", "2"
+        )
 
 
 def test_module_entry_point(toy_csv):

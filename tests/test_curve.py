@@ -1,10 +1,12 @@
-"""One sweep per (cohort, s): p01_curve against its scalar forms and references.
+"""One product-limit core: array forms against their loops and references.
 
-The kernel behind ``p01_curve`` adds and multiplies in grid order, so its
-float values must equal the per-query loops of loop_reference.py with ``==``,
-and its exact values must equal them and the brute-force oracle.  Cohorts
-come from cohortgen: tied half-unit times, left-truncation and recruitment
-during illness; the t lists are unsorted and may repeat.
+The kernel behind ``p01_curve`` and the counting-process estimators add and
+multiply in grid order, so their float values must equal the loops of
+loop_reference.py with ``==``, and their exact values must equal them and
+the brute-force oracle.  Cohorts come from cohortgen: tied half-unit times,
+left-truncation and recruitment during illness; the t lists are unsorted
+and may repeat.  Permuting the records changes no float value; relabelling
+and doubling them change no exact value.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import math
 import random
 import warnings
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -23,14 +26,24 @@ import loop_reference as loops
 import oracle_bruteforce as ob
 from cohortgen import random_cohort, to_oracle, with_ill_at_origin
 from illnessdeath import (
+    EmptyRiskSet,
     EstimationError,
+    StepFunction,
     TransitionQuery,
+    build_counting,
+    cif_curve,
+    cif_limit,
+    cif_limit_ipcw,
+    kaplan_meier,
+    kaplan_meier_curve,
     p01_aalen_johansen,
     p01_cif_ratio,
     p01_curve,
     p01_km_integral,
     p01_landmark,
     p01_landmark_variance,
+    risk_set_stability,
+    tsai_crowley_weight,
 )
 from illnessdeath.estimators import _query_times
 
@@ -142,6 +155,101 @@ def test_exact_curve_equals_each_scalar_loop_and_oracle(case):
         )
         if not isinstance(variance, type):
             assert variance == ob.variance_landmark(mirror, lo, hi)
+
+
+def _observed(fn):
+    """The value with its Python types and warning categories, or the error."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            value = fn()
+        except Exception as err:
+            return type(err), str(err)
+    if isinstance(value, StepFunction):
+        types = [type(x) for x in (value.initial_value, *value.values)]
+        types += [type(x) for x in value.jump_times]
+    else:
+        types = type(value)
+    return value, types, [w.category for w in caught]
+
+
+def _same(array_form, loop_form, *args):
+    got = _observed(lambda: array_form(*args))
+    assert got == _observed(lambda: loop_form(*args)), (array_form.__name__, args[1:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=cases())
+@_with_origin_cases
+def test_array_forms_equal_the_reference_loops(case):
+    cohort, s, ts = case
+    for t in ts:
+        q = TransitionQuery(s, t)
+        _same(risk_set_stability, loops.risk_set_stability, cohort, q)
+        for exact in (False, True):
+            for landmark in (False, True):
+                try:
+                    cp = build_counting(cohort, q, landmark=landmark)
+                except EmptyRiskSet:
+                    continue
+                for horizon in (0.0, s, t, 2.25, math.inf):
+                    _same(kaplan_meier, loops.kaplan_meier, cp, horizon, exact)
+                _same(cif_limit, loops.cif_limit, cp, exact)
+                if not exact:
+                    _same(kaplan_meier_curve, loops.kaplan_meier_curve, cp)
+                    _same(cif_curve, loops.cif_curve, cp)
+            _same(cif_limit_ipcw, loops.cif_limit_ipcw, cohort, q, exact)
+            for u in (0.0, s, s + 0.5, t, t + 0.25, 100.0):
+                _same(
+                    tsai_crowley_weight, loops.tsai_crowley_weight, cohort, q, u, exact
+                )
+
+
+def _values(cohort, s, ts, exact):
+    """Every product-limit value at (s, ts), or the type of the error raised."""
+    out = [_outcome(lambda: p01_curve(cohort, s, ts, m, exact)) for m in SCALAR]
+    for t in ts:
+        q = TransitionQuery(s, t)
+        for landmark in (False, True):
+            cp = _outcome(lambda: build_counting(cohort, q, landmark=landmark))
+            if isinstance(cp, type):
+                out.append(cp)
+                continue
+            out += [_outcome(lambda: kaplan_meier(cp, h, exact)) for h in (s, t)]
+            out.append(_outcome(lambda: cif_limit(cp, exact)))
+        out.append(_outcome(lambda: cif_limit_ipcw(cohort, q, exact)))
+        for u in (s, t):
+            out.append(_outcome(lambda: tsai_crowley_weight(cohort, q, u, exact)))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=cases())
+@_with_origin_cases
+def test_permuting_relabelling_and_doubling_records(case):
+    cohort, s, ts = case
+    rng = random.Random(repr(case))
+    shuffled = rng.sample(cohort, len(cohort))
+    assert _values(shuffled, s, ts, False) == _values(cohort, s, ts, False)
+    # new ids reorder ties in mm-stute, which moves float masses by an ulp
+    ranks = rng.sample(range(len(cohort)), len(cohort))
+    relabelled = [replace(r, id=f"x{k}") for r, k in zip(cohort, ranks)]
+    doubled = [replace(r, id=f"{k}{i}") for k in "ab" for i, r in enumerate(cohort)]
+    exact = _values(cohort, s, ts, True)
+    assert _values(relabelled, s, ts, True) == exact
+    assert _values(doubled, s, ts, True) == exact
+
+
+@pytest.mark.parametrize("bad", [np.int64(1), np.float32(1.5), np.bool_(True)])
+def test_numpy_times_are_rejected_by_type(cohort4, bad):
+    message = f"query times must be int or float, not numpy.{type(bad).__name__}"
+    for s, t in ((bad, 2.0), (0.5, bad)):
+        with pytest.raises(ValueError) as info:
+            TransitionQuery(s, t)
+        assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        p01_curve(cohort4, 0.5, np.array([bad, bad]), "check")
+    assert str(info.value) == message
 
 
 def test_curve_validates_like_a_query(cohort4):

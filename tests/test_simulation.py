@@ -241,6 +241,9 @@ class TestMarkovControl:
     def test_rejects_bad_hazards(self):
         with pytest.raises(ValueError):
             simulate_markov_cohort(10, hazard_progression=0.0)
+        # a NaN rate would draw no censoring at all
+        with pytest.raises(ValueError, match="censor hazard must be >= 0"):
+            simulate_markov_cohort(10, censor_hazard=float("nan"))
 
 
 class TestMonteCarloHarness:
@@ -313,6 +316,8 @@ class TestConfigValidation:
             ScenarioConfig(hazard_ill=0.0)
         with pytest.raises(ValueError):
             ScenarioConfig(censor_hazard=-0.1)
+        with pytest.raises(ValueError, match="censor hazard must be >= 0"):
+            ScenarioConfig(censor_hazard=float("nan"))
         with pytest.raises(ValueError):
             ScenarioConfig(progression_factor=1.0)
         with pytest.raises(ValueError):
