@@ -17,6 +17,7 @@ import json
 import sys
 import warnings
 from dataclasses import asdict, dataclass
+from itertools import compress
 from pathlib import Path
 from typing import IO, Callable, Sequence
 
@@ -30,9 +31,9 @@ from .errors import (
     SupportWarning,
     TooManyFailures,
 )
-from .estimators import ESTIMATORS, artificial_censoring, p01_landmark_variance
+from .estimators import ESTIMATORS, p01_landmark_variance
 from .inference import bootstrap_ci
-from .records import TransitionQuery, read_cohort, write_cohort
+from .records import TransitionQuery, read_columns, write_columns
 from .simulation import (
     Scenario,
     ScenarioConfig,
@@ -173,21 +174,20 @@ def _method_rows(
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     with _usage(MalformedRecord, OSError):
-        cohort = read_cohort(args.input)
-    if not cohort:
+        cols, _ = read_columns(args.input)
+    if not len(cols.final):
         raise _UsageError("input contains no records")
     with _usage(ValueError):
         queries = [TransitionQuery(args.s, t) for t in args.t]
     if args.tau is not None:
         if not args.tau > 0:  # NaN included
             raise _UsageError("--tau must be positive")
-        cohort = artificial_censoring(cohort, args.tau)
+        _, cols = cols.clip(args.tau)
     if args.boot and args.boot < 2:
         raise _UsageError("--boot needs at least 2 resamples")
     if not 0 < args.level < 1:
         raise _UsageError("--level must be inside (0, 1)")
     methods = list(METHODS) if args.method == "all" else [args.method]
-    cols = Columns.of(cohort)
     header = ["method", "s", "t", "estimate"]
     if args.boot:
         header += ["boot_variance", "q_lo", "q_hi", "n_lo", "n_hi", "n_boot", "n_failed"]
@@ -302,16 +302,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_transform(args: argparse.Namespace) -> int:
     with _usage(MalformedRecord, OSError):
-        cohort = read_cohort(args.input)
+        cols, ids = read_columns(args.input)
     if not args.tau > 0:
         raise _UsageError("--tau must be positive")
-    clipped = artificial_censoring(cohort, args.tau)
+    keep, clipped = cols.clip(args.tau)
+    ids = list(compress(ids, keep))
     manifest = RunManifest(
         subcommand="transform",
         parameters={"input": args.input, "tau": args.tau},
         input_digest=_digest(args.input),
     )
-    _emit(args.output, lambda sink: write_cohort(clipped, sink), manifest)
+    _emit(args.output, lambda sink: write_columns(ids, clipped, sink), manifest)
     return 0
 
 

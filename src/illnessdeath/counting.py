@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import EmptyLandmark, EmptyRiskSet
+from .errors import EmptyLandmark, EmptyRiskSet, MalformedRecord
 from .records import Cause, IllnessDeathRecord, TransitionQuery
 
 # cause codes as plain ints for the int8 cause0 column: numpy compares an
@@ -48,16 +48,13 @@ class Columns(NamedTuple):
             return cohort
         records = list(cohort)
         n = len(records)
-        ids = [r.id for r in records]
-        id_rank = np.empty(n, dtype=np.intp)
-        id_rank[sorted(range(n), key=ids.__getitem__)] = np.arange(n)
         return cls(
             np.fromiter((r.entry for r in records), float, n),
             np.fromiter((r.exit0 for r in records), float, n),
             np.fromiter((r.final_time for r in records), float, n),
             np.fromiter((r.cause0 for r in records), np.int8, n),
             np.fromiter((r.observed for r in records), bool, n),
-            id_rank,
+            rank_ids([r.id for r in records]),
         )
 
     def take(self, rows: np.ndarray) -> Columns:
@@ -89,6 +86,75 @@ class Columns(NamedTuple):
         t = ts[:, None]
         onset = self.observed & self.ill & (s < self.exit0)
         return onset & (self.exit0 <= t) & (t < self.final)
+
+    def clip(self, tau: float) -> tuple[np.ndarray, Columns]:
+        """Artificial censoring at tau (estimators.artificial_censoring).
+
+        Returns the mask of the subjects kept (entry < tau) and their
+        clipped columns: a stay in state 0 past tau becomes a direct
+        absorption at tau, an illness stay past tau an absorption at tau.
+        Kept subjects keep their ranks.
+        """
+        over0 = self.exit0 > tau
+        over = self.final > tau  # final >= exit0, so it covers over0
+        clipped = Columns(
+            self.entry,
+            np.where(over0, tau, self.exit0),
+            np.where(over, tau, self.final),
+            np.where(over0, np.int8(_ABSORBED), self.cause0),
+            self.observed | over,
+            self.id_rank,
+        )
+        keep = self.entry < tau
+        return keep, clipped.take(keep)
+
+
+def valid_rows(cols: Columns) -> np.ndarray:
+    """Mask of the rows that make valid records, in one vectorised pass.
+
+    The IllnessDeathRecord invariants on the time columns, plus the
+    column-only one that a subject who never fell ill ends at its state-0
+    exit.  The cause columns are taken as consistent.
+    """
+    times = np.stack((cols.entry, cols.exit0, cols.final))
+    return (np.isfinite(times) & (times >= 0)).all(axis=0) & np.where(
+        cols.ill,
+        (cols.exit0 <= cols.final) & (cols.entry < cols.final),
+        (cols.entry < cols.exit0) & (cols.final == cols.exit0),
+    )
+
+
+def check_columns(cols: Columns, name: Callable[[int], str]) -> None:
+    """Raise MalformedRecord unless every row makes a valid record.
+
+    ``name(i)`` is the id of row i.  The first bad row is built as its
+    record, so the error is the one the record constructor raises.
+    """
+    valid = valid_rows(cols)
+    if not valid.all():
+        row = np.flatnonzero(~valid)[:1]
+        to_records([name(row[0])], cols.take(row))
+        raise MalformedRecord(f"{name(row[0])}: inconsistent columns")
+
+
+def to_records(ids: Iterable[str], cols: Columns) -> list[IllnessDeathRecord]:
+    """The records of the rows, with Python float times and Cause members."""
+    columns = (cols.entry, cols.exit0, cols.ill, cols.final, cols.observed)
+    cohort = []
+    for ident, entry, exit0, is_ill, end, absorbed in zip(
+        ids, *(column.tolist() for column in columns)
+    ):
+        cause = Cause.ABSORBED if absorbed else Cause.CENSORED
+        path = (exit0, Cause.ILL, end, cause) if is_ill else (end, cause)
+        cohort.append(IllnessDeathRecord(ident, entry, *path))
+    return cohort
+
+
+def rank_ids(ids: list[str]) -> np.ndarray:
+    """Each id's rank in the stable sort of the ids."""
+    rank = np.empty(len(ids), dtype=np.intp)
+    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return rank
 
 
 def _at_risk(starts: np.ndarray, ends: np.ndarray, times: np.ndarray) -> np.ndarray:

@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .counting import Columns, CountingProcesses, StepFunction, build_counting
+from .counting import Columns, CountingProcesses, StepFunction, build_counting, to_records
 from .counting import _ABSORBED, _CENSORED, _at_risk, _landmark_columns
 from .errors import (
     CensoredCohort,
@@ -49,7 +49,7 @@ from .errors import (
     SupportWarning,
     ZeroDenominator,
 )
-from .records import Cause, IllnessDeathRecord, TransitionQuery
+from .records import IllnessDeathRecord, TransitionQuery
 
 Number = float | Fraction
 
@@ -548,16 +548,6 @@ def artificial_censoring(
     """
     if not (tau > 0):
         raise ValueError("tau must be positive")
-    out = []
-    for r in cohort:
-        if r.entry >= tau:
-            continue
-        if r.exit0 > tau:
-            out.append(IllnessDeathRecord(r.id, r.entry, tau, Cause.ABSORBED))
-        elif r.exit1 is not None and r.exit1 > tau:
-            out.append(
-                IllnessDeathRecord(r.id, r.entry, r.exit0, r.cause0, tau, Cause.ABSORBED)
-            )
-        else:
-            out.append(r)
-    return out
+    cohort = list(cohort)
+    keep, clipped = Columns.of(cohort).clip(tau)
+    return to_records(compress((r.id for r in cohort), keep), clipped)

@@ -9,14 +9,20 @@ entry.
 from __future__ import annotations
 
 import csv
-import io
+import itertools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from operator import itemgetter
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .errors import MalformedRecord
+
+if TYPE_CHECKING:
+    from .counting import Columns
 
 
 class Cause(IntEnum):
@@ -226,28 +232,185 @@ def validate_record(raw: Mapping[str, object], line: int = 0) -> IllnessDeathRec
 
 def read_cohort(source: str | Path | IO[str]) -> list[IllnessDeathRecord]:
     """Read a cohort CSV; raises MalformedRecord with the offending line."""
+    from .counting import Columns, to_records  # counting imports this module
+
+    return [
+        record
+        for ids, part in _read_blocks(source)
+        for record in to_records(ids, Columns(*part, None))
+    ]
+
+
+def read_columns(source: str | Path | IO[str]) -> tuple[Columns, list[str]]:
+    """Read a cohort CSV into columns and the subjects' ids, in file order.
+
+    The rows, values and errors are those of read_cohort: of validating
+    each row of a csv.DictReader in turn.
+    """
+    from .counting import Columns, rank_ids
+
+    ids: list[str] = []
+    parts = [Columns.of([])[:5]]
+    for block_ids, part in _read_blocks(source):
+        ids += block_ids
+        parts.append(part)
+    columns = [np.concatenate(column) for column in zip(*parts)]
+    return Columns(*columns, rank_ids(ids)), ids
+
+
+# rows converted at a time between CSV text, columns and records: bounds
+# the memory held by Python values outside the columns
+_BLOCK = 4096
+
+
+def _read_blocks(source: str | Path | IO[str]) -> Iterator[tuple[list[str], tuple]]:
+    """The ids and the entry, exit0, final, cause0 and observed columns of
+    each block of rows of a cohort CSV.
+
+    Blank rows are skipped, short rows read blank, extra fields are ignored
+    and a repeated column name keeps its last column, as csv.DictReader
+    reads them.  Each field of a block is converted with one ``map`` of the
+    ``float`` or ``int`` that validate_record applies, and the record
+    invariants are checked as masks.  A block that fails or does not pass
+    every check is decided by validate_record row by row instead, which
+    raises the first bad row's MalformedRecord with its line.
+    """
+    from .counting import Columns
+
     if isinstance(source, (str, Path)):
         with open(source, newline="") as handle:
-            return read_cohort(handle)
-    reader = csv.DictReader(source)
-    if reader.fieldnames is None:
+            yield from _read_blocks(handle)
+        return
+    source, raw = itertools.tee(source)  # raw keeps the lines of a block
+    reader = csv.reader(source)
+    header = next(reader, None)
+    if header is None:
         raise MalformedRecord("empty input: no header row")
-    missing = {"id", "exit0", "cause0"} - set(reader.fieldnames)
+    missing = {"id", "exit0", "cause0"} - set(header)
     if missing:
         raise MalformedRecord(f"missing columns: {', '.join(sorted(missing))}")
-    cohort = []
+    where = {name: i for i, name in enumerate(header)}  # the last one wins
+    fields = [where.get(name) for name in CSV_COLUMNS]
+    width = 1 + max(i for i in fields if i is not None)
     seen: set[str] = set()
-    for row in reader:
-        record = validate_record(row, line=reader.line_num)
+    end = reader.line_num
+    list(itertools.islice(raw, end))  # the header's lines
+    while rows := list(itertools.islice(reader, _BLOCK)):
+        lines = list(itertools.islice(raw, reader.line_num - end))
+        start, end = end, reader.line_num
+        block = [row for row in rows if row] if [] in rows else rows
+        if not block:
+            continue
+        texts = _field_texts(block, fields, width)
+        part = _block_columns(texts)
+        fresh = set(texts[0])
+        if part is None or len(fresh) < len(block) or not seen.isdisjoint(fresh):
+            cohort = _validate_rows(header, block, _row_lines(lines, start), seen)
+            part, texts[0] = Columns.of(cohort)[:5], [r.id for r in cohort]
+        else:
+            seen |= fresh
+        yield texts[0], part
+
+
+def _field_texts(rows: list[list[str]], fields: list, width: int) -> list[list[str]]:
+    """Each CSV_COLUMNS field of the rows, blank where absent.  Only the ids
+    are stripped: float and int ignore the same surrounding whitespace, and
+    a field of whitespace alone fails them."""
+    if min(map(len, rows)) < width:
+        rows = [row + [""] * (width - len(row)) for row in rows]
+    texts = [[""] * len(rows) if i is None else list(map(itemgetter(i), rows)) for i in fields]
+    texts[0] = list(map(str.strip, texts[0]))
+    return texts
+
+
+def _block_columns(texts: list[list[str]]) -> tuple[np.ndarray, ...] | None:
+    """The entry, exit0, final, cause0 and observed columns of the field
+    texts, or None unless every row certainly makes a valid record."""
+    from .counting import Columns, valid_rows
+
+    ident, entry, exit0, cause0, exit1, cause1 = texts
+    n = len(ident)
+    if "" in ident or "" in exit0 or "" in cause0:
+        return None
+    try:
+        entry = [x or "0" for x in entry] if "" in entry else entry  # blank is 0
+        start = np.fromiter(map(float, entry), float, n)
+        end0 = np.fromiter(map(float, exit0), float, n)
+        code0 = np.fromiter(map(int, cause0), np.int64, n)
+        ill = code0 == Cause.ILL
+        given = np.fromiter(map(bool, exit1), bool, n), np.fromiter(map(bool, cause1), bool, n)
+        if not ((given[0] == ill) & (given[1] == ill)).all():
+            return None
+        end1 = np.fromiter(map(float, filter(None, exit1)), float)
+        code1 = np.fromiter(map(int, filter(None, cause1)), np.int64)
+    except (ValueError, OverflowError):
+        return None
+    if not (((code0 >= 0) & (code0 <= 2)).all() and ((code1 == 0) | (code1 == 2)).all()):
+        return None
+    final = end0.copy()
+    final[ill] = end1
+    observed = code0 == Cause.ABSORBED
+    observed[ill] = code1 == Cause.ABSORBED
+    part = (np.where(start < 0, 0.0, start), end0, final, code0.astype(np.int8), observed)
+    return part if valid_rows(Columns(*part, None)).all() else None
+
+
+def _validate_rows(
+    header: list[str], rows: list[list[str]], lines: list[int], seen: set[str]
+) -> list[IllnessDeathRecord]:
+    """The records of the rows, each read as csv.DictReader reads it."""
+    cohort = []
+    for row, line in zip(rows, lines):
+        raw = dict(zip(header, row))
+        raw.update(dict.fromkeys(header[len(row):]))
+        record = validate_record(raw, line)
         if record.id in seen:
-            raise MalformedRecord(f"line {reader.line_num}: duplicate id {record.id!r}")
+            raise MalformedRecord(f"line {line}: duplicate id {record.id!r}")
         seen.add(record.id)
         cohort.append(record)
     return cohort
 
 
+def _row_lines(lines: list[str], start: int) -> list[int]:
+    """The line each non-blank row of these lines ends on, the lines
+    following line ``start``: csv.DictReader's line_num for the row."""
+    reader = csv.reader(lines)
+    return [start + reader.line_num for row in reader if row]
+
+
 def _format_time(x: float) -> str:
     return f"{x:.12g}"
+
+
+def _format_times(column: np.ndarray) -> list[str]:
+    return list(map("{:.12g}".format, column.tolist()))
+
+
+def write_columns(ids: Sequence[str], cols: Columns, sink: str | Path | IO[str]) -> None:
+    """Write columns and their ids as write_cohort writes their records."""
+    if isinstance(sink, (str, Path)):
+        with open(sink, "w", newline="") as handle:
+            write_columns(ids, cols, handle)
+        return
+    writer = csv.writer(sink, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for start in range(0, len(ids), _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        block = cols.take(rows)
+        ill = block.ill
+        exit1 = np.full(len(ill), "", dtype=object)
+        exit1[ill] = _format_times(block.final[ill])
+        cause1 = np.where(ill, np.where(block.observed, "2", "0"), "")
+        writer.writerows(
+            zip(
+                ids[rows],
+                _format_times(block.entry),
+                _format_times(block.exit0),
+                map(str, block.cause0.tolist()),
+                exit1.tolist(),
+                cause1.tolist(),
+            )
+        )
 
 
 def write_cohort(

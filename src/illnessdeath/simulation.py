@@ -26,15 +26,21 @@ from typing import IO, Sequence
 import numpy as np
 
 from ._rng import philox
-from .counting import _ABSORBED, _CENSORED, _ILL, Columns
-from .errors import DegenerateCohort, EstimationError, MalformedRecord
+from .counting import _ABSORBED, _CENSORED, _ILL, Columns, check_columns, to_records
+from .errors import DegenerateCohort, EstimationError
 from .estimators import ESTIMATORS, _query_times
-from .records import Cause, IllnessDeathRecord, TransitionQuery
+from .records import IllnessDeathRecord, TransitionQuery
 
 DEFAULT_SEED = 26
 DEFAULT_EVAL_TIMES = (30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0)
 DEFAULT_LANDMARK = 10.0
 WORKERS_ENV = "ILLNESSDEATH_WORKERS"
+
+
+def _require_finite(config, prefix: str, names: tuple[str, ...]) -> None:
+    for name in names:
+        if not math.isfinite(getattr(config, name)):
+            raise ValueError(f"{prefix}{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -48,6 +54,7 @@ class TruncationConfig:
     def __post_init__(self) -> None:
         if not (self.scale > 0):
             raise ValueError("truncation scale must be positive")
+        _require_finite(self, "truncation ", ("location", "scale", "shape"))
 
 
 @dataclass(frozen=True)
@@ -76,6 +83,8 @@ class ScenarioConfig:
             raise ValueError("replications must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        rates = ("hazard_ill", "hazard_direct", "progression_factor", "censor_hazard")
+        _require_finite(self, "", rates)
 
 
 def _skew_normal(
@@ -142,37 +151,12 @@ def _decimal_rank(indices: np.ndarray) -> np.ndarray:
     return rank
 
 
+def _subject_id(rep_index: int, index: int) -> str:
+    return f"r{rep_index}s{index}"
+
+
 def _records(rep_index, keep, cols: Columns) -> list[IllnessDeathRecord]:
-    """The records of classified subjects; ``keep`` holds their draw indices."""
-    columns = (cols.entry, cols.exit0, cols.ill, cols.final, cols.observed)
-    cohort = []
-    for i, start, exit0, is_ill, end, absorbed in zip(
-        keep.tolist(), *(column.tolist() for column in columns)
-    ):
-        cause = Cause.ABSORBED if absorbed else Cause.CENSORED
-        path = (exit0, Cause.ILL, end, cause) if is_ill else (end, cause)
-        cohort.append(IllnessDeathRecord(f"r{rep_index}s{i}", start, *path))
-    return cohort
-
-
-def _check_records(rep_index, keep, cols: Columns) -> None:
-    """Raise MalformedRecord unless every row makes a valid record.
-
-    One vectorised pass over the IllnessDeathRecord invariants, plus the
-    column-only one that a subject who never fell ill ends at its state-0
-    exit.  The first bad row is built as its record, so the error is the
-    one the record constructor raises.
-    """
-    times = np.stack((cols.entry, cols.exit0, cols.final))
-    valid = (np.isfinite(times) & (times >= 0)).all(axis=0) & np.where(
-        cols.ill,
-        (cols.exit0 <= cols.final) & (cols.entry < cols.final),
-        (cols.entry < cols.exit0) & (cols.final == cols.exit0),
-    )
-    if not valid.all():
-        row = np.flatnonzero(~valid)[:1]
-        _records(rep_index, keep[row], cols.take(row))
-        raise MalformedRecord(f"r{rep_index}s{keep[row[0]]}: inconsistent columns")
+    return to_records((_subject_id(rep_index, i) for i in keep.tolist()), cols)
 
 
 def _classify(
@@ -195,7 +179,7 @@ def _classify(
     cause0[seen_ill] = _ILL
     exit0 = np.where(seen_ill, onset[keep], end)
     cols = Columns(entry[keep], exit0, end, cause0, absorbed, _decimal_rank(keep))
-    _check_records(rep_index, keep, cols)
+    check_columns(cols, lambda i: _subject_id(rep_index, keep[i]))
     return keep, cols
 
 

@@ -102,3 +102,104 @@ def to_oracle(cohort: list[IllnessDeathRecord]) -> list[dict]:
             }
         )
     return out
+
+
+# ---------------------------------------------------------------------------
+# Cohort CSV text, valid or not, for the reader tests.  ``pick(options)``
+# chooses one option (random.Random.choice, or a Hypothesis draw); repeated
+# options weigh a choice.
+
+_HEADER = ["id", "entry", "exit0", "cause0", "exit1", "cause1"]
+CSV_HEADERS = (
+    _HEADER,
+    _HEADER,
+    _HEADER,
+    ["cause0", "exit0", "id", "cause1", "exit1", "entry"],
+    ["id", "exit0", "cause0", "exit1", "cause1"],  # no entry column
+    ["id", "entry", "exit0", "cause0"],  # no illness columns
+    [*_HEADER, "note"],
+    [*_HEADER, "exit0"],  # a repeated name keeps its last column
+    ["id", *_HEADER],
+)
+_BAD_HEADERS = (
+    ["id", "entry", "exit0", "exit1", "cause1"],  # no cause0
+    [" id", "entry", "exit0", "cause0", "exit1", "cause1"],  # no "id"
+    [],  # a blank header line
+)
+
+# spellings of a time, of a blank entry and of a cause code that keep the
+# value, then some that break a record
+_TIME_FORMS = ("{}", "{}", "{}", "{}", " {} ", "\t{}", "{} ", "0{}", "0_{}", "+{}", "{}e0",
+               "{}\u2003")
+_ENTRY_FORMS = ("", "", " ", "-0", "-0.0", "-2.5", "-inf", "0e5", "-1e400")
+_CAUSE_FORMS = ("{}", "{}", "{}", " {} ", "0{}", "0_{}", "+{}")
+_ID_FORMS = ("a,b{}", "line\nbreak{}", 'q"uote{}', " padded {} ", "\x00{}", "{}")
+_ODD_TIMES = ("nan", "NaN", "inf", " inf ", "1e400", "x", "1_0", "1e3",
+              "-0", "-3", "", " ", "\u0661", "1.5.2", "0x1")
+_ODD_CAUSES = ("7", "-1", "", "1_0", "2.0", "x", "\u0662", "99999999999999999999", "3", "1")
+_ODD_IDS = ("", "  ", "s0", "s1", "s2")
+
+
+def csv_text(pick, n: int) -> str:
+    """A cohort CSV of up to n rows.  Every file has odd spellings, blank
+    and padded fields, quoted ids, long rows and blank lines; one in three
+    may also have broken fields, short rows, repeated ids, misplaced
+    illness exits or a header that lacks a column."""
+    import csv
+    import io
+
+    broken = pick(range(3)) == 0
+    if broken and pick(range(15)) == 0:
+        return pick(("", "\n", "\r\n"))
+    rate = 25 if broken else 0  # one odd field in `rate`
+
+    def odd(options):
+        return rate and pick(range(rate)) == 0 and pick(options)
+
+    header = pick(CSV_HEADERS * 3 + (_BAD_HEADERS if broken else ()))
+    causes = (0, 1, 1, 2) if "exit1" in header or broken else (0, 2)
+    sink = io.StringIO()
+    writer = csv.writer(sink, lineterminator=pick(("\n", "\r\n")))
+    writer.writerow(header)
+    for i in range(n):
+        entry = pick((0.0, 0.0, 0.0, 0.5, 1.0, 2.5))
+        exit0 = entry + pick((0.5, 1.0, 1.5, 3.0, 4.5))
+        cause0 = pick(causes)
+        recruited = cause0 == 1 and entry > 0 and pick(range(4)) == 0
+        if recruited:
+            exit0 = pick((0.0, entry))  # fell ill before entry
+        fields = {
+            "id": f"s{i}",
+            "entry": odd(_ODD_TIMES) or pick(_TIME_FORMS).format(f"{entry:g}"),
+            "exit0": odd(_ODD_TIMES) or pick(_TIME_FORMS).format(f"{exit0:g}"),
+            "cause0": odd(_ODD_CAUSES) or pick(_CAUSE_FORMS).format(cause0),
+            "exit1": "",
+            "cause1": "",
+        }
+        if entry == 0.0 and pick(range(3)) == 0:
+            fields["entry"] = pick(_ENTRY_FORMS)
+        if cause0 == 1 or odd((True,)):
+            # a recruited subject is observed after entry, unless broken
+            gaps = (0.5, 2.0) if recruited and not broken else (0.0, 0.5, 2.0)
+            exit1 = max(exit0, entry) + pick(gaps)
+            fields["exit1"] = odd(_ODD_TIMES) or pick(_TIME_FORMS).format(f"{exit1:g}")
+            fields["cause1"] = odd(_ODD_CAUSES) or pick(_CAUSE_FORMS).format(pick((0, 2, 2)))
+        if cause0 == 1 and odd((True,)):
+            fields[pick(("exit1", "cause1"))] = ""
+        if pick(range(6)) == 0:
+            fields["id"] = pick(_ID_FORMS).format(i)
+        fields["id"] = odd(_ODD_IDS) or fields["id"]
+        # a repeated name reads its last column; the others hold a decoy
+        last = {name: i for i, name in enumerate(header)}
+        row = [fields.get(name, "extra") if last[name] == i else "9"
+               for i, name in enumerate(header)]
+        if odd((True,)):
+            row = row[: pick(range(max(len(row), 1)))]  # short, or blank
+        elif pick(range(20)) == 0:
+            row += ["x", "y"][: pick((1, 2))]  # long
+        elif pick(range(20)) == 0:
+            sink.write(pick(("\n", "\r\n", "\n\n")))  # blank lines before
+        writer.writerow(row)
+    if pick(range(5)) == 0:
+        sink.write(pick(("\n", "\n\n", "\r\n")))  # trailing blank lines
+    return sink.getvalue()

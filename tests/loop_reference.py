@@ -9,11 +9,14 @@ variance.  The array code in ``illnessdeath.estimators`` sums and
 multiplies in the same order, so tests/test_curve.py demands equality with
 these, in float as well as in exact mode, together with the same Python
 types, warnings and exception types.  Nothing here calls an estimator of
-the package.
+the package.  The record loops of the cohort CSV reader and of artificial
+censoring, at the end, are the reference for the column reader and
+``Columns.clip`` (tests/test_ingest.py).
 """
 
 from __future__ import annotations
 
+import csv
 import math
 import warnings
 from bisect import bisect_left, bisect_right
@@ -26,12 +29,15 @@ from illnessdeath import (
     DegenerateWeight,
     DelayedEntry,
     EmptyLandmark,
+    IllnessDeathRecord,
+    MalformedRecord,
     StepFunction,
     SupportWarning,
     TransitionQuery,
     ZeroDenominator,
     build_counting,
     landmark_subset,
+    validate_record,
 )
 
 
@@ -275,3 +281,45 @@ BY_METHOD = {
     "mm-stute": km_integral,
     "aj": aalen_johansen,
 }
+
+
+# ---------------------------------------------------------------------------
+# The record loops of the cohort CSV reader and of artificial censoring,
+# the reference for the column reader and the column clip.
+
+
+def read_cohort(source) -> list[IllnessDeathRecord]:
+    """Each row of a csv.DictReader through validate_record, in turn."""
+    reader = csv.DictReader(source)
+    if reader.fieldnames is None:
+        raise MalformedRecord("empty input: no header row")
+    missing = {"id", "exit0", "cause0"} - set(reader.fieldnames)
+    if missing:
+        raise MalformedRecord(f"missing columns: {', '.join(sorted(missing))}")
+    cohort = []
+    seen: set[str] = set()
+    for row in reader:
+        record = validate_record(row, line=reader.line_num)
+        if record.id in seen:
+            raise MalformedRecord(f"line {reader.line_num}: duplicate id {record.id!r}")
+        seen.add(record.id)
+        cohort.append(record)
+    return cohort
+
+
+def artificial_censoring(cohort, tau) -> list[IllnessDeathRecord]:
+    if not (tau > 0):
+        raise ValueError("tau must be positive")
+    out = []
+    for r in cohort:
+        if r.entry >= tau:
+            continue
+        if r.exit0 > tau:
+            out.append(IllnessDeathRecord(r.id, r.entry, tau, Cause.ABSORBED))
+        elif r.exit1 is not None and r.exit1 > tau:
+            out.append(
+                IllnessDeathRecord(r.id, r.entry, r.exit0, r.cause0, tau, Cause.ABSORBED)
+            )
+        else:
+            out.append(r)
+    return out

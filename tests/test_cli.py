@@ -385,6 +385,25 @@ class TestSimulate:
             "--n", "10",
         )
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("hazard_ill = inf", "hazard_ill must be finite"),
+            ("censor_hazard = inf", "censor_hazard must be finite"),
+            ("progression_factor = inf", "progression_factor must be finite"),
+            ("truncation_location = nan", "truncation location must be finite"),
+            ("truncation_shape = inf", "truncation shape must be finite"),
+        ],
+    )
+    def test_non_finite_design_value_is_usage_error(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text(f"n = 10\nreplications = 2\n{line}\n")
+        code, _, manifest, _ = _run(
+            tmp_path, "simulate", "--scenario", "custom", "--config", str(cfg), "--t", "30"
+        )
+        assert code == 2 and manifest is None
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_zero_reps_is_usage_error(self, tmp_path):
         code, _, _, _ = _run(
             tmp_path, "simulate", "--scenario", "table1", "--reps", "0"

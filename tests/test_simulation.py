@@ -30,7 +30,7 @@ from illnessdeath import (
     write_cohort,
 )
 from illnessdeath import simulation
-from illnessdeath.counting import Columns
+from illnessdeath.counting import Columns, check_columns
 
 
 class TestTrueValue:
@@ -188,12 +188,13 @@ class TestColumnarSimulator:
     )
     def test_corrupted_column_is_malformed(self, field, ill, value, message):
         keep, cols = simulation._simulate_columns(preset("table1").config, 0)
-        simulation._check_records(0, keep, cols)
+        name = lambda row: f"r0s{keep[row]}"  # noqa: E731
+        check_columns(cols, name)
         i = int(np.flatnonzero(cols.ill == ill)[5])
         getattr(cols, field)[i] = value(cols, i)
         # the message of the record constructor, with the subject's id
         with pytest.raises(MalformedRecord, match=f"^r0s{keep[i]}: {message}"):
-            simulation._check_records(0, keep, cols)
+            check_columns(cols, name)
 
     def test_monte_carlo_builds_no_records(self, monkeypatch):
         built = []
@@ -324,3 +325,14 @@ class TestConfigValidation:
             ScenarioConfig(replications=0)
         with pytest.raises(ValueError):
             TruncationConfig(scale=0.0)
+        # non-finite design values, which would otherwise surface downstream
+        # as empty replications, record errors or a silent run
+        for name in ("hazard_ill", "hazard_direct", "progression_factor", "censor_hazard"):
+            with pytest.raises(ValueError):
+                ScenarioConfig(**{name: math.inf})
+        with pytest.raises(ValueError, match="^progression_factor must be finite"):
+            ScenarioConfig(progression_factor=math.inf)
+        for name in ("location", "scale", "shape"):
+            for value in (math.inf, -math.inf, math.nan):
+                with pytest.raises(ValueError):
+                    TruncationConfig(**{name: value})
