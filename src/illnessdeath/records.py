@@ -314,8 +314,10 @@ def _read_blocks(source: str | Path | IO[str]) -> Iterator[tuple[list[str], tupl
 
 def _field_texts(rows: list[list[str]], fields: list, width: int) -> list[list[str]]:
     """Each CSV_COLUMNS field of the rows, blank where absent.  Only the ids
-    are stripped: float and int ignore the same surrounding whitespace, and
-    a field of whitespace alone fails them."""
+    are stripped: float and int skip surrounding whitespace themselves,
+    never more than str.strip does, and a field they reject (whitespace
+    alone, or the separators \\x1c-\\x1f that only str.strip skips) sends its
+    block to validate_record."""
     if min(map(len, rows)) < width:
         rows = [row + [""] * (width - len(row)) for row in rows]
     texts = [[""] * len(rows) if i is None else list(map(itemgetter(i), rows)) for i in fields]
@@ -338,9 +340,10 @@ def _block_columns(texts: list[list[str]]) -> tuple[np.ndarray, ...] | None:
         end0 = np.fromiter(map(float, exit0), float, n)
         code0 = np.fromiter(map(int, cause0), np.int64, n)
         ill = code0 == Cause.ILL
-        given = np.fromiter(map(bool, exit1), bool, n), np.fromiter(map(bool, cause1), bool, n)
-        if not ((given[0] == ill) & (given[1] == ill)).all():
-            return None
+        # exit1 and cause1 are given exactly when the subject fell ill
+        for given in (exit1, cause1):
+            if not (np.fromiter(map(bool, given), bool, n) == ill).all():
+                return None
         end1 = np.fromiter(map(float, filter(None, exit1)), float)
         code1 = np.fromiter(map(int, filter(None, cause1)), np.int64)
     except (ValueError, OverflowError):

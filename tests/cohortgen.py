@@ -130,7 +130,7 @@ _BAD_HEADERS = (
 # spellings of a time, of a blank entry and of a cause code that keep the
 # value, then some that break a record
 _TIME_FORMS = ("{}", "{}", "{}", "{}", " {} ", "\t{}", "{} ", "0{}", "0_{}", "+{}", "{}e0",
-               "{}\u2003")
+               "{}\u2003", "\x1c{}")
 _ENTRY_FORMS = ("", "", " ", "-0", "-0.0", "-2.5", "-inf", "0e5", "-1e400")
 _CAUSE_FORMS = ("{}", "{}", "{}", " {} ", "0{}", "0_{}", "+{}")
 _ID_FORMS = ("a,b{}", "line\nbreak{}", 'q"uote{}', " padded {} ", "\x00{}", "{}")
@@ -158,6 +158,8 @@ def csv_text(pick, n: int) -> str:
 
     header = pick(CSV_HEADERS * 3 + (_BAD_HEADERS if broken else ()))
     causes = (0, 1, 1, 2) if "exit1" in header or broken else (0, 2)
+    # a repeated name reads its last column; the others hold a decoy
+    last = {name: j for j, name in enumerate(header)}
     sink = io.StringIO()
     writer = csv.writer(sink, lineterminator=pick(("\n", "\r\n")))
     writer.writerow(header)
@@ -189,10 +191,8 @@ def csv_text(pick, n: int) -> str:
         if pick(range(6)) == 0:
             fields["id"] = pick(_ID_FORMS).format(i)
         fields["id"] = odd(_ODD_IDS) or fields["id"]
-        # a repeated name reads its last column; the others hold a decoy
-        last = {name: i for i, name in enumerate(header)}
-        row = [fields.get(name, "extra") if last[name] == i else "9"
-               for i, name in enumerate(header)]
+        row = [fields.get(name, "extra") if last[name] == j else "9"
+               for j, name in enumerate(header)]
         if odd((True,)):
             row = row[: pick(range(max(len(row), 1)))]  # short, or blank
         elif pick(range(20)) == 0:

@@ -72,6 +72,7 @@ HEADER = "id,entry,exit0,cause0,exit1,cause1\n"
 @example(text="id,exit0,cause0,exit0\nA,x,2,1\n", block=4096)
 # rules the masks check beside the record invariants
 @example(text=HEADER + "A,0,1,1,2,1\n", block=4096)
+@example(text=HEADER + "A,0,1,2,,\n \t,0,1,2,,\n", block=4096)
 @example(text=HEADER + "A,3,1,1,3,2\n", block=4096)
 # the vectorised checks doubt a valid row; the record loop accepts it
 @example(text=HEADER + "A,0,1,+2,,\nB,-0,2, 1 ,3,٢\n", block=4096)
