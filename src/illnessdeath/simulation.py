@@ -151,12 +151,9 @@ def _decimal_rank(indices: np.ndarray) -> np.ndarray:
     return rank
 
 
-def _subject_id(rep_index: int, index: int) -> str:
-    return f"r{rep_index}s{index}"
-
-
 def _records(rep_index, keep, cols: Columns) -> list[IllnessDeathRecord]:
-    return to_records((_subject_id(rep_index, i) for i in keep.tolist()), cols)
+    """The records of classified subjects; ``keep`` holds their draw indices."""
+    return to_records([f"r{rep_index}s{i}" for i in keep.tolist()], cols)
 
 
 def _classify(
@@ -179,7 +176,7 @@ def _classify(
     cause0[seen_ill] = _ILL
     exit0 = np.where(seen_ill, onset[keep], end)
     cols = Columns(entry[keep], exit0, end, cause0, absorbed, _decimal_rank(keep))
-    check_columns(cols, lambda i: _subject_id(rep_index, keep[i]))
+    check_columns(cols, lambda row: f"r{rep_index}s{keep[row]}")
     return keep, cols
 
 
