@@ -188,7 +188,9 @@ class TestColumnarSimulator:
     )
     def test_corrupted_column_is_malformed(self, field, ill, value, message):
         keep, cols = simulation._simulate_columns(preset("table1").config, 0)
-        name = lambda row: f"r0s{keep[row]}"  # noqa: E731
+        def name(row):
+            return f"r0s{keep[row]}"
+
         check_columns(cols, name)
         i = int(np.flatnonzero(cols.ill == ill)[5])
         getattr(cols, field)[i] = value(cols, i)
