@@ -7,13 +7,17 @@ stage in a fresh interpreter, importing the package from ``--src``:
 - ``read_cohort``: the public record reader;
 - ``read_columns``: the column reader, when the package has one;
 - ``estimate``: ``estimate --method all`` at s = 10 with 8 t values;
-- ``transform``: ``transform --tau 120``.
+- ``transform``: ``transform --tau 120``;
+- ``boot``: ``estimate --method all --boot 1000 --seed 7`` at s = 10, t = 50,
+  the bootstrap layer, on the ``--boot-rows`` cohorts (10^4 rows by default)
+  only.
 
 Each stage reports its median wall time over ``--reps`` runs, the peak
 resident memory of its interpreter, and the SHA-256 of its CLI output and
 manifest, so two checkouts can be compared for speed and for byte identity:
 
     python scripts/layer_probe.py --src src --rows 100000 1000000 --out after.json
+    python scripts/layer_probe.py --src src --rows --boot-rows 10000 --out boot.json
 """
 
 from __future__ import annotations
@@ -44,6 +48,10 @@ elif stage == "estimate":
     code = cli.main(["estimate", "--input", path, "--s", "10", "--t", TIMES,
                      "--method", "all", "--output", out])
     assert code == 0, code
+elif stage == "boot":
+    code = cli.main(["estimate", "--input", path, "--s", "10", "--t", "50", "--boot", "1000",
+                     "--seed", "7", "--method", "all", "--output", out])
+    assert code == 0, code
 else:
     code = cli.main(["transform", "--input", path, "--tau", "120", "--output", out])
     assert code == 0, code
@@ -66,7 +74,7 @@ def _sha256(path: Path) -> str | None:
     return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
 
 
-def probe(src: str, rows: int, seed: int, reps: int, workdir: Path) -> dict:
+def probe(src: str, rows: int, seed: int, reps: int, workdir: Path, stages=None) -> dict:
     cohort = workdir / f"cohort-{rows}.csv"
     subprocess.run([sys.executable, "-c", GENERATE, src, str(rows), str(seed), str(cohort)],
                    check=True)
@@ -75,7 +83,8 @@ def probe(src: str, rows: int, seed: int, reps: int, workdir: Path) -> dict:
          f"import sys; sys.path.insert(0, {src!r}); from illnessdeath import records;"
          " sys.exit(0 if hasattr(records, 'read_columns') else 1)"],
     ).returncode == 0
-    stages = ["read_cohort", *(["read_columns"] if has_columns else []), "estimate", "transform"]
+    if stages is None:
+        stages = ["read_cohort", *(["read_columns"] if has_columns else []), "estimate", "transform"]
     out: dict = {"rows": rows, "input_sha256": _sha256(cohort)}
     for stage in stages:
         target = workdir / f"{stage}-{rows}.csv"
@@ -91,7 +100,7 @@ def probe(src: str, rows: int, seed: int, reps: int, workdir: Path) -> dict:
             "runs_s": [r["seconds"] for r in runs],
             "peak_rss_mb": max(r["peak_rss_mb"] for r in runs),
         }
-        if stage in ("estimate", "transform"):
+        if stage in ("estimate", "transform", "boot"):
             manifest = Path(str(target) + ".manifest.json")
             out[stage]["output_sha256"] = _sha256(target)
             # the manifest names the input path, which differs between runs
@@ -103,7 +112,9 @@ def probe(src: str, rows: int, seed: int, reps: int, workdir: Path) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
-    parser.add_argument("--rows", type=int, nargs="+", default=[100_000, 1_000_000])
+    parser.add_argument("--rows", type=int, nargs="*", default=[100_000, 1_000_000])
+    parser.add_argument("--boot-rows", type=int, nargs="*", default=[10_000],
+                        help="cohort sizes of the boot stage")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--reps", type=int, default=3)
     parser.add_argument("--workdir", default=None, help="keep the files here")
@@ -114,6 +125,8 @@ def main(argv: list[str] | None = None) -> int:
         workdir = Path(args.workdir or tmp)
         workdir.mkdir(parents=True, exist_ok=True)
         results = [probe(src, rows, args.seed, args.reps, workdir) for rows in args.rows]
+        results += [probe(src, rows, args.seed, args.reps, workdir, ["boot"])
+                    for rows in args.boot_rows]
     text = json.dumps({"src": src, "seed": args.seed, "results": results}, indent=1) + "\n"
     if args.out == "-":
         sys.stdout.write(text)

@@ -32,7 +32,7 @@ from .errors import (
     TooManyFailures,
 )
 from .estimators import ESTIMATORS, p01_landmark_variance
-from .inference import bootstrap_ci
+from .inference import interval, resample_estimates
 from .records import TransitionQuery, read_columns, write_columns
 from .simulation import (
     Scenario,
@@ -118,10 +118,11 @@ def _method_rows(
     cols: Columns,
     queries: list[TransitionQuery],
     method: str,
-    mm_values: dict[float, float],
+    mm_values: dict[float, tuple[float, bool]],
+    boot: dict,
 ) -> list[list[str]]:
     """One method's rows: one sweep over the t grid, then per t the variance
-    or bootstrap cells and the flags.  A failed sweep gives blank rows."""
+    or bootstrap cells (of boot) and the flags.  A failed sweep gives blank rows."""
     blank = [""] * (7 if args.boot else 1)
     # one sweep; support does not depend on t, range belongs to the rows above 1
     with warnings.catch_warnings(record=True) as caught:
@@ -134,29 +135,23 @@ def _method_rows(
     support = any(issubclass(w.category, SupportWarning) for w in caught)
     ranged = any(issubclass(w.category, RangeWarning) for w in caught)
     rows = []
-    for q, value in zip(queries, values):
+    for i, (q, value) in enumerate(zip(queries, values)):
         estimate = float(value)
-        flags: list[str] = []
-        if support:
-            flags.append("support")
-        if ranged and value > 1:
-            flags.append("range")
+        flags = ["support"] if support else []
+        over = ranged and value > 1
         if method == "mm":
-            mm_values[q.t] = estimate
+            mm_values[q.t] = estimate, over
         if method == "mm-stute" and q.t in mm_values:
-            if abs(estimate - mm_values[q.t]) > STUTE_MISMATCH:
+            if abs(estimate - mm_values[q.t][0]) > STUTE_MISMATCH:
                 flags.append("stute-mismatch")
+            else:  # the two forms of one estimate are judged on one value
+                over = mm_values[q.t][1]
+        if over:
+            flags.append("range")
         cells = [method, _fmt(q.s), _fmt(q.t), _fmt(estimate)]
         if args.boot:
             try:
-                ci = bootstrap_ci(
-                    cols,
-                    q,
-                    estimator=method,
-                    n_boot=args.boot,
-                    level=args.level,
-                    seed=args.seed,
-                )
+                ci = interval(estimate, boot[method][i], args.level)
                 bounds = (ci.boot_variance, *ci.quantile_ci, *ci.normal_ci)
                 cells += [*map(_fmt, bounds), str(ci.n_boot), str(ci.n_failed)]
             except TooManyFailures:
@@ -188,15 +183,17 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     if not 0 < args.level < 1:
         raise _UsageError("--level must be inside (0, 1)")
     methods = list(METHODS) if args.method == "all" else [args.method]
-    header = ["method", "s", "t", "estimate"]
+    header, boot = ["method", "s", "t", "estimate"], {}
     if args.boot:
         header += ["boot_variance", "q_lo", "q_hi", "n_lo", "n_hi", "n_boot", "n_failed"]
+        # one draw of each resample for every method and t
+        boot = resample_estimates(cols, args.s, args.t, methods, args.boot, args.seed)
     else:
         header += ["variance"]
     rows = [header + ["flags"]]
-    mm_values: dict[float, float] = {}
+    mm_values: dict[float, tuple[float, bool]] = {}
     for method in methods:
-        rows += _method_rows(args, cols, queries, method, mm_values)
+        rows += _method_rows(args, cols, queries, method, mm_values, boot)
     text = "".join(",".join(row) + "\n" for row in rows)
     manifest = RunManifest(
         subcommand="estimate",

@@ -47,13 +47,15 @@ class Columns(NamedTuple):
         if isinstance(cohort, Columns):
             return cohort
         records = list(cohort)
-        n = len(records)
+        # a list per column (per-record tuples wake the GC); costly properties inlined
+        absorbed, n = Cause.ABSORBED, len(records)
+        final_cause = [r.cause0 if r.cause1 is None else r.cause1 for r in records]
         return cls(
-            np.fromiter((r.entry for r in records), float, n),
-            np.fromiter((r.exit0 for r in records), float, n),
-            np.fromiter((r.final_time for r in records), float, n),
-            np.fromiter((r.cause0 for r in records), np.int8, n),
-            np.fromiter((r.observed for r in records), bool, n),
+            np.array([r.entry for r in records], float),
+            np.array([r.exit0 for r in records], float),
+            np.array([r.exit0 if r.exit1 is None else r.exit1 for r in records], float),
+            np.fromiter([r.cause0 for r in records], np.int8, n),
+            np.fromiter([cause is absorbed for cause in final_cause], bool, n),
             rank_ids([r.id for r in records]),
         )
 
@@ -157,11 +159,27 @@ def rank_ids(ids: list[str]) -> np.ndarray:
     return rank
 
 
-def _at_risk(starts: np.ndarray, ends: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Risk-set sizes on left-open windows: #(start < v) - #(end < v)."""
-    return np.searchsorted(np.sort(starts), times) - np.searchsorted(
-        np.sort(ends), times
-    )
+def _tally(index: np.ndarray, m: int, weights: np.ndarray | None = None) -> np.ndarray:
+    """Subjects per grid index 0..m-1; with weights (one row per resample, one
+    column per subject), each row's total weight per index, summed exactly."""
+    if weights is None:
+        return np.bincount(index, minlength=m)
+    return np.array([np.bincount(index, row, m) for row in weights], np.int64)
+
+
+def _at_risk(starts, ends, times, weights=None) -> np.ndarray:
+    """Risk-set sizes on left-open windows: #(start < v) - #(end < v); with
+    weights (see _tally), each row's total weight at risk."""
+    if weights is None:
+        return np.searchsorted(np.sort(starts), times) - np.searchsorted(np.sort(ends), times)
+    start, end = (_tally(np.searchsorted(times, x, "right"), len(times) + 1, weights)
+                  for x in (starts, ends))
+    return np.cumsum(start - end, axis=-1)[:, :-1]
+
+
+def _among(weights: np.ndarray | None, mask: np.ndarray) -> np.ndarray | None:
+    """The weights of the masked subjects, if any."""
+    return None if weights is None else weights[:, mask]
 
 
 def _landmark_columns(cohort: Iterable[IllnessDeathRecord], s: float) -> Columns:

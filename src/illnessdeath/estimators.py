@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .counting import Columns, CountingProcesses, StepFunction, build_counting, to_records
-from .counting import _ABSORBED, _CENSORED, _at_risk, _landmark_columns
+from .counting import _ABSORBED, _CENSORED, _at_risk, _among, _landmark_columns, _tally
 from .errors import (
     CensoredCohort,
     DegenerateWeight,
@@ -80,13 +80,15 @@ def _survival(d, y, exact: bool, start: Number | None = None) -> np.ndarray:
     """Product-limit survival from start (1 by default) over a sorted grid.
 
     Element i is the survival just before grid time i, the last element the
-    survival through the last grid time: cumprod(1 - d / max(y, 1)).  An
-    empty risk set never carries an event, so the floor makes its factor
-    exactly 1, as a loop that skips the time would.
+    survival through the last grid time: cumprod(1 - d / max(y, 1)) along
+    the last axis.  A grid time without an event, an empty risk set
+    included, gets a factor of exactly 1, as a loop that skips it would.
     """
     factors = 1 - _ratio(d, np.maximum(y, 1), exact)
-    first = _one(exact) if start is None else start
-    return np.cumprod(np.concatenate(([first], factors)))
+    first = [_one(exact) if start is None else start]
+    if factors.ndim > 1:  # a row per resample
+        first = np.full((*factors.shape[:-1], 1), first[0])
+    return np.cumprod(np.concatenate((first, factors), axis=-1), axis=-1)
 
 
 def _incidence(before: np.ndarray, dn1, y, exact: bool) -> np.ndarray:
@@ -167,13 +169,17 @@ class _ProductLimit:
     masses, so leaving them out changes no value, not even in float.
     ``surv`` is the pooled survival just before each grid time, then
     through the last.
+    With ``weights`` (subject multiplicities, a row per resample) each count
+    has a row per resample; a time no resampled subject reaches adds exactly
+    the unit factor and zero mass of leaving it out.
     """
 
-    def __init__(self, cols: Columns, exact: bool):
-        self.exact = exact
+    def __init__(self, cols: Columns, exact: bool, weights: np.ndarray | None = None):
+        self.exact, self.weights = exact, weights
         self.times, self.index = np.unique(cols.final, return_inverse=True)
-        self.y = _at_risk(cols.entry, cols.final, self.times)
-        self.d = np.bincount(self.index[cols.observed], minlength=len(self.times))
+        self.y = _at_risk(cols.entry, cols.final, self.times, weights)
+        observed = _among(weights, cols.observed)
+        self.d = _tally(self.index[cols.observed], len(self.times), observed)
         self.surv = _survival(self.d, self.y, exact)
 
     def event1_counts(self, event1: np.ndarray) -> np.ndarray:
@@ -184,9 +190,13 @@ class _ProductLimit:
         return np.bincount(flat, minlength=len(event1) * m).reshape(-1, m)
 
     def incidence(self, event1: np.ndarray) -> np.ndarray:
-        """Incidence limit per t: the kind-1 masses of each row, summed."""
-        counts = self.event1_counts(event1)
-        return _incidence(self.surv[:-1], counts, self.y, self.exact)[:, -1]
+        """Incidence limit per t: the kind-1 masses of each row, summed
+        (with weights, one t at a time, a row of resamples each)."""
+        before, m, w = self.surv[..., :-1], len(self.times), self.weights
+        if w is None:
+            return _incidence(before, self.event1_counts(event1), self.y, self.exact)[:, -1]
+        counts = (_tally(self.index[e], m, w[:, e]) for e in event1)
+        return np.array([_incidence(before, c, self.y, self.exact)[:, -1] for c in counts])
 
 
 def _query_times(s: float, ts: Iterable[float]) -> np.ndarray:
@@ -214,15 +224,19 @@ def _query_times(s: float, ts: Iterable[float]) -> np.ndarray:
     return np.asarray(ts, dtype=float)
 
 
-def _state0_survival(cols: Columns, s: float, exact: bool) -> Number:
-    """Product-limit state-0 survival at s, the denominator of both mm forms."""
+def _state0_survival(cols: Columns, s: float, exact: bool, weights=None) -> Number:
+    """Product-limit state-0 survival at s, the denominator of both mm forms
+    (with weights, one per resample, NaN where it is zero)."""
     if not len(cols.final):
         raise EmptyRiskSet("empty cohort")
     state0 = cols.state0
     exits = state0 & (cols.cause0 != _CENSORED) & (cols.exit0 <= s)
-    times, d0 = np.unique(cols.exit0[exits], return_counts=True)
-    y0 = _at_risk(cols.entry[state0], cols.exit0[state0], times)
-    den = _survival(d0, y0, exact)[-1]
+    times, index = np.unique(cols.exit0[exits], return_inverse=True)
+    d0 = _tally(index, len(times), _among(weights, exits))
+    y0 = _at_risk(cols.entry[state0], cols.exit0[state0], times, _among(weights, state0))
+    den = _survival(d0, y0, exact)[..., -1]
+    if weights is not None:
+        return np.where(den == 0, np.nan, den)
     if den == 0:
         raise ZeroDenominator(f"estimated state-0 survival at s={s} is zero")
     return den
@@ -233,29 +247,35 @@ def _check_curve(
     s: float,
     ts: Iterable[float],
     exact: bool = False,
-) -> list[Number]:
+    weights: np.ndarray | None = None,
+) -> list[Number] | np.ndarray:
     ts = _query_times(s, ts)
     sub = _landmark_columns(cohort, s)
     _warn_censored_tail(sub.final[sub.observed], sub.final[~sub.observed])
-    return _ProductLimit(sub, exact).incidence(sub.event1(s, ts)).tolist()
+    if weights is None:
+        return _ProductLimit(sub, exact).incidence(sub.event1(s, ts)).tolist()
+    weights = weights[:, Columns.of(cohort).landmark(s)]
+    values = _ProductLimit(sub, exact, weights).incidence(sub.event1(s, ts))
+    return np.where(weights.sum(axis=1) == 0, np.nan, values)  # empty landmark
 
 
-def _pooled_incidence(cols: Columns, event1, exact: bool) -> np.ndarray:
+def _pooled_incidence(cols: Columns, event1, exact: bool, weights=None) -> np.ndarray:
     """mm: the incidence limit of the full cohort's pooled event process."""
-    return _ProductLimit(cols, exact).incidence(event1)
+    return _ProductLimit(cols, exact, weights).incidence(event1)
 
 
-def _ordered_incidence(cols: Columns, event1, exact: bool) -> np.ndarray:
+def _ordered_incidence(cols: Columns, event1, exact: bool, weights=None) -> np.ndarray:
     """mm-stute: the same sum with the ordered-weights jump masses."""
-    n = len(cols.final)
     # final time, events before censorings, then id; lexsort is stable
     order = np.lexsort((cols.id_rank, ~cols.observed, cols.final))
-    one = _one(exact)
-    jump = _ratio(1, np.arange(n, 0, -1), exact)  # 1 / (n - rank + 1)
-    surv = np.cumprod(np.where(cols.observed[order], 1 - jump, one))
-    masses = np.concatenate(([one], surv[:-1])) * jump
-    terms = np.where(event1[:, order], masses, one * 0)
-    return np.cumsum(terms, axis=1)[:, -1]
+    if weights is not None:  # a subject of weight w takes w consecutive ranks
+        order = np.repeat(np.tile(order, len(weights)), weights[:, order].ravel())
+        order = order.reshape(len(weights), -1)  # rows of equal total weight
+    left = np.arange(order.shape[-1], 0, -1)  # n - rank + 1
+    masses = _survival(cols.observed[order], left, exact)[..., :-1] * _ratio(1, left, exact)
+    zero = _one(exact) * 0
+    sums = [np.cumsum(np.where(e[order], masses, zero), axis=-1)[..., -1] for e in event1]
+    return np.array(sums, dtype=masses.dtype)
 
 
 def _ratio_curve(
@@ -264,17 +284,20 @@ def _ratio_curve(
     s: float,
     ts: Iterable[float],
     exact: bool = False,
-) -> list[Number]:
+    weights: np.ndarray | None = None,
+) -> list[Number] | np.ndarray:
     """Both mm forms: full-cohort incidence per t over state-0 survival at s.
 
-    ``incidence(columns, event1 mask, exact)`` gives the numerators;
+    ``incidence(columns, event1 mask, exact, weights)`` gives the numerators;
     the errors, SupportWarning and RangeWarning (ratio above 1) are shared.
     """
     ts = _query_times(s, ts)
     cols = Columns.of(cohort)
-    den = _state0_survival(cols, s, exact)
+    den = _state0_survival(cols, s, exact, weights)
     _warn_censored_tail(cols.final[cols.observed], cols.final[~cols.observed])
-    out = incidence(cols, cols.event1(s, ts), exact) / den
+    out = incidence(cols, cols.event1(s, ts), exact, weights) / den
+    if weights is not None:
+        return out  # NaN where the denominator is
     for value in out:
         if value > 1:
             message = f"ratio estimate {float(value):.6g} exceeds 1"
@@ -287,7 +310,8 @@ def _aj_curve(
     s: float,
     ts: Iterable[float],
     exact: bool = False,
-) -> list[Number]:
+    weights: np.ndarray | None = None,
+) -> list[Number] | np.ndarray:
     ts = _query_times(s, ts)
     cols = Columns.of(cohort)
     if not cols.landmark(s).any():
@@ -295,30 +319,34 @@ def _aj_curve(
     state0, ill = cols.state0, cols.ill
     start1 = np.maximum(cols.entry, cols.exit0)
     seen_ill = ill & (start1 < cols.final)  # joins the illness risk set
-    moves = (
-        cols.exit0[state0 & ill],
-        cols.exit0[cols.cause0 == _ABSORBED],
-        cols.final[seen_ill & cols.observed],
+    # the transitions 0 -> 1, 0 -> 2 and 1 -> 2 inside (s, max(ts)]
+    at0, at1 = ((s < at) & (at <= ts.max(initial=s)) for at in (cols.exit0, cols.final))
+    movers = [(at0 & state0 & ill, cols.exit0), (at0 & (cols.cause0 == _ABSORBED), cols.exit0)]
+    movers.append((at1 & seen_ill & cols.observed, cols.final))
+    times = np.sort(np.concatenate([[s], *(at[who] for who, at in movers)]))
+    times = times[1:][times[1:] != times[:-1]]  # distinct, each > s; np.unique loads numpy.ma
+    d01, d02, d12 = (
+        _tally(np.searchsorted(times, at[who]), len(times), _among(weights, who))
+        for who, at in movers
     )
-    times, index = np.unique(np.concatenate(moves), return_inverse=True)
-    kind = np.repeat(np.arange(3), [len(m) for m in moves])
-    d = np.bincount(kind * len(times) + index, minlength=3 * len(times))
-    d = d.reshape(3, len(times))
-    window = (times > s) & (times <= ts.max(initial=s))
-    times, d = times[window], d[:, window]
-    y0 = _at_risk(cols.entry[state0], cols.exit0[state0], times)
-    y1 = _at_risk(start1[seen_ill], cols.final[seen_ill], times)
+    y0 = _at_risk(cols.entry[state0], cols.exit0[state0], times, _among(weights, state0))
+    y1 = _at_risk(start1[seen_ill], cols.final[seen_ill], times, _among(weights, seen_ill))
     # an empty risk set carries no transition, so its hazards are 0
-    h01, h02 = _ratio(d[:2], np.maximum(y0, 1), exact)
-    h12 = _ratio(d[2], np.maximum(y1, 1), exact)
-    stay0, stay1 = (1 - h01 - h02).tolist(), (1 - h12).tolist()
-    p0, p1 = _one(exact), _one(exact) * 0
+    h01, h02 = (_ratio(d, np.maximum(y0, 1), exact) for d in (d01, d02))
+    h12 = _ratio(d12, np.maximum(y1, 1), exact)
+    # per transition time a Python number, or with weights a vector of resamples
+    steps = [a.tolist() if weights is None else a.T for a in (1 - h01 - h02, h01, 1 - h12)]
+    p0 = _one(exact)
+    p1 = p0 * 0 if weights is None else np.full(len(weights), p0 * 0)
     history = [p1]  # p1 after each transition time
-    for keep0, enter1, keep1 in zip(stay0, h01.tolist(), stay1):
+    for keep0, enter1, keep1 in zip(*steps):
         p1 = p1 * keep1 + p0 * enter1
         p0 = p0 * keep0
         history.append(p1)
-    return [history[i] for i in np.searchsorted(times, ts, side="right")]
+    values = [history[i] for i in np.searchsorted(times, ts, side="right")]
+    if weights is None:
+        return values
+    return np.where(weights[:, cols.landmark(s)].sum(axis=1) == 0, np.nan, np.array(values))
 
 
 # The registry the CLI, the bootstrap and the Monte-Carlo harness share.

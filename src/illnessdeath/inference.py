@@ -3,11 +3,13 @@
 Resampling is by subject with replacement.  Resample b of a run with seed q
 draws its indices from ``numpy.random.Philox`` keyed by
 ``SeedSequence((q, b))``, so intervals are reproducible and independent of
-any parallel scheduling above this layer.
+any parallel scheduling above this layer.  A resample's draws become subject
+weights on the cohort's own grid, which give the resampled cohort's floats.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -21,6 +23,11 @@ from .counting import Columns
 from .errors import EstimationError, TooManyFailures
 from .estimators import ESTIMATORS
 from .records import IllnessDeathRecord, TransitionQuery
+
+
+# A chunk holds about CHUNK_CELLS (resample, subject) weights, to bound memory,
+# and at least MIN_CHUNK resamples: aj's forward loop costs the same per chunk.
+CHUNK_CELLS, MIN_CHUNK = 1 << 14, 16
 
 
 def _clip_unit(lo: float, hi: float) -> tuple[float, float]:
@@ -51,50 +58,40 @@ def _lower_quantile(ordered: Sequence[float], p: float) -> float:
     return ordered[k - 1]
 
 
-def bootstrap_ci(
-    cohort: Sequence[IllnessDeathRecord],
-    query: TransitionQuery,
-    estimator: str = "check",
-    n_boot: int = 1000,
-    level: float = 0.95,
-    seed: int = 0,
-) -> CiResult:
-    """Subject-level bootstrap for one estimator at one query.
-
-    Resamples where the estimator fails (empty landmark, zero denominator)
-    are dropped and counted; more failures than half of n_boot raises
-    TooManyFailures because the remaining resamples no longer approximate
-    the sampling distribution.
-    """
-    if estimator not in ESTIMATORS:
-        raise ValueError(f"unknown estimator {estimator!r}")
-    if not 0 < level < 1:
-        raise ValueError("level must be inside (0, 1)")
-    if n_boot < 2:
-        raise ValueError("n_boot must be >= 2")
-    curve = ESTIMATORS[estimator]
-    cols = Columns.of(cohort)
+def resample_estimates(
+    cols: Columns, s: float, ts: Sequence[float], methods, n_boot: int, seed: int
+) -> dict[str, np.ndarray]:
+    """Each method's (len(ts), n_boot) estimates, NaN where a resample fails,
+    one chunk of draws for every method; a method that fails on cols has none."""
     n = len(cols.final)
-    estimates: list[float] = []
-    failed = 0
+    chunk = max(MIN_CHUNK, CHUNK_CELLS // max(n, 1))
+    parts: dict[str, list[np.ndarray]] = {method: [] for method in methods}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        point = float(curve(cols, query.s, [query.t])[0])
-        for b in range(n_boot):
-            idx = philox(seed, b).integers(0, n, size=n)
-            try:
-                estimates.append(float(curve(cols.take(idx), query.s, [query.t])[0]))
-            except EstimationError:
-                failed += 1
+        for first in range(0, n_boot, chunk):
+            resamples = range(first, min(first + chunk, n_boot))
+            draws = (philox(seed, b).integers(0, n, size=n) for b in resamples)
+            weights = np.stack([np.bincount(idx, minlength=n) for idx in draws])
+            for method in methods:
+                with contextlib.suppress(EstimationError):
+                    parts[method].append(ESTIMATORS[method](cols, s, ts, False, weights))
+    return {method: np.concatenate(part, axis=1) for method, part in parts.items() if part}
+
+
+def interval(point: float, estimates: np.ndarray, level: float) -> CiResult:
+    """The intervals of one (method, t) from its resample estimates.  Failures
+    (NaN) are dropped and counted; more than half of them raise TooManyFailures,
+    as the rest no longer approximate the sampling distribution."""
+    n_boot = len(estimates)
+    ordered = sorted(estimates[~np.isnan(estimates)].tolist())
+    failed = n_boot - len(ordered)
     if failed > n_boot / 2:
         raise TooManyFailures(f"{failed} of {n_boot} resamples failed")
-    estimates.sort()
-    arr = np.asarray(estimates)
-    boot_var = float(arr.var(ddof=1))
+    boot_var = float(np.asarray(ordered).var(ddof=1))
     alpha = 1 - level
     quantile_ci = _clip_unit(
-        _lower_quantile(estimates, alpha / 2),
-        _lower_quantile(estimates, 1 - alpha / 2),
+        _lower_quantile(ordered, alpha / 2),
+        _lower_quantile(ordered, 1 - alpha / 2),
     )
     z = NormalDist().inv_cdf(1 - alpha / 2)
     half = z * math.sqrt(boot_var)
@@ -108,3 +105,26 @@ def bootstrap_ci(
         n_boot=n_boot,
         n_failed=failed,
     )
+
+
+def bootstrap_ci(
+    cohort: Sequence[IllnessDeathRecord],
+    query: TransitionQuery,
+    estimator: str = "check",
+    n_boot: int = 1000,
+    level: float = 0.95,
+    seed: int = 0,
+) -> CiResult:
+    """Subject-level bootstrap for one estimator at one query (see interval)."""
+    if estimator not in ESTIMATORS:
+        raise ValueError(f"unknown estimator {estimator!r}")
+    if not 0 < level < 1:
+        raise ValueError("level must be inside (0, 1)")
+    if n_boot < 2:
+        raise ValueError("n_boot must be >= 2")
+    cols = Columns.of(cohort)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        point = float(ESTIMATORS[estimator](cols, query.s, [query.t])[0])
+    boot = resample_estimates(cols, query.s, [query.t], [estimator], n_boot, seed)
+    return interval(point, boot[estimator][0], level)

@@ -9,9 +9,12 @@ variance.  The array code in ``illnessdeath.estimators`` sums and
 multiplies in the same order, so tests/test_curve.py demands equality with
 these, in float as well as in exact mode, together with the same Python
 types, warnings and exception types.  Nothing here calls an estimator of
-the package.  The record loops of the cohort CSV reader and of artificial
-censoring, at the end, are the reference for the column reader and
-``Columns.clip`` (tests/test_ingest.py).
+the package, except the bootstrap loop.  The record loops of the cohort
+CSV reader and of artificial censoring are the reference for the column
+reader and ``Columns.clip`` (tests/test_ingest.py).  The bootstrap loop at
+the end builds every resample as a cohort of its own and runs the
+package's unweighted curve on it, the reference for the weighted
+resamples of ``illnessdeath.inference`` (tests/test_inference.py).
 """
 
 from __future__ import annotations
@@ -21,24 +24,31 @@ import math
 import warnings
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
 
 from illnessdeath import (
     Cause,
+    CiResult,
     DegenerateWeight,
     DelayedEntry,
     EmptyLandmark,
+    EstimationError,
     IllnessDeathRecord,
     MalformedRecord,
     StepFunction,
     SupportWarning,
+    TooManyFailures,
     TransitionQuery,
     ZeroDenominator,
     build_counting,
     landmark_subset,
     validate_record,
 )
+from illnessdeath._rng import philox
+from illnessdeath.counting import Columns
+from illnessdeath.estimators import ESTIMATORS
 
 
 def _one(exact):
@@ -323,3 +333,57 @@ def artificial_censoring(cohort, tau) -> list[IllnessDeathRecord]:
         else:
             out.append(r)
     return out
+
+
+# ---------------------------------------------------------------------------
+# The bootstrap as a loop over resampled cohorts, the reference for the
+# weighted resamples.
+
+
+def resample_estimates(cohort, query, estimator, n_boot, seed) -> list[float | None]:
+    """Each resample's estimate on its own cohort (cols.take), None if it fails."""
+    curve = ESTIMATORS[estimator]
+    cols = Columns.of(cohort)
+    n = len(cols.final)
+    out = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for b in range(n_boot):
+            idx = philox(seed, b).integers(0, n, size=n)
+            try:
+                out.append(float(curve(cols.take(idx), query.s, [query.t])[0]))
+            except EstimationError:
+                out.append(None)
+    return out
+
+
+def bootstrap_ci(cohort, query, estimator="check", n_boot=1000, level=0.95, seed=0):
+    """bootstrap_ci with one estimator call per resampled cohort."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        point = float(ESTIMATORS[estimator](cohort, query.s, [query.t])[0])
+    raw = resample_estimates(cohort, query, estimator, n_boot, seed)
+    estimates = [x for x in raw if x is not None]
+    failed = n_boot - len(estimates)
+    if failed > n_boot / 2:
+        raise TooManyFailures(f"{failed} of {n_boot} resamples failed")
+    estimates.sort()
+    boot_var = float(np.asarray(estimates).var(ddof=1))
+    alpha = 1 - level
+
+    def lower_quantile(p):
+        return estimates[max(1, math.ceil(len(estimates) * p)) - 1]
+
+    def clip(lo, hi):
+        return max(lo, 0.0), min(hi, 1.0)
+
+    half = NormalDist().inv_cdf(1 - alpha / 2) * math.sqrt(boot_var)
+    return CiResult(
+        point=point,
+        boot_variance=boot_var,
+        quantile_ci=clip(lower_quantile(alpha / 2), lower_quantile(1 - alpha / 2)),
+        normal_ci=clip(point - half, point + half),
+        level=level,
+        n_boot=n_boot,
+        n_failed=failed,
+    )

@@ -20,6 +20,8 @@ from illnessdeath import (
     write_cohort,
 )
 from cohortgen import random_cohort
+from illnessdeath import inference
+from illnessdeath._rng import philox
 from illnessdeath.cli import main
 
 
@@ -175,6 +177,41 @@ class TestEstimate:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_both_mm_forms_judge_range_on_one_value(self, tmp_path):
+        # the ratio is exactly 1 here: mm computes 1.0, mm-stute
+        # 1.0000000000000002; only a form run alone is judged on its own value
+        cohort = random_cohort(random.Random(5544), max_n=25, censored=False)
+        path = tmp_path / "cohort.csv"
+        write_cohort(cohort, path)
+
+        def flags(method):
+            code, rows, _, _ = _run(
+                tmp_path, "estimate", "--input", str(path), "--s", "2", "--t", "4.25",
+                "--method", method,
+            )
+            assert code == 0
+            return {r["method"]: (r["estimate"], r["flags"]) for r in rows}
+
+        both = flags("all")
+        assert both["mm"] == both["mm-stute"] == ("1", "")
+        assert flags("mm-stute")["mm-stute"] == ("1", "range")
+
+    def test_boot_draws_each_resample_once_per_cohort(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_philox(seed, index):
+            calls.append(index)
+            return philox(seed, index)
+
+        monkeypatch.setattr(inference, "philox", counting_philox)
+        cohort = random_cohort(random.Random(3), max_n=40, truncated=True)
+        path = tmp_path / "cohort.csv"
+        write_cohort(cohort, path)
+        argv = ["estimate", "--input", str(path), "--s", "1.5", "--t", "2,3.5,5",
+                "--method", "all", "--boot", "40", "--output", str(tmp_path / "o.csv")]
+        assert main(argv) == 0
+        assert calls == list(range(40))  # not 40 per (method, t)
+
     def test_bootstrap_columns(self, toy_csv, tmp_path):
         code, rows, manifest, _ = _run(
             tmp_path,
@@ -216,6 +253,19 @@ class TestEstimate:
         assert code == 3
         assert rows[0]["estimate"] == ""
         assert rows[0]["flags"].startswith("error:")
+
+    def test_boot_after_tau_drops_every_subject(self, tmp_path):
+        path = tmp_path / "late.csv"
+        write_cohort([IllnessDeathRecord("a", 2, 5, Cause.ABSORBED)], path)
+        code, rows, _, _ = _run(
+            tmp_path,
+            "estimate", "--input", str(path), "--s", "0", "--t", "1",
+            "--method", "all", "--boot", "20", "--tau", "1",
+        )
+        assert code == 3
+        assert [r["flags"] for r in rows] == [
+            "error:EmptyLandmark", "error:EmptyRiskSet", "error:EmptyRiskSet", "error:EmptyLandmark"
+        ]
 
     def test_partial_failure_still_succeeds(self, toy_csv, tmp_path):
         # a valid cell at t=3.5 plus a doomed method keeps the run at 0

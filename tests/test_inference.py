@@ -1,22 +1,35 @@
-"""Bootstrap interval construction: determinism, clipping, failure handling."""
+"""Bootstrap interval construction: determinism, clipping, failure handling,
+and the weighted resamples against the loop over resampled cohorts."""
 
 from __future__ import annotations
 
 import math
+import random
 import warnings
+from fractions import Fraction
 from statistics import NormalDist
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import loop_reference as loops
+from cohortgen import random_cohort
 from illnessdeath import (
     Cause,
+    EstimationError,
     IllnessDeathRecord,
     ScenarioConfig,
     TooManyFailures,
     TransitionQuery,
     bootstrap_ci,
+    inference,
     simulate_cohort,
 )
+from illnessdeath.counting import Columns
+from illnessdeath.estimators import ESTIMATORS
 
 
 def _quiet_ci(*args, **kwargs):
@@ -126,3 +139,83 @@ class TestFailureHandling:
             bootstrap_ci(cohort, q, "check", n_boot=1)
         with pytest.raises(ValueError):
             bootstrap_ci(cohort, q, "check", n_boot=10, level=1.0)
+
+
+@st.composite
+def boot_cases(draw):
+    """A tied random cohort (truncated, censored or not), a query, a chunk
+    size and a number of resamples that is not a multiple of it."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    cohort = random_cohort(
+        rng, max_n=25, truncated=draw(st.booleans()), censored=draw(st.booleans())
+    )
+    s = draw(st.sampled_from((0.0, 0.5, 1.0, 2.0, 3.5)))
+    t = s + draw(st.sampled_from((0.0, 0.5, 1.5, 3.0, 6.0)))
+    chunk = draw(st.integers(min_value=2, max_value=7))
+    n_boot = chunk * draw(st.integers(min_value=1, max_value=4))
+    n_boot += draw(st.integers(min_value=1, max_value=chunk - 1))
+    seed = draw(st.integers(min_value=0, max_value=50))
+    return cohort, TransitionQuery(s, t), chunk, n_boot, seed
+
+
+def _bits(values):
+    """repr of each value, None (a failed resample) as NaN: tells -0.0 from 0.0."""
+    return [repr(math.nan if x is None else x) for x in values]
+
+
+def _quiet(fn, *args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return fn(*args)
+
+
+def _outcome(fn, *args):
+    """The result, or the type of the error raised."""
+    try:
+        return _quiet(fn, *args)
+    except (EstimationError, TooManyFailures) as err:
+        return type(err)
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=boot_cases())
+def test_weighted_resamples_equal_the_resampled_cohorts(case):
+    # every resample, failures and -0.0 included, and the intervals, against
+    # one estimator call per resampled cohort, in chunks of a few resamples
+    cohort, query, chunk, n_boot, seed = case
+    cols = Columns.of(cohort)
+    with mock.patch.multiple(inference, CHUNK_CELLS=chunk * len(cohort), MIN_CHUNK=1):
+        for method in ESTIMATORS:
+            args = (cohort, query, method, n_boot, 0.9, seed)
+            expected, got = _outcome(loops.bootstrap_ci, *args), _outcome(bootstrap_ci, *args)
+            assert repr(got) == repr(expected)
+            try:
+                _quiet(ESTIMATORS[method], cols, query.s, [query.t])
+            except EstimationError:
+                continue  # no estimate, so no bootstrap
+            expected = loops.resample_estimates(cohort, query, method, n_boot, seed)
+            got = _quiet(inference.resample_estimates,
+                         cols, query.s, [query.t], [method], n_boot, seed)
+            assert _bits(got[method][0].tolist()) == _bits(expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=boot_cases(), pick=st.integers(min_value=0))
+def test_weight_two_equals_a_duplicated_row(case, pick):
+    # frequency weights are duplicated rows, in exact arithmetic too
+    cohort, query, *_ = case
+    cols = Columns.of(cohort)
+    weights = np.ones(len(cohort), dtype=np.int64)
+    weights[pick % len(cohort)] = 2
+    doubled = cols.take(np.repeat(np.arange(len(cohort)), weights))
+    ts = [query.t, query.t + 1.5]
+    for method, curve in ESTIMATORS.items():
+        expected = _outcome(curve, doubled, query.s, ts, True)
+        got = _outcome(curve, cols, query.s, ts, True, weights[None, :])
+        if isinstance(got, np.ndarray):
+            got = got[:, 0].tolist()
+            if isinstance(expected, type):  # the weighted form fails per resample
+                assert all(math.isnan(x) for x in got)
+                continue
+            assert all(type(x) is Fraction for x in got)
+        assert got == expected
