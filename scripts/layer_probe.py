@@ -9,15 +9,13 @@ stage in a fresh interpreter, importing the package from ``--src``:
 - ``estimate``: ``estimate --method all`` at s = 10 with 8 t values;
 - ``transform``: ``transform --tau 120``;
 - ``boot``: ``estimate --method all --boot 1000 --seed 7`` at s = 10, t = 50,
-  the bootstrap layer, on the ``--boot-rows`` cohorts (10^4 rows by default)
-  only.
+  the bootstrap layer, on ``BOOT_ROWS`` cohorts only.
 
 Each stage reports its median wall time over ``--reps`` runs, the peak
 resident memory of its interpreter, and the SHA-256 of its CLI output and
 manifest, so two checkouts can be compared for speed and for byte identity:
 
     python scripts/layer_probe.py --src src --rows 100000 1000000 --out after.json
-    python scripts/layer_probe.py --src src --rows --boot-rows 10000 --out boot.json
 """
 
 from __future__ import annotations
@@ -31,6 +29,9 @@ import tempfile
 from pathlib import Path
 
 TIMES = "30,40,50,60,70,80,90,100"
+# the boot stage's cohorts: the bootstrap layer at 10^4 rows, and at 10^5,
+# where the memory of a chunk of resamples grows with the cohort
+BOOT_ROWS = (10_000, 100_000)
 
 # run in the child: prints {"seconds": ..., "peak_rss_mb": ...}
 CHILD = r"""
@@ -74,17 +75,10 @@ def _sha256(path: Path) -> str | None:
     return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
 
 
-def probe(src: str, rows: int, seed: int, reps: int, workdir: Path, stages=None) -> dict:
+def probe(src: str, rows: int, stages: list[str], seed: int, reps: int, workdir: Path) -> dict:
     cohort = workdir / f"cohort-{rows}.csv"
     subprocess.run([sys.executable, "-c", GENERATE, src, str(rows), str(seed), str(cohort)],
                    check=True)
-    has_columns = subprocess.run(
-        [sys.executable, "-c",
-         f"import sys; sys.path.insert(0, {src!r}); from illnessdeath import records;"
-         " sys.exit(0 if hasattr(records, 'read_columns') else 1)"],
-    ).returncode == 0
-    if stages is None:
-        stages = ["read_cohort", *(["read_columns"] if has_columns else []), "estimate", "transform"]
     out: dict = {"rows": rows, "input_sha256": _sha256(cohort)}
     for stage in stages:
         target = workdir / f"{stage}-{rows}.csv"
@@ -112,9 +106,7 @@ def probe(src: str, rows: int, seed: int, reps: int, workdir: Path, stages=None)
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
-    parser.add_argument("--rows", type=int, nargs="*", default=[100_000, 1_000_000])
-    parser.add_argument("--boot-rows", type=int, nargs="*", default=[10_000],
-                        help="cohort sizes of the boot stage")
+    parser.add_argument("--rows", type=int, nargs="+", default=[100_000, 1_000_000])
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--reps", type=int, default=3)
     parser.add_argument("--workdir", default=None, help="keep the files here")
@@ -124,9 +116,14 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(args.workdir or tmp)
         workdir.mkdir(parents=True, exist_ok=True)
-        results = [probe(src, rows, args.seed, args.reps, workdir) for rows in args.rows]
-        results += [probe(src, rows, args.seed, args.reps, workdir, ["boot"])
-                    for rows in args.boot_rows]
+        has_columns = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys; sys.path.insert(0, {src!r}); from illnessdeath import records;"
+             " sys.exit(0 if hasattr(records, 'read_columns') else 1)"],
+        ).returncode == 0
+        stages = ["read_cohort", *(["read_columns"] if has_columns else []), "estimate", "transform"]
+        results = [probe(src, rows, stages, args.seed, args.reps, workdir) for rows in args.rows]
+        results += [probe(src, rows, ["boot"], args.seed, args.reps, workdir) for rows in BOOT_ROWS]
     text = json.dumps({"src": src, "seed": args.seed, "results": results}, indent=1) + "\n"
     if args.out == "-":
         sys.stdout.write(text)

@@ -47,7 +47,7 @@ class Columns(NamedTuple):
         if isinstance(cohort, Columns):
             return cohort
         records = list(cohort)
-        # a list per column (per-record tuples wake the GC); costly properties inlined
+        # a list per column (per-record tuples wake the GC); final_time, observed inlined
         absorbed, n = Cause.ABSORBED, len(records)
         final_cause = [r.cause0 if r.cause1 is None else r.cause1 for r in records]
         return cls(

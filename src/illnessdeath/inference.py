@@ -25,8 +25,8 @@ from .estimators import ESTIMATORS
 from .records import IllnessDeathRecord, TransitionQuery
 
 
-# A chunk holds about CHUNK_CELLS (resample, subject) weights, to bound memory,
-# and at least MIN_CHUNK resamples: aj's forward loop costs the same per chunk.
+# A chunk holds about CHUNK_CELLS weights and at least MIN_CHUNK resamples (aj's
+# loop costs the same per chunk): past 1024 subjects its arrays grow as 16 * n.
 CHUNK_CELLS, MIN_CHUNK = 1 << 14, 16
 
 

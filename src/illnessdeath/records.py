@@ -88,7 +88,7 @@ class IllnessDeathRecord:
 
     @property
     def final_time(self) -> float:
-        """Last time the subject was under observation."""
+        """Last time the subject was under observation (Columns.of inlines it)."""
         return self.exit0 if self.exit1 is None else self.exit1
 
     @property
@@ -97,7 +97,7 @@ class IllnessDeathRecord:
 
     @property
     def observed(self) -> bool:
-        """True when the absorbing event itself was observed."""
+        """True when the absorbing event was observed (Columns.of inlines it)."""
         return self.final_cause is Cause.ABSORBED
 
     @property

@@ -12,6 +12,7 @@ from illnessdeath import (
     TransitionQuery,
     build_counting,
 )
+from illnessdeath.counting import Columns
 
 import oracle_bruteforce as ob
 from cohortgen import random_cohort, random_query, to_oracle, with_ill_at_origin
@@ -85,6 +86,20 @@ class TestBuildCounting:
             for i, u in enumerate(cp.times):
                 if cp.dn1[i] or cp.dn2[i] or cp.dnc[i]:
                     assert u in finals
+
+
+@pytest.mark.parametrize("censored", [False, True])
+@pytest.mark.parametrize("truncated", [False, True])
+def test_columns_agree_with_the_record_properties(truncated, censored):
+    # Columns.of inlines final_time and observed instead of reading them
+    rng = random.Random(10 + 2 * truncated + censored)
+    for _ in range(40):
+        cohort = random_cohort(rng, max_n=30, truncated=truncated, censored=censored)
+        cohort = with_ill_at_origin(rng, cohort)
+        cols = Columns.of(cohort)
+        assert cols.final.tolist() == [r.final_time for r in cohort]
+        assert cols.observed.tolist() == [r.observed for r in cohort]
+        assert cols.cause0.tolist() == [int(r.cause0) for r in cohort]
 
 
 @pytest.mark.parametrize("landmark", [False, True])
