@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import random
 import subprocess
@@ -14,8 +15,11 @@ import pytest
 from illnessdeath import (
     Cause,
     IllnessDeathRecord,
+    ScenarioConfig,
+    TruncationConfig,
     preset,
     read_cohort,
+    run_monte_carlo,
     simulate_cohort,
     write_cohort,
 )
@@ -328,6 +332,22 @@ class TestEstimateUsageErrors:
         assert code == 2
 
 
+# a tiny left-truncated design: some replications retain no subject, others
+# have an empty landmark (check, aj) or a zero state-0 survival (mm, mm-stute)
+FRAGILE_DESIGN = "n = 3\ncensor_hazard = 0.05\ntruncation = skew_normal\ntruncation_location = 3\n"
+
+# SHA-256 of `simulate --output -` stdout; the batching of the replications
+# must not change a byte
+SIMULATE_DIGESTS = {
+    "table1": "40a03999f9e1aa40a9b157e86415efd22d0e51098436148a46d562eb36887d96",
+    "table2": "6fc692edd4b6e45bc951cb61efcf0064a4660773701df10d6998bbdf363560b4",
+    "table3": "95f1ea766b679315d30618416365a798d0e991d88d173eccf087318004e342ee",
+    "custom": "38cb901e35eb93684638b2379566ae5880ef17fbf48d8298744c9de7dd0292e6",
+    # the custom design through run_monte_carlo with all four estimators
+    "custom-all": "ccf9872dc106654afe5faa6e7575f0c7767532320cd701e580d9a54dd41da5e9",
+}
+
+
 class TestSimulate:
     def test_preset_row_order(self, tmp_path):
         code, rows, manifest, _ = _run(
@@ -344,6 +364,42 @@ class TestSimulate:
         assert manifest["parameters"]["censor_hazard"] == 0.013
         assert manifest["parameters"]["truncation"] is None
         assert manifest["seed"] == 3
+
+    @pytest.mark.parametrize("name", sorted(SIMULATE_DIGESTS))
+    def test_output_bytes_are_pinned(self, tmp_path, capsys, name):
+        if name == "custom-all":
+            config = ScenarioConfig(
+                n=3, censor_hazard=0.05, truncation=TruncationConfig(location=3.0),
+                seed=3, replications=60,
+            )
+            table = run_monte_carlo(config, ("check", "mm", "mm-stute", "aj"), workers=1)
+            sink = io.StringIO()
+            table.to_csv(sink)
+            out = sink.getvalue()
+        else:
+            argv = ["--scenario", name, "--reps", "100", "--seed", "7"]
+            if name == "custom":
+                cfg = tmp_path / "fragile.cfg"
+                cfg.write_text(FRAGILE_DESIGN)
+                argv = ["--scenario", "custom", "--config", str(cfg), "--reps", "60",
+                        "--seed", "3"]
+            assert main(["simulate", *argv, "--output", "-"]) == 0
+            out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == SIMULATE_DIGESTS[name]
+
+    def test_failing_replications_keep_stderr_pure_json(self, tmp_path):
+        # a fresh interpreter prints warnings that escape; pytest would record them
+        cfg = tmp_path / "fragile.cfg"
+        cfg.write_text(FRAGILE_DESIGN)
+        captured = subprocess.run(
+            [sys.executable, "-m", "illnessdeath", "simulate", "--scenario", "custom",
+             "--config", str(cfg), "--reps", "60", "--seed", "3", "--output", "-"],
+            capture_output=True, text=True,
+        )
+        assert captured.returncode == 0
+        rows = list(csv.DictReader(captured.stdout.splitlines()))
+        assert {r["estimator"] for r in rows if int(r["n_excluded"]) > 0} == {"check", "mm", "aj"}
+        assert json.loads(captured.stderr)["parameters"]["replications"] == 60
 
     def test_truncated_preset_estimators(self, tmp_path):
         code, rows, manifest, _ = _run(
