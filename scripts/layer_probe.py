@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time CSV ingest and the CLI commands on large registry-sized cohorts.
+"""Time CSV ingest and the CLI commands on large registry-sized cohorts,
+and the Monte-Carlo tables.
 
 For each row count, writes a table1 cohort CSV (seeded), then times each
 stage in a fresh interpreter, importing the package from ``--src``:
@@ -9,7 +10,9 @@ stage in a fresh interpreter, importing the package from ``--src``:
 - ``estimate``: ``estimate --method all`` at s = 10 with 8 t values;
 - ``transform``: ``transform --tau 120``;
 - ``boot``: ``estimate --method all --boot 1000 --seed 7`` at s = 10, t = 50,
-  the bootstrap layer, on ``BOOT_ROWS`` cohorts only.
+  the bootstrap layer, on ``BOOT_ROWS`` cohorts only;
+- ``simulate``: ``simulate --scenario S --reps 1000 --seed 7`` for each preset
+  S in ``SIMULATE``, the Monte-Carlo layer, with no cohort CSV.
 
 Each stage reports its median wall time over ``--reps`` runs, the peak
 resident memory of its interpreter, and the SHA-256 of its CLI output and
@@ -32,6 +35,8 @@ TIMES = "30,40,50,60,70,80,90,100"
 # the boot stage's cohorts: the bootstrap layer at 10^4 rows, and at 10^5,
 # where the memory of a chunk of resamples grows with the cohort
 BOOT_ROWS = (10_000, 100_000)
+# the simulate stage's presets: light censoring, and left truncation
+SIMULATE = ("table1", "table3")
 
 # run in the child: prints {"seconds": ..., "peak_rss_mb": ...}
 CHILD = r"""
@@ -52,6 +57,10 @@ elif stage == "estimate":
 elif stage == "boot":
     code = cli.main(["estimate", "--input", path, "--s", "10", "--t", "50", "--boot", "1000",
                      "--seed", "7", "--method", "all", "--output", out])
+    assert code == 0, code
+elif stage == "simulate":  # path names the scenario
+    code = cli.main(["simulate", "--scenario", path, "--reps", "1000", "--seed", "7",
+                     "--output", out])
     assert code == 0, code
 else:
     code = cli.main(["transform", "--input", path, "--tau", "120", "--output", out])
@@ -75,32 +84,43 @@ def _sha256(path: Path) -> str | None:
     return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
 
 
+def _stage(src: str, stage: str, source: str, target: Path, reps: int) -> dict:
+    """Median wall time and peak RSS of reps fresh interpreters, and the
+    SHA-256 of the stage's output and manifest."""
+    runs = []
+    for _ in range(reps):
+        child = subprocess.run(
+            [sys.executable, "-c", CHILD, src, stage, source, str(target)],
+            capture_output=True, text=True, check=True,
+        )
+        runs.append(json.loads(child.stdout.strip().splitlines()[-1]))
+    out = {
+        "seconds": statistics.median(r["seconds"] for r in runs),
+        "runs_s": [r["seconds"] for r in runs],
+        "peak_rss_mb": max(r["peak_rss_mb"] for r in runs),
+    }
+    if stage in ("estimate", "transform", "boot", "simulate"):
+        manifest = Path(str(target) + ".manifest.json")
+        out["output_sha256"] = _sha256(target)
+        # the manifest names the input path, which differs between runs
+        # only when the work directory does
+        out["manifest_sha256"] = _sha256(manifest)
+    return out
+
+
 def probe(src: str, rows: int, stages: list[str], seed: int, reps: int, workdir: Path) -> dict:
     cohort = workdir / f"cohort-{rows}.csv"
     subprocess.run([sys.executable, "-c", GENERATE, src, str(rows), str(seed), str(cohort)],
                    check=True)
     out: dict = {"rows": rows, "input_sha256": _sha256(cohort)}
     for stage in stages:
-        target = workdir / f"{stage}-{rows}.csv"
-        runs = []
-        for _ in range(reps):
-            child = subprocess.run(
-                [sys.executable, "-c", CHILD, src, stage, str(cohort), str(target)],
-                capture_output=True, text=True, check=True,
-            )
-            runs.append(json.loads(child.stdout.strip().splitlines()[-1]))
-        out[stage] = {
-            "seconds": statistics.median(r["seconds"] for r in runs),
-            "runs_s": [r["seconds"] for r in runs],
-            "peak_rss_mb": max(r["peak_rss_mb"] for r in runs),
-        }
-        if stage in ("estimate", "transform", "boot"):
-            manifest = Path(str(target) + ".manifest.json")
-            out[stage]["output_sha256"] = _sha256(target)
-            # the manifest names the input path, which differs between runs
-            # only when the work directory does
-            out[stage]["manifest_sha256"] = _sha256(manifest)
+        out[stage] = _stage(src, stage, str(cohort), workdir / f"{stage}-{rows}.csv", reps)
     return out
+
+
+def probe_simulate(src: str, scenario: str, reps: int, workdir: Path) -> dict:
+    target = workdir / f"simulate-{scenario}.csv"
+    return {"scenario": scenario, "simulate": _stage(src, "simulate", scenario, target, reps)}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -124,6 +144,7 @@ def main(argv: list[str] | None = None) -> int:
         stages = ["read_cohort", *(["read_columns"] if has_columns else []), "estimate", "transform"]
         results = [probe(src, rows, stages, args.seed, args.reps, workdir) for rows in args.rows]
         results += [probe(src, rows, ["boot"], args.seed, args.reps, workdir) for rows in BOOT_ROWS]
+        results += [probe_simulate(src, name, args.reps, workdir) for name in SIMULATE]
     text = json.dumps({"src": src, "seed": args.seed, "results": results}, indent=1) + "\n"
     if args.out == "-":
         sys.stdout.write(text)

@@ -23,6 +23,8 @@ from .records import Cause, IllnessDeathRecord, TransitionQuery
 # cause codes as plain ints for the int8 cause0 column: numpy compares an
 # enum member only after looking up attributes on it, about 4x slower
 _CENSORED, _ILL, _ABSORBED = int(Cause.CENSORED), int(Cause.ILL), int(Cause.ABSORBED)
+# a batch's padding: never at risk, never observed and never in a landmark
+_PADDING = (np.inf, np.inf, np.inf, _CENSORED, False, 0)
 
 
 class Columns(NamedTuple):
@@ -31,7 +33,8 @@ class Columns(NamedTuple):
     ``id_rank`` ranks the subjects by record id, the last tie-break of the
     ordered weights; rows taken from one cohort keep their ranks, so a
     repeated subject repeats its rank.  A NamedTuple's ``len`` counts its
-    fields: the number of subjects is ``len(cols.final)``.
+    fields: the number of subjects is ``len(cols.final)``.  A batch of
+    cohorts has a row each, padded where a row has no subject (``take``).
     """
 
     entry: np.ndarray
@@ -60,7 +63,10 @@ class Columns(NamedTuple):
         )
 
     def take(self, rows: np.ndarray) -> Columns:
-        """The subjects at a mask, or at indices (repeats allowed)."""
+        """The subjects at a mask, or at indices (repeats allowed); a batch
+        keeps its shape, the subjects outside a mask becoming padding."""
+        if np.ndim(rows) > 1:
+            return Columns(*(np.where(rows, c, pad) for c, pad in zip(self, _PADDING)))
         return Columns(*(column[rows] for column in self))
 
     @property
@@ -84,8 +90,8 @@ class Columns(NamedTuple):
         return (self.entry < s) & (s < self.exit0)
 
     def event1(self, s: float, ts: np.ndarray) -> np.ndarray:
-        """(len(ts), n) mask: observed, ill in (s, t] and alive just after t."""
-        t = ts[:, None]
+        """(len(ts), *shape) mask: observed, ill in (s, t] and alive just after t."""
+        t = ts.reshape(-1, *(1,) * self.final.ndim)
         onset = self.observed & self.ill & (s < self.exit0)
         return onset & (self.exit0 <= t) & (t < self.final)
 
@@ -161,15 +167,50 @@ def rank_ids(ids: list[str]) -> np.ndarray:
 
 def _tally(index: np.ndarray, m: int, weights: np.ndarray | None = None) -> np.ndarray:
     """Subjects per grid index 0..m-1; with weights (one row per resample, one
-    column per subject), each row's total weight per index, summed exactly."""
-    if weights is None:
+    column per subject), each row's total weight per index, summed exactly;
+    with an index row per replication (see _grid), each row's count."""
+    if weights is not None:
+        return np.array([np.bincount(index, row, m) for row in weights], np.int64)
+    if index.ndim == 1:
         return np.bincount(index, minlength=m)
-    return np.array([np.bincount(index, row, m) for row in weights], np.int64)
+    flat = (index + np.arange(len(index))[:, None] * (m + 1)).ravel()
+    return np.bincount(flat, minlength=len(index) * (m + 1)).reshape(-1, m + 1)[:, :m]
+
+
+def _grid(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct times and each time's index in them; with a row per
+    cohort, a grid per row: each row sorted and cut to the widest row's m >= 1
+    finite times, a repeated value indexed at its first place and padding
+    (inf) at m, so a repeat or a row's inf tail adds exactly the unit factor
+    and zero mass of leaving it out."""
+    if times.ndim == 1:
+        return np.unique(times, return_inverse=True)
+    order = np.argsort(times, axis=-1)
+    grid = np.take_along_axis(times, order, -1)
+    m = int((grid < np.inf).sum(-1).max(initial=1))
+    new = np.insert(grid[:, 1:] != grid[:, :-1], 0, True, axis=-1)
+    first = np.maximum.accumulate(np.where(new, np.arange(grid.shape[-1]), 0), axis=-1)
+    index = np.empty_like(first)
+    np.put_along_axis(index, order, np.where(grid < np.inf, first, m), -1)
+    return grid[:, :m], index
+
+
+def _pick(column: np.ndarray, mask: np.ndarray, pad=np.inf) -> np.ndarray:
+    """The masked subjects' values; a batch keeps its shape, padded with pad."""
+    return column[mask] if mask.ndim == 1 else np.where(mask, column, pad)
 
 
 def _at_risk(starts, ends, times, weights=None) -> np.ndarray:
     """Risk-set sizes on left-open windows: #(start < v) - #(end < v); with
-    weights (see _tally), each row's total weight at risk."""
+    weights (see _tally), each row's total weight at risk; with a grid per
+    row (sorted, see _grid), each row's own, padding (inf) never at risk."""
+    if weights is None and times.ndim > 1:
+        # a stable sort puts each grid time before the starts and ends equal
+        # to it, and keeps the grid's order: +1 per start, -1 per end before it
+        m, n = times.shape[-1], starts.shape[-1]
+        order = np.argsort(np.concatenate((times, starts, ends), -1), -1, kind="stable")
+        running = np.cumsum(np.where(order < m + n, 1, -1) * (order >= m), axis=-1)
+        return running[order < m].reshape(times.shape)
     if weights is None:
         return np.searchsorted(np.sort(starts), times) - np.searchsorted(np.sort(ends), times)
     start, end = (_tally(np.searchsorted(times, x, "right"), len(times) + 1, weights)

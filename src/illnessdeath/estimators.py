@@ -19,6 +19,9 @@ Fraction); every sum and product runs left to right along the grid
 Every product-limit survival and incidence, of the curves and of the
 counting-process functions alike, comes from one primitive (``_survival``
 and ``_incidence``); tests/loop_reference.py holds the loop forms.
+With weights (a row per resample) or on a batch of cohorts (Columns with a
+row per cohort) a curve gives a (len(ts), rows) array, NaN for a row that
+fails, and warns of nothing; the floats are those of each row on its own.
 
 Conventions shared by all routines: at tied times, events precede
 censorings; any hazard increment with an empty risk set contributes a unit
@@ -38,7 +41,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .counting import Columns, CountingProcesses, StepFunction, build_counting, to_records
-from .counting import _ABSORBED, _CENSORED, _at_risk, _among, _landmark_columns, _tally
+from .counting import _ABSORBED, _CENSORED, _at_risk, _among, _grid, _landmark_columns
+from .counting import _pick, _tally
 from .errors import (
     CensoredCohort,
     DegenerateWeight,
@@ -171,15 +175,17 @@ class _ProductLimit:
     through the last.
     With ``weights`` (subject multiplicities, a row per resample) each count
     has a row per resample; a time no resampled subject reaches adds exactly
-    the unit factor and zero mass of leaving it out.
+    the unit factor and zero mass of leaving it out.  A batch of cohorts
+    (Columns with a row per replication) has a grid per row (see _grid).
     """
 
     def __init__(self, cols: Columns, exact: bool, weights: np.ndarray | None = None):
         self.exact, self.weights = exact, weights
-        self.times, self.index = np.unique(cols.final, return_inverse=True)
+        self.times, self.index = _grid(cols.final)
+        m = self.times.shape[-1]
         self.y = _at_risk(cols.entry, cols.final, self.times, weights)
         observed = _among(weights, cols.observed)
-        self.d = _tally(self.index[cols.observed], len(self.times), observed)
+        self.d = _tally(_pick(self.index, cols.observed, m), m, observed)
         self.surv = _survival(self.d, self.y, exact)
 
     def event1_counts(self, event1: np.ndarray) -> np.ndarray:
@@ -190,12 +196,12 @@ class _ProductLimit:
         return np.bincount(flat, minlength=len(event1) * m).reshape(-1, m)
 
     def incidence(self, event1: np.ndarray) -> np.ndarray:
-        """Incidence limit per t: the kind-1 masses of each row, summed
-        (with weights, one t at a time, a row of resamples each)."""
-        before, m, w = self.surv[..., :-1], len(self.times), self.weights
-        if w is None:
+        """Incidence limit per t: the kind-1 masses of each row, summed (with
+        weights or a batch, one t at a time, a row of resamples or cohorts each)."""
+        before, m, w = self.surv[..., :-1], self.times.shape[-1], self.weights
+        if w is None and self.index.ndim == 1:
             return _incidence(before, self.event1_counts(event1), self.y, self.exact)[:, -1]
-        counts = (_tally(self.index[e], m, w[:, e]) for e in event1)
+        counts = (_tally(_pick(self.index, e, m), m, _among(w, e)) for e in event1)
         return np.array([_incidence(before, c, self.y, self.exact)[:, -1] for c in counts])
 
 
@@ -226,16 +232,17 @@ def _query_times(s: float, ts: Iterable[float]) -> np.ndarray:
 
 def _state0_survival(cols: Columns, s: float, exact: bool, weights=None) -> Number:
     """Product-limit state-0 survival at s, the denominator of both mm forms
-    (with weights, one per resample, NaN where it is zero)."""
+    (with weights or a batch, one per row, NaN where it is zero)."""
     if not len(cols.final):
         raise EmptyRiskSet("empty cohort")
     state0 = cols.state0
     exits = state0 & (cols.cause0 != _CENSORED) & (cols.exit0 <= s)
-    times, index = np.unique(cols.exit0[exits], return_inverse=True)
-    d0 = _tally(index, len(times), _among(weights, exits))
-    y0 = _at_risk(cols.entry[state0], cols.exit0[state0], times, _among(weights, state0))
+    times, index = _grid(_pick(cols.exit0, exits))
+    d0 = _tally(index, times.shape[-1], _among(weights, exits))
+    starts, ends = (_pick(at, state0) for at in (cols.entry, cols.exit0))
+    y0 = _at_risk(starts, ends, times, _among(weights, state0))
     den = _survival(d0, y0, exact)[..., -1]
-    if weights is not None:
+    if weights is not None or den.ndim:
         return np.where(den == 0, np.nan, den)
     if den == 0:
         raise ZeroDenominator(f"estimated state-0 survival at s={s} is zero")
@@ -250,13 +257,16 @@ def _check_curve(
     weights: np.ndarray | None = None,
 ) -> list[Number] | np.ndarray:
     ts = _query_times(s, ts)
-    sub = _landmark_columns(cohort, s)
-    _warn_censored_tail(sub.final[sub.observed], sub.final[~sub.observed])
-    if weights is None:
+    cols = Columns.of(cohort)
+    sub = _landmark_columns(cols, s)  # a batch keeps its shape
+    if weights is None and cols.final.ndim == 1:
+        _warn_censored_tail(sub.final[sub.observed], sub.final[~sub.observed])
         return _ProductLimit(sub, exact).incidence(sub.event1(s, ts)).tolist()
-    weights = weights[:, Columns.of(cohort).landmark(s)]
+    present = cols.landmark(s)
+    if weights is not None:
+        weights = present = weights[:, present]
     values = _ProductLimit(sub, exact, weights).incidence(sub.event1(s, ts))
-    return np.where(weights.sum(axis=1) == 0, np.nan, values)  # empty landmark
+    return np.where(present.sum(axis=-1) == 0, np.nan, values)  # empty landmark
 
 
 def _pooled_incidence(cols: Columns, event1, exact: bool, weights=None) -> np.ndarray:
@@ -267,14 +277,18 @@ def _pooled_incidence(cols: Columns, event1, exact: bool, weights=None) -> np.nd
 def _ordered_incidence(cols: Columns, event1, exact: bool, weights=None) -> np.ndarray:
     """mm-stute: the same sum with the ordered-weights jump masses."""
     # final time, events before censorings, then id; lexsort is stable
-    order = np.lexsort((cols.id_rank, ~cols.observed, cols.final))
+    order = np.lexsort((cols.id_rank, ~cols.observed, cols.final))  # a batch: per row
     if weights is not None:  # a subject of weight w takes w consecutive ranks
         order = np.repeat(np.tile(order, len(weights)), weights[:, order].ravel())
         order = order.reshape(len(weights), -1)  # rows of equal total weight
-    left = np.arange(order.shape[-1], 0, -1)  # n - rank + 1
-    masses = _survival(cols.observed[order], left, exact)[..., :-1] * _ratio(1, left, exact)
+    n = width = order.shape[-1]
+    if cols.final.ndim > 1:  # a row per cohort: its own subjects, then padding
+        n = np.count_nonzero(cols.final < np.inf, -1)[:, None]
+        order = order + width * np.arange(len(order))[:, None]  # into the flat batch
+    left = np.maximum(n - np.arange(width), 1)  # n - rank + 1, and 1 on padding
+    masses = _survival(cols.observed.ravel()[order], left, exact)[..., :-1] * _ratio(1, left, exact)
     zero = _one(exact) * 0
-    sums = [np.cumsum(np.where(e[order], masses, zero), axis=-1)[..., -1] for e in event1]
+    sums = [np.cumsum(np.where(e.ravel()[order], masses, zero), axis=-1)[..., -1] for e in event1]
     return np.array(sums, dtype=masses.dtype)
 
 
@@ -294,10 +308,10 @@ def _ratio_curve(
     ts = _query_times(s, ts)
     cols = Columns.of(cohort)
     den = _state0_survival(cols, s, exact, weights)
-    _warn_censored_tail(cols.final[cols.observed], cols.final[~cols.observed])
     out = incidence(cols, cols.event1(s, ts), exact, weights) / den
-    if weights is not None:
+    if weights is not None or cols.final.ndim > 1:
         return out  # NaN where the denominator is
+    _warn_censored_tail(cols.final[cols.observed], cols.final[~cols.observed])
     for value in out:
         if value > 1:
             message = f"ratio estimate {float(value):.6g} exceeds 1"
@@ -314,7 +328,8 @@ def _aj_curve(
 ) -> list[Number] | np.ndarray:
     ts = _query_times(s, ts)
     cols = Columns.of(cohort)
-    if not cols.landmark(s).any():
+    present = cols.landmark(s)
+    if not present.any():
         raise EmptyLandmark(f"no subject in state 0 at s={s}")
     state0, ill = cols.state0, cols.ill
     start1 = np.maximum(cols.entry, cols.exit0)
@@ -323,30 +338,40 @@ def _aj_curve(
     at0, at1 = ((s < at) & (at <= ts.max(initial=s)) for at in (cols.exit0, cols.final))
     movers = [(at0 & state0 & ill, cols.exit0), (at0 & (cols.cause0 == _ABSORBED), cols.exit0)]
     movers.append((at1 & seen_ill & cols.observed, cols.final))
-    times = np.sort(np.concatenate([[s], *(at[who] for who, at in movers)]))
-    times = times[1:][times[1:] != times[:-1]]  # distinct, each > s; np.unique loads numpy.ma
+    moves = [_pick(at, who) for who, at in movers]
+    times, index = _grid(np.concatenate(moves, axis=-1))  # each time > s
+    parts = np.split(index, np.cumsum([move.shape[-1] for move in moves])[:-1], axis=-1)
     d01, d02, d12 = (
-        _tally(np.searchsorted(times, at[who]), len(times), _among(weights, who))
-        for who, at in movers
+        _tally(part, times.shape[-1], _among(weights, who))
+        for part, (who, _) in zip(parts, movers)
     )
-    y0 = _at_risk(cols.entry[state0], cols.exit0[state0], times, _among(weights, state0))
-    y1 = _at_risk(start1[seen_ill], cols.final[seen_ill], times, _among(weights, seen_ill))
+    y0, y1 = (
+        _at_risk(_pick(start, who), _pick(end, who), times, _among(weights, who))
+        for who, start, end in ((state0, cols.entry, cols.exit0), (seen_ill, start1, cols.final))
+    )
     # an empty risk set carries no transition, so its hazards are 0
     h01, h02 = (_ratio(d, np.maximum(y0, 1), exact) for d in (d01, d02))
     h12 = _ratio(d12, np.maximum(y1, 1), exact)
-    # per transition time a Python number, or with weights a vector of resamples
-    steps = [a.tolist() if weights is None else a.T for a in (1 - h01 - h02, h01, 1 - h12)]
-    p0 = _one(exact)
-    p1 = p0 * 0 if weights is None else np.full(len(weights), p0 * 0)
+    # state-0 occupation just before each transition time, multiplied left to
+    # right, times the share of it that falls ill there
+    keep0 = 1 - h01 - h02
+    first = np.full((*keep0.shape[:-1], 1), _one(exact), keep0.dtype)
+    inflow = np.cumprod(np.concatenate((first, keep0), axis=-1), axis=-1)[..., :-1] * h01
+    # per transition time a Python number, or with weights or a batch a vector of rows
+    plain = weights is None and cols.final.ndim == 1
+    steps = [a.tolist() if plain else a.T for a in (1 - h12, inflow)]
+    p1 = _one(exact) * 0 if plain else np.full(h01.shape[:-1], _one(exact) * 0)
     history = [p1]  # p1 after each transition time
-    for keep0, enter1, keep1 in zip(*steps):
-        p1 = p1 * keep1 + p0 * enter1
-        p0 = p0 * keep0
+    for keep1, enter1 in zip(*steps):
+        p1 = p1 * keep1 + enter1
         history.append(p1)
-    values = [history[i] for i in np.searchsorted(times, ts, side="right")]
-    if weights is None:
-        return values
-    return np.where(weights[:, cols.landmark(s)].sum(axis=1) == 0, np.nan, np.array(values))
+    after = (times <= ts.reshape(-1, *(1,) * times.ndim)).sum(axis=-1)  # grid times up to t
+    if plain:
+        return [history[i] for i in after]
+    values = np.array(history)[after.reshape(len(ts), -1), np.arange(len(p1))]
+    if weights is not None:
+        present = weights[:, present]
+    return np.where(present.sum(axis=-1) == 0, np.nan, values)
 
 
 # The registry the CLI, the bootstrap and the Monte-Carlo harness share.

@@ -87,7 +87,7 @@ def interval(point: float, estimates: np.ndarray, level: float) -> CiResult:
     failed = n_boot - len(ordered)
     if failed > n_boot / 2:
         raise TooManyFailures(f"{failed} of {n_boot} resamples failed")
-    boot_var = float(np.asarray(ordered).var(ddof=1))
+    boot_var = float(np.var(ordered, ddof=1)) if len(ordered) > 1 else math.nan
     alpha = 1 - level
     quantile_ci = _clip_unit(
         _lower_quantile(ordered, alpha / 2),

@@ -11,14 +11,16 @@ Reproducibility contract: replication r of a run with seed q draws from
 ``numpy.random.Philox`` keyed by ``SeedSequence((q, r))``, and within a
 replication the draw order is onset times, illness marks, censoring spans,
 then the two normal blocks of the entry sampler.  Results therefore depend
-only on (seed, r), never on how replications are scheduled across workers.
+only on (seed, r), never on how replications are batched or scheduled
+across workers.  The harness draws each replication on its own, then
+classifies and estimates a batch of them at once, a row per replication.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import IO, Sequence
@@ -35,6 +37,8 @@ DEFAULT_SEED = 26
 DEFAULT_EVAL_TIMES = (30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0)
 DEFAULT_LANDMARK = 10.0
 WORKERS_ENV = "ILLNESSDEATH_WORKERS"
+# subjects per batch of Monte-Carlo replications (at least one replication)
+BATCH_CELLS = 1 << 13
 
 
 def _require_finite(config, prefix: str, names: tuple[str, ...]) -> None:
@@ -156,10 +160,9 @@ def _records(rep_index, keep, cols: Columns) -> list[IllnessDeathRecord]:
     return to_records([f"r{rep_index}s{i}" for i in keep.tolist()], cols)
 
 
-def _classify(
-    rep_index, entry, onset, ill, absorb, cens
-) -> tuple[np.ndarray, Columns]:
-    """Draw indices and columns of the subjects alive at entry (entry < absorb).
+def _classify(entry, onset, ill, absorb, cens) -> tuple[np.ndarray, Columns]:
+    """The mask of the subjects alive at entry (entry < absorb) and the
+    columns of every drawn subject, a row per replication in a batch.
 
     Each path ends at min(absorb, cens), absorbed iff absorb <= cens.  An ill
     subject whose onset precedes censoring carries its illness stay
@@ -168,32 +171,46 @@ def _classify(
     replication r has the id ``f"r{r}s{i}"``; the ids share their prefix,
     so ``id_rank`` ranks the indices as decimal strings.
     """
-    keep = np.flatnonzero(entry < absorb)
-    seen_ill = (ill & (onset <= cens))[keep]
-    end = np.minimum(absorb, cens)[keep]
-    absorbed = (absorb <= cens)[keep]
+    seen_ill = ill & (onset <= cens)
+    end = np.minimum(absorb, cens)
+    absorbed = absorb <= cens
     cause0 = np.where(absorbed, _ABSORBED, _CENSORED).astype(np.int8)
     cause0[seen_ill] = _ILL
-    exit0 = np.where(seen_ill, onset[keep], end)
-    cols = Columns(entry[keep], exit0, end, cause0, absorbed, _decimal_rank(keep))
+    exit0 = np.where(seen_ill, onset, end)
+    rank = _decimal_rank(np.arange(entry.shape[-1]))
+    return entry < absorb, Columns(entry, exit0, end, cause0, absorbed, rank)
+
+
+def _cohort(rep_index, draws) -> tuple[np.ndarray, Columns]:
+    """Draw indices and columns of the retained subjects of one replication."""
+    alive, cols = _classify(*draws)
+    keep = np.flatnonzero(alive)
+    cols = cols.take(keep)._replace(id_rank=_decimal_rank(keep))
     check_columns(cols, lambda row: f"r{rep_index}s{keep[row]}")
     return keep, cols
 
 
-def _simulate_columns(
-    config: ScenarioConfig, rep_index: int = 0
-) -> tuple[np.ndarray, Columns]:
-    """Draw indices and columns of simulate_cohort(config, rep_index)."""
-    rng = philox(config.seed, rep_index)
-    n = config.n
-    onset, ill = _onset_and_illness(rng, n, config.hazard_ill, config.hazard_direct)
-    span = _exponential(rng, n, config.censor_hazard)
-    if config.truncation is not None:
-        entry = np.maximum(_skew_normal(rng, n, config.truncation), 0.0)
-    else:
-        entry = np.zeros(n)
+def _draws(config: ScenarioConfig, reps) -> tuple[np.ndarray, ...]:
+    """Entry, onset, illness marks, absorption and censoring times of the
+    replications reps, a row each, each drawn from its own stream."""
+    rows = []
+    for rep in reps:
+        rng = philox(config.seed, rep)
+        onset, ill = _onset_and_illness(rng, config.n, config.hazard_ill, config.hazard_direct)
+        span = _exponential(rng, config.n, config.censor_hazard)
+        if config.truncation is not None:
+            entry = np.maximum(_skew_normal(rng, config.n, config.truncation), 0.0)
+        else:
+            entry = np.zeros(config.n)
+        rows.append((entry, onset, ill, span))
+    entry, onset, ill, span = (np.stack(column) for column in zip(*rows))
     absorb = np.where(ill, config.progression_factor * onset, onset)
-    keep, cols = _classify(rep_index, entry, onset, ill, absorb, entry + span)
+    return entry, onset, ill, absorb, entry + span
+
+
+def _simulate_columns(config: ScenarioConfig, rep_index: int = 0) -> tuple[np.ndarray, Columns]:
+    """Draw indices and columns of simulate_cohort(config, rep_index)."""
+    keep, cols = _cohort(rep_index, [column[0] for column in _draws(config, [rep_index])])
     if not len(keep):
         raise DegenerateCohort(f"replication {rep_index} retained no subjects")
     return keep, cols
@@ -226,7 +243,7 @@ def _markov_columns(
     sojourn = _exponential(rng, n, hazard_progression)
     cens = _exponential(rng, n, censor_hazard)
     absorb = np.where(ill, onset + sojourn, onset)
-    return _classify(rep_index, np.zeros(n), onset, ill, absorb, cens)
+    return _cohort(rep_index, (np.zeros(n), onset, ill, absorb, cens))
 
 
 def simulate_markov_cohort(
@@ -301,23 +318,21 @@ class BiasVarianceTable:
             )
 
 
-def _mc_replication(args) -> tuple[int, int, list[float | None]]:
-    config, rep_index, estimators, landmark, eval_times = args
-    try:
-        _, cols = _simulate_columns(config, rep_index)
-    except DegenerateCohort:
-        return rep_index, 0, [None] * (len(estimators) * len(eval_times))
-    cells: list[float | None] = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for name in estimators:
-            try:
-                values = ESTIMATORS[name](cols, landmark, eval_times)
-            except EstimationError:
-                cells.extend([None] * len(eval_times))
-            else:
-                cells.extend(float(v) for v in values)
-    return rep_index, len(cols.final), cells
+def _mc_batch(args) -> tuple[np.ndarray, np.ndarray]:
+    """Cohort sizes and (estimator, t, replication) estimates of a batch of
+    replications, NaN where a replication fails or retained no subject."""
+    config, reps, estimators, landmark, eval_times = args
+    alive, cols = _classify(*_draws(config, reps))
+    cols = cols.take(alive)  # a row per replication, padded
+    kept = np.argwhere(alive)  # (replication, draw index) of each retained subject
+    check_columns(Columns(*(c[alive] for c in cols)), lambda i: f"r{reps[kept[i, 0]]}s{kept[i, 1]}")
+    cells = np.full((len(estimators), len(eval_times), len(reps)), np.nan)
+    for k, name in enumerate(estimators):
+        with contextlib.suppress(EstimationError):  # every replication fails alike
+            cells[k] = ESTIMATORS[name](cols, landmark, eval_times)
+    sizes = alive.sum(axis=1)
+    cells[..., sizes == 0] = np.nan
+    return sizes, cells
 
 
 def _worker_count(workers: int | None) -> int:
@@ -345,7 +360,8 @@ def run_monte_carlo(
     Replications where an estimator fails at some t (empty landmark, zero
     denominator, dead risk set) are excluded from that cell only and counted
     in n_excluded.  The result is a deterministic function of the config and
-    arguments; the worker count only schedules work.
+    arguments; the batches (a row per replication) and the worker count only
+    schedule work.
     """
     unknown = [e for e in estimators if e not in ESTIMATORS]
     if unknown:
@@ -355,37 +371,33 @@ def run_monte_carlo(
         raise ValueError("every evaluation time must be >= the landmark")
     # checked here once, so that each curve's own check of the grid is one pass
     grid = _query_times(landmark, times)
+    reps, nworkers = config.replications, _worker_count(workers)
+    # even batches of at most BATCH_CELLS subjects, at least one per worker
+    batch = -(-reps // max(nworkers, -(-reps * config.n // BATCH_CELLS)))
     tasks = [
-        (config, rep, tuple(estimators), landmark, grid)
-        for rep in range(config.replications)
+        (config, range(first, min(first + batch, reps)), tuple(estimators), landmark, grid)
+        for first in range(0, reps, batch)
     ]
-    nworkers = _worker_count(workers)
     if nworkers > 1 and len(tasks) > 1:
-        chunk = max(1, len(tasks) // (nworkers * 8))
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            outcomes = list(pool.map(_mc_replication, tasks, chunksize=chunk))
+            outcomes = list(pool.map(_mc_batch, tasks))
     else:
-        outcomes = [_mc_replication(t) for t in tasks]
-    outcomes.sort(key=lambda item: item[0])
-
-    sizes = [size for _, size, _ in outcomes]
-    if all(size == 0 for size in sizes):
+        outcomes = [_mc_batch(t) for t in tasks]
+    sizes, cells = (np.concatenate(part, axis=-1) for part in zip(*outcomes))
+    if not sizes.any():
         raise DegenerateCohort("every replication retained no subjects")
     rows = []
     for e_idx, name in enumerate(estimators):
         for t_idx, t in enumerate(times):
-            flat = e_idx * len(times) + t_idx
-            values = [
-                cells[flat] for _, _, cells in outcomes if cells[flat] is not None
-            ]
-            excluded = config.replications - len(values)
+            values = cells[e_idx, t_idx]
+            arr = values[~np.isnan(values)]
+            excluded = reps - len(arr)
             truth = true_p01(
                 TransitionQuery(landmark, t),
                 config.hazard_ill,
                 config.hazard_direct,
                 config.progression_factor,
             )
-            arr = np.asarray(values, dtype=float)
             bias = float(arr.mean()) - truth if len(arr) else math.nan
             variance = float(arr.var(ddof=1)) if len(arr) > 1 else math.nan
             rows.append(

@@ -14,7 +14,10 @@ CSV reader and of artificial censoring are the reference for the column
 reader and ``Columns.clip`` (tests/test_ingest.py).  The bootstrap loop at
 the end builds every resample as a cohort of its own and runs the
 package's unweighted curve on it, the reference for the weighted
-resamples of ``illnessdeath.inference`` (tests/test_inference.py).
+resamples of ``illnessdeath.inference`` (tests/test_inference.py).  The
+Monte-Carlo loop does the same for each replication, the reference for
+the batches of replications of ``illnessdeath.simulation``
+(tests/test_simulation.py).
 """
 
 from __future__ import annotations
@@ -29,8 +32,11 @@ from statistics import NormalDist
 import numpy as np
 
 from illnessdeath import (
+    BiasVarianceRow,
+    BiasVarianceTable,
     Cause,
     CiResult,
+    DegenerateCohort,
     DegenerateWeight,
     DelayedEntry,
     EmptyLandmark,
@@ -44,8 +50,10 @@ from illnessdeath import (
     ZeroDenominator,
     build_counting,
     landmark_subset,
+    true_p01,
     validate_record,
 )
+from illnessdeath import simulation
 from illnessdeath._rng import philox
 from illnessdeath.counting import Columns
 from illnessdeath.estimators import ESTIMATORS
@@ -387,3 +395,62 @@ def bootstrap_ci(cohort, query, estimator="check", n_boot=1000, level=0.95, seed
         n_boot=n_boot,
         n_failed=failed,
     )
+
+
+# ---------------------------------------------------------------------------
+# The Monte-Carlo harness as a loop over replications, one cohort and one
+# estimator call at a time, the reference for the batches of replications.
+
+
+def mc_replication(config, rep, estimators, landmark, times):
+    """Cohort size and (estimator, t) estimates of one replication, None where
+    an estimator fails; a replication that retains no subject has size 0."""
+    try:
+        _, cols = simulation._simulate_columns(config, rep)
+    except DegenerateCohort:
+        return 0, [None] * (len(estimators) * len(times))
+    cells = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for name in estimators:
+            try:
+                values = ESTIMATORS[name](cols, landmark, times)
+            except EstimationError:
+                cells.extend([None] * len(times))
+            else:
+                cells.extend(float(v) for v in values)
+    return len(cols.final), cells
+
+
+def run_monte_carlo(config, estimators, eval_times, landmark):
+    """run_monte_carlo with one estimator call per replication."""
+    unknown = [e for e in estimators if e not in ESTIMATORS]
+    if unknown:
+        raise ValueError(f"unknown estimator(s): {', '.join(unknown)}")
+    times = list(eval_times)
+    if any(t < landmark for t in times):
+        raise ValueError("every evaluation time must be >= the landmark")
+    outcomes = [
+        mc_replication(config, rep, estimators, landmark, times)
+        for rep in range(config.replications)
+    ]
+    sizes = [size for size, _ in outcomes]
+    if all(size == 0 for size in sizes):
+        raise DegenerateCohort("every replication retained no subjects")
+    rows = []
+    for e_idx, name in enumerate(estimators):
+        for t_idx, t in enumerate(times):
+            flat = e_idx * len(times) + t_idx
+            values = [cells[flat] for _, cells in outcomes if cells[flat] is not None]
+            truth = true_p01(
+                TransitionQuery(landmark, t),
+                config.hazard_ill,
+                config.hazard_direct,
+                config.progression_factor,
+            )
+            arr = np.asarray(values, dtype=float)
+            bias = float(arr.mean()) - truth if len(arr) else math.nan
+            variance = float(arr.var(ddof=1)) if len(arr) > 1 else math.nan
+            excluded = config.replications - len(values)
+            rows.append(BiasVarianceRow(name, landmark, t, bias, variance, len(arr), excluded))
+    return BiasVarianceTable(tuple(rows), float(np.mean(sizes)), config, landmark)

@@ -126,6 +126,19 @@ class TestEstimate:
         assert row["flags"] == "support"
         assert json.loads(captured.stderr)["parameters"]["boot"] == 20
 
+    def test_boot_with_one_surviving_resample_keeps_stderr_pure_json(self, toy_csv):
+        # one of the two resamples fails for every method, so no spread is left
+        captured = subprocess.run(
+            [sys.executable, "-m", "illnessdeath", "estimate", "--input", toy_csv,
+             "--s", "2", "--t", "3.5", "--method", "all", "--boot", "2", "--seed", "1",
+             "--output", "-"],
+            capture_output=True, text=True,
+        )
+        assert captured.returncode == 0
+        rows = list(csv.DictReader(captured.stdout.splitlines()))
+        assert [(r["n_failed"], r["boot_variance"]) for r in rows] == [("1", "nan")] * 4
+        assert json.loads(captured.stderr)["parameters"]["boot"] == 2
+
     def test_time_grid_rows_match_single_t_runs(self, tmp_path):
         # censored and left-truncated: the largest time is a censoring, the
         # mm ratio exceeds 1 at t=3 only, and the two mm forms disagree

@@ -45,7 +45,8 @@ from illnessdeath import (
     risk_set_stability,
     tsai_crowley_weight,
 )
-from illnessdeath.estimators import _query_times
+from illnessdeath.counting import Columns
+from illnessdeath.estimators import ESTIMATORS, _query_times
 
 SCALAR = {
     "check": p01_landmark,
@@ -274,6 +275,52 @@ TIMES = st.one_of(
     st.floats(min_value=-2, max_value=60, width=32).map(np.float32),
     st.booleans().map(np.bool_),
 )
+
+
+@st.composite
+def batches(draw):
+    """A few tied cohorts of one design, a landmark and a t list, and a seed
+    that places each cohort's subjects in a row of a common width."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    truncated, censored = draw(st.booleans()), draw(st.booleans())
+    count = draw(st.integers(min_value=1, max_value=5))
+    cohorts = [random_cohort(rng, 12, truncated, censored) for _ in range(count)]
+    s = draw(st.sampled_from(LANDMARKS))
+    gaps = draw(st.lists(st.sampled_from(GAPS), min_size=1, max_size=4))
+    return cohorts, s, [s + g for g in gaps], draw(st.integers(min_value=0, max_value=99))
+
+
+def _batch(cohorts, seed):
+    """The cohorts as one Columns batch: a row each, subjects at random
+    places, padding (Columns.take of a mask per row) everywhere else."""
+    rng = random.Random(seed)
+    width = max(map(len, cohorts)) + rng.randint(0, 3)
+    present = np.zeros((len(cohorts), width), bool)
+    fields = [np.zeros(present.shape, c.dtype) for c in Columns.of(cohorts[0])]
+    for row, cohort in enumerate(cohorts):
+        places = rng.sample(range(width), len(cohort))
+        present[row, places] = True
+        for field, column in zip(fields, Columns.of(cohort)):
+            field[row, places] = column
+    return Columns(*fields).take(present)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=batches())
+def test_batch_rows_equal_each_cohort_curve(case):
+    # tied times: a repeat in a row's grid must add nothing; a row whose
+    # cohort fails is NaN, and a batch where every cohort fails may raise
+    cohorts, s, ts, seed = case
+    batch = _batch(cohorts, seed)
+    for method, curve in ESTIMATORS.items():
+        got = _outcome(lambda: curve(batch, s, ts))
+        for row, cohort in enumerate(cohorts):
+            want = _per_t(_outcome(lambda: p01_curve(cohort, s, ts, method)), ts)
+            if isinstance(got, type):
+                assert want == [got] * len(ts)
+                continue
+            want = [math.nan if isinstance(w, type) else w for w in want]
+            assert [repr(x) for x in got[:, row].tolist()] == [repr(w) for w in want]
 
 
 @st.composite

@@ -5,13 +5,18 @@ from __future__ import annotations
 import hashlib
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import loop_reference as loops
 from illnessdeath import (
     Cause,
     DegenerateCohort,
+    EstimationError,
     IllnessDeathRecord,
     MalformedRecord,
     ScenarioConfig,
@@ -212,6 +217,85 @@ class TestColumnarSimulator:
         assert built == []
         simulate_cohort(config, 0)  # the guard does see records being built
         assert built
+
+
+METHODS = ("check", "mm", "mm-stute", "aj")
+
+
+@st.composite
+def mc_designs(draw):
+    """Small designs: censored or not, truncated or not, often with
+    replications that retain no subject, landmarks that are empty and
+    state-0 survivals that reach zero."""
+    truncation = draw(st.sampled_from([
+        None, TruncationConfig(), TruncationConfig(location=3.0),
+        TruncationConfig(location=20.0, scale=5.0),
+    ]))
+    config = ScenarioConfig(
+        n=draw(st.integers(1, 12)),
+        hazard_ill=draw(st.sampled_from([0.039, 0.1])),
+        censor_hazard=draw(st.sampled_from([0.0, 0.013, 0.2])),
+        truncation=truncation,
+        seed=draw(st.integers(0, 10_000)),
+        replications=draw(st.integers(1, 9)),
+    )
+    landmark = draw(st.sampled_from([0.0, 5.0, 10.0]))
+    gaps = st.lists(st.sampled_from([0.0, 3.0, 12.5, 40.0, 90.0]), min_size=1, max_size=4)
+    times = [landmark + gap for gap in draw(gaps)]
+    estimators = draw(st.permutations(METHODS))[: draw(st.integers(1, 4))]
+    return config, tuple(estimators), times, landmark
+
+
+FRAGILE = (
+    ScenarioConfig(n=3, censor_hazard=0.05, truncation=TruncationConfig(location=3.0),
+                   seed=3, replications=9),
+    METHODS, [30.0, 60.0, 100.0], 10.0,
+)
+
+
+def _outcome(run):
+    try:
+        table = run()
+    except Exception as err:  # noqa: BLE001 - the oracle must raise the same
+        return type(err), str(err)
+    return repr(table.rows), table.mean_cohort_size
+
+
+@settings(max_examples=80, deadline=None)
+@given(design=mc_designs(), batch=st.sampled_from([1, 3, None]), workers=st.sampled_from([1, 2]))
+@example(design=FRAGILE, batch=1, workers=1)
+@example(design=FRAGILE, batch=3, workers=2)
+@example(design=FRAGILE, batch=None, workers=1)
+def test_batches_equal_the_replication_loop(design, batch, workers):
+    # every float repr-equal to one estimator call per replication, whatever
+    # the batch size (replications per batch; None: all at once) and workers
+    config, estimators, times, landmark = design
+    want = _outcome(lambda: loops.run_monte_carlo(config, estimators, times, landmark))
+    cells = config.n * (batch or config.replications)
+    with mock.patch.object(simulation, "BATCH_CELLS", cells):
+        got = _outcome(
+            lambda: run_monte_carlo(config, estimators, times, landmark, workers=workers)
+        )
+    assert got == want
+
+
+@pytest.mark.filterwarnings("ignore")
+def test_fragile_design_fails_every_way():
+    # the explicit example above covers each kind of excluded replication
+    config, estimators, times, landmark = FRAGILE
+    kinds = set()
+    for rep in range(config.replications):
+        try:
+            _, cols = simulation._simulate_columns(config, rep)
+        except DegenerateCohort:
+            kinds.add("degenerate")
+            continue
+        for name in estimators:
+            try:
+                simulation.ESTIMATORS[name](cols, landmark, times)
+            except EstimationError as err:
+                kinds.add(type(err).__name__)
+    assert kinds == {"degenerate", "EmptyLandmark", "ZeroDenominator"}
 
 
 class TestUncensoredAgreement:
