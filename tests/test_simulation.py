@@ -256,7 +256,7 @@ FRAGILE = (
 def _outcome(run):
     try:
         table = run()
-    except Exception as err:  # noqa: BLE001 - the oracle must raise the same
+    except Exception as err:  # the oracle must raise the same
         return type(err), str(err)
     return repr(table.rows), table.mean_cohort_size
 
@@ -268,7 +268,7 @@ def _outcome(run):
 @example(design=FRAGILE, batch=None, workers=1)
 def test_batches_equal_the_replication_loop(design, batch, workers):
     # every float repr-equal to one estimator call per replication, whatever
-    # the batch size (replications per batch; None: all at once) and workers
+    # the batches (at most 1 or 3 replications, or all at once) and workers
     config, estimators, times, landmark = design
     want = _outcome(lambda: loops.run_monte_carlo(config, estimators, times, landmark))
     cells = config.n * (batch or config.replications)
