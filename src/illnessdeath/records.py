@@ -254,8 +254,8 @@ def read_columns(source: str | Path | IO[str]) -> tuple[Columns, list[str]]:
     for block_ids, part in _read_blocks(source):
         ids += block_ids
         parts.append(part)
-    columns = [np.concatenate(column) for column in zip(*parts)]
-    return Columns(*columns, rank_ids(ids)), ids
+    rank = rank_ids(ids)  # before the blocks are joined, which lowers the peak memory
+    return Columns(*(np.concatenate(column) for column in zip(*parts)), rank), ids
 
 
 # rows converted at a time between CSV text, columns and records: bounds
@@ -269,11 +269,13 @@ def _read_blocks(source: str | Path | IO[str]) -> Iterator[tuple[list[str], tupl
 
     Blank rows are skipped, short rows read blank, extra fields are ignored
     and a repeated column name keeps its last column, as csv.DictReader
-    reads them.  Each field of a block is converted with one ``map`` of the
-    ``float`` or ``int`` that validate_record applies, and the record
-    invariants are checked as masks.  A block that fails or does not pass
-    every check is decided by validate_record row by row instead, which
-    raises the first bad row's MalformedRecord with its line.
+    reads them.  A block that fails or does not pass every check of
+    _block_columns is decided by validate_record row by row instead, which
+    raises the first bad row's MalformedRecord with its line.  Only the ids
+    are stripped: float and int skip surrounding whitespace themselves,
+    never more than str.strip does, and a field they reject (whitespace
+    alone, or the separators \\x1c-\\x1f that only str.strip skips) sends
+    its block to validate_record.
     """
     from .counting import Columns
 
@@ -281,48 +283,98 @@ def _read_blocks(source: str | Path | IO[str]) -> Iterator[tuple[list[str], tupl
         with open(source, newline="") as handle:
             yield from _read_blocks(handle)
         return
-    source, raw = itertools.tee(source)  # raw keeps the lines of a block
-    reader = csv.reader(source)
-    header = next(reader, None)
-    if header is None:
+    lines = iter(source)
+    first = next(lines, None)
+    if first is None:
         raise MalformedRecord("empty input: no header row")
+    header, line = _split([first], first.count(",") + 1), 1
+    if header is None:
+        reader = csv.reader(itertools.chain([first], lines))
+        try:
+            header, line = next(reader), reader.line_num
+        except csv.Error as err:
+            raise MalformedRecord(f"line {reader.line_num}: {err}") from None
     missing = {"id", "exit0", "cause0"} - set(header)
     if missing:
         raise MalformedRecord(f"missing columns: {', '.join(sorted(missing))}")
     where = {name: i for i, name in enumerate(header)}  # the last one wins
     fields = [where.get(name) for name in CSV_COLUMNS]
-    width = 1 + max(i for i in fields if i is not None)
     seen: set[str] = set()
-    end = reader.line_num
-    list(itertools.islice(raw, end))  # the header's lines
-    while rows := list(itertools.islice(reader, _BLOCK)):
-        lines = list(itertools.islice(raw, reader.line_num - end))
-        start, end = end, reader.line_num
-        block = [row for row in rows if row] if [] in rows else rows
-        if not block:
-            continue
-        texts = _field_texts(block, fields, width)
+    for texts, rows in _field_blocks(lines, line, len(header), fields):
+        texts[0] = list(map(str.strip, texts[0]))
         part = _block_columns(texts)
         fresh = set(texts[0])
-        if part is None or len(fresh) < len(block) or not seen.isdisjoint(fresh):
-            cohort = _validate_rows(header, block, _row_lines(lines, start), seen)
+        if part is None or len(fresh) < len(texts[0]) or not seen.isdisjoint(fresh):
+            cohort = _validate_rows(header, *rows(), seen)
             part, texts[0] = Columns.of(cohort)[:5], [r.id for r in cohort]
         else:
             seen |= fresh
         yield texts[0], part
 
 
-def _field_texts(rows: list[list[str]], fields: list, width: int) -> list[list[str]]:
-    """Each CSV_COLUMNS field of the rows, blank where absent.  Only the ids
-    are stripped: float and int skip surrounding whitespace themselves,
-    never more than str.strip does, and a field they reject (whitespace
-    alone, or the separators \\x1c-\\x1f that only str.strip skips) sends its
-    block to validate_record."""
-    if min(map(len, rows)) < width:
-        rows = [row + [""] * (width - len(row)) for row in rows]
-    texts = [[""] * len(rows) if i is None else list(map(itemgetter(i), rows)) for i in fields]
-    texts[0] = list(map(str.strip, texts[0]))
-    return texts
+def _field_blocks(lines: Iterator[str], line: int, width: int, fields: list) -> Iterator:
+    """The CSV_COLUMNS field texts of each block of rows after line ``line``,
+    blank where absent, and a function that gives the block's rows and the
+    line each ends on, until the next block.  Blocks of plain lines (_split)
+    are split at their commas; from the first that is not, csv.reader reads."""
+    while block := list(itertools.islice(lines, _BLOCK)):
+        flat, n = _split(block, width), len(block)
+        if flat is None:
+            yield from _reader_blocks(itertools.chain(block, lines), line, fields)
+            return
+        texts = [[""] * n if i is None else flat[i::width] for i in fields]
+        yield texts, lambda: (list(zip(*[iter(flat)] * width)), range(line + 1, line + n + 1))
+        line += n
+
+
+def _split(lines: list[str], width: int) -> list[str] | None:
+    """The fields of the lines, row after row, when csv.reader reads each
+    line as one row of ``width`` fields split at every comma: no quote and
+    no NUL, every line ending in \\n or \\r\\n (the last may end in
+    neither) with no other \\r or \\n, none longer than the field size
+    limit and ``width - 1`` commas on each.  None otherwise."""
+    n, text = len(lines), "\0,".join(lines)  # a NUL ends each line but the last
+    if (
+        '"' in text
+        or text.count("\0") != n - 1
+        or text.count("\n\0") != n - 1
+        or text.count("\n") != n - 1 + lines[-1].endswith("\n")
+        or "\r" in text and text.count("\r") != text.count("\r\n")
+        or len(text) > (limit := csv.field_size_limit()) and max(map(len, lines)) > limit
+    ):
+        return None
+    flat = text.split(",")
+    ends = flat[width - 1 :: width]  # each line's last field, with its line end
+    if len(flat) != n * width or "".join(ends).count("\0") != n - 1:
+        return None
+    flat[width - 1 :: width] = [x.rstrip("\r\n\0") for x in ends]
+    return flat
+
+
+def _reader_blocks(lines: Iterator[str], line: int, fields: list) -> Iterator:
+    """_field_blocks of the rows that csv.reader reads."""
+    source, raw = itertools.tee(lines)  # raw keeps the lines of a block
+    reader = csv.reader(source)
+    width = 1 + max(i for i in fields if i is not None)
+    end, error = 0, None
+    while error is None:
+        rows: list[list[str]] = []
+        try:
+            rows.extend(itertools.islice(reader, _BLOCK))  # keeps the rows before an error
+        except csv.Error as err:
+            error = MalformedRecord(f"line {line + reader.line_num}: {err}")
+        if not rows and error is None:
+            return
+        text = list(itertools.islice(raw, reader.line_num - end))
+        start, end = end, reader.line_num
+        block = [row for row in rows if row] if [] in rows else rows
+        if block:
+            if min(map(len, block)) < width:
+                block = [row + [""] * (width - len(row)) for row in block]
+            texts = [[""] * len(block) if i is None else list(map(itemgetter(i), block))
+                     for i in fields]
+            yield texts, lambda: (block, _row_lines(text, line + start, len(block)))
+    raise error
 
 
 def _block_columns(texts: list[list[str]]) -> tuple[np.ndarray, ...] | None:
@@ -338,14 +390,19 @@ def _block_columns(texts: list[list[str]]) -> tuple[np.ndarray, ...] | None:
         entry = [x or "0" for x in entry] if "" in entry else entry  # blank is 0
         start = np.fromiter(map(float, entry), float, n)
         end0 = np.fromiter(map(float, exit0), float, n)
-        code0 = np.fromiter(map(int, cause0), np.int64, n)
+        codes = cause0 + list(filter(None, cause1))
+        digits = "".join(codes)  # one ASCII digit each: read as bytes
+        if len(digits) == len(codes) and digits.isascii() and digits.isdigit():
+            codes = np.frombuffer(digits.encode(), np.uint8) - np.int64(ord("0"))
+        else:
+            codes = np.fromiter(map(int, codes), np.int64, len(codes))
+        code0, code1 = codes[:n], codes[n:]
         ill = code0 == Cause.ILL
         # exit1 and cause1 are given exactly when the subject fell ill
         for given in (exit1, cause1):
             if not (np.fromiter(map(bool, given), bool, n) == ill).all():
                 return None
         end1 = np.fromiter(map(float, filter(None, exit1)), float)
-        code1 = np.fromiter(map(int, filter(None, cause1)), np.int64)
     except (ValueError, OverflowError):
         return None
     if not (((code0 >= 0) & (code0 <= 2)).all() and ((code1 == 0) | (code1 == 2)).all()):
@@ -374,65 +431,44 @@ def _validate_rows(
     return cohort
 
 
-def _row_lines(lines: list[str], start: int) -> list[int]:
-    """The line each non-blank row of these lines ends on, the lines
-    following line ``start``: csv.DictReader's line_num for the row."""
+def _row_lines(lines: list[str], start: int, count: int) -> list[int]:
+    """The line each of the first ``count`` non-blank rows of the lines after
+    line ``start`` ends on: csv.DictReader's line_num for the row."""
     reader = csv.reader(lines)
-    return [start + reader.line_num for row in reader if row]
+    return list(itertools.islice((start + reader.line_num for row in reader if row), count))
 
 
-def _format_time(x: float) -> str:
-    return f"{x:.12g}"
-
-
-def _format_times(column: np.ndarray) -> list[str]:
-    return list(map("{:.12g}".format, column.tolist()))
+# a cohort CSV row without and with an illness exit
+_ROW = "%s,%.12g,%.12g,%d,,\n"
+_ILL_ROW = "%s,%.12g,%.12g,%d,%.12g,%d\n"
 
 
 def write_columns(ids: Sequence[str], cols: Columns, sink: str | Path | IO[str]) -> None:
-    """Write columns and their ids as write_cohort writes their records."""
+    """Write columns and their ids as a cohort CSV, times at 12 significant
+    digits: each block of rows from one ``%`` template per row kind, in one
+    write, or through csv.writer when its ids need quoting."""
     if isinstance(sink, (str, Path)):
         with open(sink, "w", newline="") as handle:
             write_columns(ids, cols, handle)
         return
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    sink.write(",".join(CSV_COLUMNS) + "\n")
     for start in range(0, len(ids), _BLOCK):
-        rows = slice(start, start + _BLOCK)
-        block = cols.take(rows)
-        ill = block.ill
-        exit1 = np.full(len(ill), "", dtype=object)
-        exit1[ill] = _format_times(block.final[ill])
-        cause1 = np.where(ill, np.where(block.observed, "2", "0"), "")
-        writer.writerows(
-            zip(
-                ids[rows],
-                _format_times(block.entry),
-                _format_times(block.exit0),
-                map(str, block.cause0.tolist()),
-                exit1.tolist(),
-                cause1.tolist(),
-            )
-        )
+        block_ids, block = ids[start : start + _BLOCK], cols.take(slice(start, start + _BLOCK))
+        values = (np.array(block_ids, object), block.entry, block.exit0, block.cause0,
+                  block.final, np.where(block.observed, 2, 0))
+        lines = np.empty(len(block_ids), object)
+        for kind, template, width in ((~block.ill, _ROW, 4), (block.ill, _ILL_ROW, 6)):
+            rows = zip(*(column[kind].tolist() for column in values[:width]))
+            lines[kind] = np.fromiter(map(template.__mod__, rows), object, kind.sum())
+        if any(map("".join(map(str, block_ids)).__contains__, ',"\r\n')):
+            # no time or cause field has a comma: split the id off
+            csv.writer(sink, lineterminator="\n").writerows(x[:-1].rsplit(",", 5) for x in lines)
+        else:
+            sink.write("".join(lines.tolist()))
 
 
-def write_cohort(
-    cohort: Sequence[IllnessDeathRecord], sink: str | Path | IO[str]
-) -> None:
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", newline="") as handle:
-            write_cohort(cohort, handle)
-        return
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for r in cohort:
-        writer.writerow(
-            [
-                r.id,
-                _format_time(r.entry),
-                _format_time(r.exit0),
-                int(r.cause0),
-                "" if r.exit1 is None else _format_time(r.exit1),
-                "" if r.cause1 is None else int(r.cause1),
-            ]
-        )
+def write_cohort(cohort: Sequence[IllnessDeathRecord], sink: str | Path | IO[str]) -> None:
+    """Write records as a cohort CSV (write_columns)."""
+    from .counting import Columns
+
+    write_columns([r.id for r in cohort], Columns.of(cohort), sink)

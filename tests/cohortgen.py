@@ -133,18 +133,20 @@ _TIME_FORMS = ("{}", "{}", "{}", "{}", " {} ", "\t{}", "{} ", "0{}", "0_{}", "+{
                "{}\u2003", "\x1c{}")
 _ENTRY_FORMS = ("", "", " ", "-0", "-0.0", "-2.5", "-inf", "0e5", "-1e400")
 _CAUSE_FORMS = ("{}", "{}", "{}", " {} ", "0{}", "0_{}", "+{}")
-_ID_FORMS = ("a,b{}", "line\nbreak{}", 'q"uote{}', " padded {} ", "\x00{}", "{}")
+_PLAIN_ID_FORMS = (" padded {} ", "\x00{}", "\u00e9t\u00e9{}", "{}")
+_ID_FORMS = ("a,b{}", "line\nbreak{}", 'q"uote{}', *_PLAIN_ID_FORMS)  # the first three are quoted
 _ODD_TIMES = ("nan", "NaN", "inf", " inf ", "1e400", "x", "1_0", "1e3",
               "-0", "-3", "", " ", "\u0661", "1.5.2", "0x1")
 _ODD_CAUSES = ("7", "-1", "", "1_0", "2.0", "x", "\u0662", "99999999999999999999", "3", "1")
 _ODD_IDS = ("", "  ", "s0", "s1", "s2")
 
 
-def csv_text(pick, n: int) -> str:
+def csv_text(pick, n: int, quoted: bool = True) -> str:
     """A cohort CSV of up to n rows.  Every file has odd spellings, blank
-    and padded fields, quoted ids, long rows and blank lines; one in three
-    may also have broken fields, short rows, repeated ids, misplaced
-    illness exits or a header that lacks a column."""
+    and padded fields, long rows and blank lines, and quoted ids unless
+    ``quoted`` is false (then no field is quoted); one in three may also
+    have broken fields, short rows, repeated ids, misplaced illness exits
+    or a header that lacks a column."""
     import csv
     import io
 
@@ -189,7 +191,7 @@ def csv_text(pick, n: int) -> str:
         if cause0 == 1 and odd((True,)):
             fields[pick(("exit1", "cause1"))] = ""
         if pick(range(6)) == 0:
-            fields["id"] = pick(_ID_FORMS).format(i)
+            fields["id"] = pick(_ID_FORMS if quoted else _PLAIN_ID_FORMS).format(i)
         fields["id"] = odd(_ODD_IDS) or fields["id"]
         row = [fields.get(name, "extra") if last[name] == j else "9"
                for j, name in enumerate(header)]

@@ -10,8 +10,9 @@ multiplies in the same order, so tests/test_curve.py demands equality with
 these, in float as well as in exact mode, together with the same Python
 types, warnings and exception types.  Nothing here calls an estimator of
 the package, except the bootstrap loop.  The record loops of the cohort
-CSV reader and of artificial censoring are the reference for the column
-reader and ``Columns.clip`` (tests/test_ingest.py).  The bootstrap loop at
+CSV reader and writer and of artificial censoring are the reference for
+the column reader, ``write_columns`` and ``Columns.clip``
+(tests/test_ingest.py).  The bootstrap loop at
 the end builds every resample as a cohort of its own and runs the
 package's unweighted curve on it, the reference for the weighted
 resamples of ``illnessdeath.inference`` (tests/test_inference.py).  The
@@ -302,27 +303,49 @@ BY_METHOD = {
 
 
 # ---------------------------------------------------------------------------
-# The record loops of the cohort CSV reader and of artificial censoring,
-# the reference for the column reader and the column clip.
+# The record loops of the cohort CSV reader and writer and of artificial
+# censoring, the reference for the column reader, the column writer and
+# the column clip.
 
 
 def read_cohort(source) -> list[IllnessDeathRecord]:
-    """Each row of a csv.DictReader through validate_record, in turn."""
+    """Each row of a csv.DictReader through validate_record, in turn; a
+    csv.Error is the MalformedRecord of the line it stopped on."""
     reader = csv.DictReader(source)
-    if reader.fieldnames is None:
-        raise MalformedRecord("empty input: no header row")
-    missing = {"id", "exit0", "cause0"} - set(reader.fieldnames)
-    if missing:
-        raise MalformedRecord(f"missing columns: {', '.join(sorted(missing))}")
-    cohort = []
-    seen: set[str] = set()
-    for row in reader:
-        record = validate_record(row, line=reader.line_num)
-        if record.id in seen:
-            raise MalformedRecord(f"line {reader.line_num}: duplicate id {record.id!r}")
-        seen.add(record.id)
-        cohort.append(record)
+    try:
+        if reader.fieldnames is None:
+            raise MalformedRecord("empty input: no header row")
+        missing = {"id", "exit0", "cause0"} - set(reader.fieldnames)
+        if missing:
+            raise MalformedRecord(f"missing columns: {', '.join(sorted(missing))}")
+        cohort = []
+        seen: set[str] = set()
+        for row in reader:
+            record = validate_record(row, line=reader.line_num)
+            if record.id in seen:
+                raise MalformedRecord(f"line {reader.line_num}: duplicate id {record.id!r}")
+            seen.add(record.id)
+            cohort.append(record)
+    except csv.Error as err:
+        raise MalformedRecord(f"line {reader.reader.line_num}: {err}") from None
     return cohort
+
+
+def write_cohort(cohort, sink) -> None:
+    """Each record through csv.writer, its times at 12 significant digits."""
+    writer = csv.writer(sink, lineterminator="\n")
+    writer.writerow(("id", "entry", "exit0", "cause0", "exit1", "cause1"))
+    for r in cohort:
+        writer.writerow(
+            [
+                r.id,
+                f"{r.entry:.12g}",
+                f"{r.exit0:.12g}",
+                int(r.cause0),
+                "" if r.exit1 is None else f"{r.exit1:.12g}",
+                "" if r.cause1 is None else int(r.cause1),
+            ]
+        )
 
 
 def artificial_censoring(cohort, tau) -> list[IllnessDeathRecord]:

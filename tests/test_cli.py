@@ -319,6 +319,18 @@ class TestEstimateUsageErrors:
         assert code == 2
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["estimate", "transform"])
+    def test_field_past_the_size_limit_is_reported(self, tmp_path, capsys, command):
+        # csv.reader rejects the field; that is malformed input, not a crash
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"id,entry,exit0,cause0,exit1,cause1\nA,0,1,2,,{'x' * 131073}\n")
+        argv = ["--s", "1", "--t", "2"] if command == "estimate" else ["--tau", "3"]
+        code, _, _, _ = _run(tmp_path, command, "--input", str(bad), *argv)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: line 2: field larger than field limit (131072)\n"
+        )
+
     def test_header_only_input(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("id,entry,exit0,cause0,exit1,cause1\n")
