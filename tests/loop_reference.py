@@ -12,11 +12,11 @@ types, warnings and exception types.  Nothing here calls an estimator of
 the package, except the bootstrap loop.  The record loops of the cohort
 CSV reader and writer and of artificial censoring are the reference for
 the column reader, ``write_columns`` and ``Columns.clip``
-(tests/test_ingest.py).  The bootstrap loop at
-the end builds every resample as a cohort of its own and runs the
-package's unweighted curve on it, the reference for the weighted
-resamples of ``illnessdeath.inference`` (tests/test_inference.py).  The
-Monte-Carlo loop does the same for each replication, the reference for
+(tests/test_ingest.py).  The bootstrap loop at the end builds every
+resample as a cohort of its own and runs the package's unweighted curve
+on it, the reference for the weighted resamples of
+``illnessdeath.inference`` (tests/test_inference.py).  The Monte-Carlo
+loop does the same for each replication, the reference for
 the batches of replications of ``illnessdeath.simulation``
 (tests/test_simulation.py).
 """
