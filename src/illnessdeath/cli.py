@@ -19,7 +19,7 @@ import warnings
 from dataclasses import asdict, dataclass
 from itertools import compress
 from pathlib import Path
-from typing import IO, Callable, Sequence
+from typing import IO, Callable, Sequence, get_type_hints
 
 from . import __version__
 from .counting import Columns
@@ -184,6 +184,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         _, cols = cols.clip(args.tau)
     if args.boot and args.boot < 2:
         raise _UsageError("--boot needs at least 2 resamples")
+    if args.seed < 0:
+        raise _UsageError("--seed must be >= 0")
     if not 0 < args.level < 1:
         raise _UsageError("--level must be inside (0, 1)")
     methods = list(METHODS) if args.method == "all" else [args.method]
@@ -219,16 +221,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 # config key -> its type; a truncation_<name> key sets TruncationConfig.<name>
 _CONFIG_FIELDS = {
-    "n": int,
-    "hazard_ill": float,
-    "hazard_direct": float,
-    "progression_factor": float,
-    "censor_hazard": float,
-    "seed": int,
-    "replications": int,
-    "truncation_location": float,
-    "truncation_scale": float,
-    "truncation_shape": float,
+    **{key: kind for key, kind in get_type_hints(ScenarioConfig).items() if key != "truncation"},
+    **{f"truncation_{key}": kind for key, kind in get_type_hints(TruncationConfig).items()},
 }
 
 
@@ -257,6 +251,9 @@ def _custom_scenario(path: str) -> Scenario:
                 trunc_kwargs.setdefault("location", -5.0)
         else:
             raise ValueError(f"unknown config key {key!r}")
+    if raw.get("truncation") == "none" and trunc_kwargs:
+        key = next(key for key in raw if key.startswith("truncation_"))
+        raise ValueError(f"{key} is set, but truncation = none")
     truncation = TruncationConfig(**trunc_kwargs) if trunc_kwargs else None
     config = ScenarioConfig(truncation=truncation, **kwargs)
     return Scenario(config=config, estimators=("check", "mm", "aj"))

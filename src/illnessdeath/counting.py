@@ -83,7 +83,7 @@ class Columns(NamedTuple):
 
         For s > 0 this is ``entry < s < exit0``; at s = 0 the windows are
         left-open, so it is the subjects observed from the origin and still
-        in state 0 just after it (see records.landmark_subset).
+        in state 0 just after it (never one recruited during illness).
         """
         if s == 0:
             return (self.entry == 0) & (self.exit0 > 0)
@@ -168,13 +168,15 @@ def rank_ids(ids: list[str]) -> np.ndarray:
 def _tally(index: np.ndarray, m: int, weights: np.ndarray | None = None) -> np.ndarray:
     """Subjects per grid index 0..m-1; with weights (one row per resample, one
     column per subject), each row's total weight per index, summed exactly;
-    with an index row per replication (see _grid), each row's count."""
-    if weights is not None:
-        return np.array([np.bincount(index, row, m) for row in weights], np.int64)
-    if index.ndim == 1:
+    with an index row per replication (see _grid), each row's count.  The
+    rows are counted by one bincount over (row, index) keys."""
+    if weights is None and index.ndim == 1:
         return np.bincount(index, minlength=m)
-    flat = (index + np.arange(len(index))[:, None] * (m + 1)).ravel()
-    return np.bincount(flat, minlength=len(index) * (m + 1)).reshape(-1, m + 1)[:, :m]
+    rows = len(index if weights is None else weights)
+    keys = (index + np.arange(rows)[:, None] * (m + 1)).ravel()  # index m: batch padding
+    flat = None if weights is None else weights.ravel()
+    counts = np.bincount(keys, flat, rows * (m + 1)).reshape(rows, m + 1)[:, :m]
+    return counts.astype(np.int64, copy=False)
 
 
 def _grid(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -206,27 +206,11 @@ class _ProductLimit:
 
 
 def _query_times(s: float, ts: Iterable[float]) -> np.ndarray:
-    """ts as a float array, validated like TransitionQuery(s, t) for each t.
-
-    A float64 array is checked in one pass (0 <= s <= min(ts) < inf makes
-    s finite too); anything else, or any array that fails the check, goes
-    through TransitionQuery for its exact error.  Only float64 elements pass
-    TransitionQuery's type check (numpy ints, bools and narrower floats do
-    not), so only float64 takes the shortcut.
-    """
-    if (
-        type(ts) is np.ndarray
-        and ts.dtype == np.float64
-        and ts.ndim == 1
-        and len(ts)
-        and isinstance(s, (int, float))
-        and np.isfinite(ts).all()
-        and 0 <= s <= ts.min()
-    ):
-        return ts
+    """ts as a float array, each t checked by TransitionQuery(s, t) (s alone
+    if there is no t), with its errors."""
     ts = list(ts)
     for t in ts or [s]:
-        TransitionQuery(s, t)  # same validation and errors as a single query
+        TransitionQuery(s, t)
     return np.asarray(ts, dtype=float)
 
 
@@ -579,7 +563,7 @@ def multinomial_uncensored(
         raise DelayedEntry("crude ratio requires every entry at the origin")
     if not cols.observed.all():
         raise CensoredCohort("crude ratio requires every absorption observed")
-    den = int(np.count_nonzero(cols.exit0 > query.s))
+    den = int(np.count_nonzero(cols.landmark(query.s)))
     if not den:
         raise ZeroDenominator(f"no subject beyond s={query.s}")
     num = int(np.count_nonzero(cols.event1(query.s, np.array([query.t]))))

@@ -66,15 +66,13 @@ def resample_estimates(
     n = len(cols.final)
     chunk = max(MIN_CHUNK, CHUNK_CELLS // max(n, 1))
     parts: dict[str, list[np.ndarray]] = {method: [] for method in methods}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for first in range(0, n_boot, chunk):
-            resamples = range(first, min(first + chunk, n_boot))
-            draws = (philox(seed, b).integers(0, n, size=n) for b in resamples)
-            weights = np.stack([np.bincount(idx, minlength=n) for idx in draws])
-            for method in methods:
-                with contextlib.suppress(EstimationError):
-                    parts[method].append(ESTIMATORS[method](cols, s, ts, False, weights))
+    for first in range(0, n_boot, chunk):
+        resamples = range(first, min(first + chunk, n_boot))
+        draws = (philox(seed, b).integers(0, n, size=n) for b in resamples)
+        weights = np.stack([np.bincount(idx, minlength=n) for idx in draws])
+        for method in methods:
+            with contextlib.suppress(EstimationError):
+                parts[method].append(ESTIMATORS[method](cols, s, ts, False, weights))
     return {method: np.concatenate(part, axis=1) for method, part in parts.items() if part}
 
 
@@ -122,6 +120,8 @@ def bootstrap_ci(
         raise ValueError("level must be inside (0, 1)")
     if n_boot < 2:
         raise ValueError("n_boot must be >= 2")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     cols = Columns.of(cohort)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

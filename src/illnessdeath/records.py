@@ -138,34 +138,30 @@ def derive_competing_risks(
     """Collapse a record to the two-risk datum for the window (s, t].
 
     EVENT1 marks fully observed paths that entered illness inside (s, t]
-    and were still alive just after t; every other fully observed path is
-    EVENT2, and unobserved absorptions are CENSORED at the last time seen.
+    and were still alive just after t (Columns.event1); every other fully
+    observed path is EVENT2, and unobserved absorptions are CENSORED at the
+    last time seen.
     """
-    time = record.final_time
-    if not record.observed:
-        return CompetingRisksObservation(time, EventKind.CENSORED)
-    if (
-        record.cause0 is Cause.ILL
-        and query.s < record.exit0 <= query.t < time
-    ):
-        return CompetingRisksObservation(time, EventKind.EVENT1)
-    return CompetingRisksObservation(time, EventKind.EVENT2)
+    from .counting import Columns  # counting imports this module
+
+    cols = Columns.of([record])
+    kind = EventKind.EVENT2 if cols.observed[0] else EventKind.CENSORED
+    if cols.event1(query.s, np.array([query.t]))[0, 0]:  # observed ones only
+        kind = EventKind.EVENT1
+    return CompetingRisksObservation(record.final_time, kind)
 
 
 def landmark_subset(
     cohort: Iterable[IllnessDeathRecord], s: float
 ) -> list[IllnessDeathRecord]:
-    """Subjects under observation in state 0 at the landmark time s.
+    """Subjects under observation in state 0 at the landmark time s, in
+    cohort order (the rule of Columns.landmark)."""
+    from .counting import Columns
 
-    For s > 0 this is ``entry < s < exit0``.  At s = 0 observation windows
-    are left-open, so the subset degenerates to subjects observed from the
-    origin and still in state 0 just after it.
-    """
     if s < 0:
         raise ValueError("landmark time must be >= 0")
-    if s == 0:
-        return [r for r in cohort if r.entry == 0 and r.exit0 > 0 and not r.entered_ill]
-    return [r for r in cohort if r.entry < s < r.exit0]
+    cohort = list(cohort)
+    return list(itertools.compress(cohort, Columns.of(cohort).landmark(s)))
 
 
 # ---------------------------------------------------------------------------

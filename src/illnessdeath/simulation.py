@@ -155,11 +155,6 @@ def _decimal_rank(indices: np.ndarray) -> np.ndarray:
     return rank
 
 
-def _records(rep_index, keep, cols: Columns) -> list[IllnessDeathRecord]:
-    """The records of classified subjects; ``keep`` holds their draw indices."""
-    return to_records([f"r{rep_index}s{i}" for i in keep.tolist()], cols)
-
-
 def _classify(entry, onset, ill, absorb, cens) -> tuple[np.ndarray, Columns]:
     """The mask of the subjects alive at entry (entry < absorb) and the
     columns of every drawn subject, a row per replication in a batch.
@@ -181,13 +176,21 @@ def _classify(entry, onset, ill, absorb, cens) -> tuple[np.ndarray, Columns]:
     return entry < absorb, Columns(entry, exit0, end, cause0, absorbed, rank)
 
 
-def _cohort(rep_index, draws) -> tuple[np.ndarray, Columns]:
-    """Draw indices and columns of the retained subjects of one replication."""
+def _batch(reps, draws) -> tuple[np.ndarray, Columns]:
+    """The mask of the retained subjects and the columns of a batch of
+    replications, a row each, padded where a subject is not retained.  The
+    retained subjects are checked, subject i of replication r as r{r}s{i}."""
     alive, cols = _classify(*draws)
-    keep = np.flatnonzero(alive)
-    cols = cols.take(keep)._replace(id_rank=_decimal_rank(keep))
-    check_columns(cols, lambda row: f"r{rep_index}s{keep[row]}")
-    return keep, cols
+    cols = cols.take(alive)
+    kept = np.argwhere(alive)  # (replication, draw index) of each retained subject
+    check_columns(Columns(*(c[alive] for c in cols)), lambda i: f"r{reps[kept[i, 0]]}s{kept[i, 1]}")
+    return alive, cols
+
+
+def _records(rep_index, alive, cols: Columns) -> list[IllnessDeathRecord]:
+    """The records of the retained subjects of a batch of one replication."""
+    ids = [f"r{rep_index}s{i}" for i in np.flatnonzero(alive).tolist()]
+    return to_records(ids, Columns(*(c[alive] for c in cols)))
 
 
 def _draws(config: ScenarioConfig, reps) -> tuple[np.ndarray, ...]:
@@ -208,14 +211,6 @@ def _draws(config: ScenarioConfig, reps) -> tuple[np.ndarray, ...]:
     return entry, onset, ill, absorb, entry + span
 
 
-def _simulate_columns(config: ScenarioConfig, rep_index: int = 0) -> tuple[np.ndarray, Columns]:
-    """Draw indices and columns of simulate_cohort(config, rep_index)."""
-    keep, cols = _cohort(rep_index, [column[0] for column in _draws(config, [rep_index])])
-    if not len(keep):
-        raise DegenerateCohort(f"replication {rep_index} retained no subjects")
-    return keep, cols
-
-
 def simulate_cohort(
     config: ScenarioConfig, rep_index: int = 0
 ) -> list[IllnessDeathRecord]:
@@ -227,23 +222,10 @@ def simulate_cohort(
     exit0 <= entry.  Censoring runs from study entry, so every retained
     subject is observed for a positive span.
     """
-    return _records(rep_index, *_simulate_columns(config, rep_index))
-
-
-def _markov_columns(
-    n, hazard_ill, hazard_direct, hazard_progression, censor_hazard, seed, rep_index
-) -> tuple[np.ndarray, Columns]:
-    """Draw indices and columns of simulate_markov_cohort."""
-    if min(n, hazard_ill, hazard_direct, hazard_progression) <= 0:
-        raise ValueError("n and all transition hazards must be positive")
-    if not censor_hazard >= 0:
-        raise ValueError("censor hazard must be >= 0")
-    rng = philox(seed, rep_index)
-    onset, ill = _onset_and_illness(rng, n, hazard_ill, hazard_direct)
-    sojourn = _exponential(rng, n, hazard_progression)
-    cens = _exponential(rng, n, censor_hazard)
-    absorb = np.where(ill, onset + sojourn, onset)
-    return _cohort(rep_index, (np.zeros(n), onset, ill, absorb, cens))
+    alive, cols = _batch([rep_index], _draws(config, [rep_index]))
+    if not alive.any():
+        raise DegenerateCohort(f"replication {rep_index} retained no subjects")
+    return _records(rep_index, alive, cols)
 
 
 def simulate_markov_cohort(
@@ -260,10 +242,17 @@ def simulate_markov_cohort(
     Useful as a positive control: on such data the occupation-probability
     estimator and the landmark estimator target the same quantity.
     """
-    draw = _markov_columns(
-        n, hazard_ill, hazard_direct, hazard_progression, censor_hazard, seed, rep_index
-    )
-    return _records(rep_index, *draw)
+    if min(n, hazard_ill, hazard_direct, hazard_progression) <= 0:
+        raise ValueError("n and all transition hazards must be positive")
+    if not censor_hazard >= 0:
+        raise ValueError("censor hazard must be >= 0")
+    rng = philox(seed, rep_index)
+    onset, ill = _onset_and_illness(rng, n, hazard_ill, hazard_direct)
+    sojourn = _exponential(rng, n, hazard_progression)
+    cens = _exponential(rng, n, censor_hazard)
+    absorb = np.where(ill, onset + sojourn, onset)
+    draws = (np.zeros((1, n)), onset[None], ill[None], absorb[None], cens[None])
+    return _records(rep_index, *_batch([rep_index], draws))
 
 
 def markov_true_p01(
@@ -322,10 +311,7 @@ def _mc_batch(args) -> tuple[np.ndarray, np.ndarray]:
     """Cohort sizes and (estimator, t, replication) estimates of a batch of
     replications, NaN where a replication fails or retained no subject."""
     config, reps, estimators, landmark, eval_times = args
-    alive, cols = _classify(*_draws(config, reps))
-    cols = cols.take(alive)  # a row per replication, padded
-    kept = np.argwhere(alive)  # (replication, draw index) of each retained subject
-    check_columns(Columns(*(c[alive] for c in cols)), lambda i: f"r{reps[kept[i, 0]]}s{kept[i, 1]}")
+    alive, cols = _batch(reps, _draws(config, reps))
     cells = np.full((len(estimators), len(eval_times), len(reps)), np.nan)
     for k, name in enumerate(estimators):
         with contextlib.suppress(EstimationError):  # every replication fails alike
@@ -369,8 +355,7 @@ def run_monte_carlo(
     times = list(eval_times)
     if any(t < landmark for t in times):
         raise ValueError("every evaluation time must be >= the landmark")
-    # checked here once, so that each curve's own check of the grid is one pass
-    grid = _query_times(landmark, times)
+    grid = _query_times(landmark, times)  # every t checked before any draw
     reps, nworkers = config.replications, _worker_count(workers)
     # even batches of at most BATCH_CELLS subjects, at least one per worker
     batch = -(-reps // max(nworkers, -(-reps * config.n // BATCH_CELLS)))

@@ -429,7 +429,7 @@ def mc_replication(config, rep, estimators, landmark, times):
     """Cohort size and (estimator, t) estimates of one replication, None where
     an estimator fails; a replication that retains no subject has size 0."""
     try:
-        _, cols = simulation._simulate_columns(config, rep)
+        cols = Columns.of(simulation.simulate_cohort(config, rep))
     except DegenerateCohort:
         return 0, [None] * (len(estimators) * len(times))
     cells = []

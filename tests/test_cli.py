@@ -349,6 +349,14 @@ class TestEstimateUsageErrors:
         assert capsys.readouterr().err == "error: --tau must be positive\n"
         _check_unwritable_output(tmp_path, capsys, *base)
 
+    def test_negative_boot_seed_is_usage_error(self, toy_csv, tmp_path, capsys):
+        code, _, manifest, _ = _run(
+            tmp_path, "estimate", "--input", toy_csv, "--s", "1.5", "--t", "3.5",
+            "--boot", "10", "--seed", "-1",
+        )
+        assert code == 2 and manifest is None
+        assert capsys.readouterr().err == "error: --seed must be >= 0\n"
+
     def test_unknown_method_is_usage_error(self, toy_csv, tmp_path):
         code = main(
             ["estimate", "--input", toy_csv, "--s", "1", "--t", "2",
@@ -534,6 +542,18 @@ class TestSimulate:
         )
         assert code == 2 and manifest is None
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("key", ["truncation_scale", "truncation_location"])
+    def test_truncation_key_beside_truncation_none_is_usage_error(self, tmp_path, capsys, key):
+        # either order: none is never silently overridden by a parameter
+        for lines in ([f"{key} = 5", "truncation = none"], ["truncation = none", f"{key} = 5"]):
+            cfg = tmp_path / "none.cfg"
+            cfg.write_text("\n".join(["n = 10", "replications = 2", *lines]) + "\n")
+            code, _, manifest, _ = _run(
+                tmp_path, "simulate", "--scenario", "custom", "--config", str(cfg), "--t", "30"
+            )
+            assert code == 2 and manifest is None
+            assert capsys.readouterr().err == f"error: {key} is set, but truncation = none\n"
 
     def test_zero_reps_is_usage_error(self, tmp_path):
         code, _, _, _ = _run(

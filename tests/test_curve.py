@@ -369,5 +369,3 @@ def test_query_times_shortcut_matches_the_per_query_loop(case):
         assert got == want
         return
     assert got.dtype == want.dtype and np.array_equal(got, want)
-    if type(ts) is np.ndarray and ts.dtype == np.float64 and len(ts):
-        assert got is ts  # every valid float64 grid takes the one-pass check

@@ -140,6 +140,13 @@ class TestFailureHandling:
         with pytest.raises(ValueError):
             bootstrap_ci(cohort, q, "check", n_boot=10, level=1.0)
 
+    def test_negative_seed_is_rejected_before_any_draw(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(inference, "philox", lambda *key: drawn.append(key))
+        with pytest.raises(ValueError, match="^seed must be >= 0$"):
+            bootstrap_ci(_mixed_cohort(), TransitionQuery(1.5, 3), "check", n_boot=10, seed=-1)
+        assert drawn == []
+
 
 @st.composite
 def boot_cases(draw):
@@ -194,8 +201,11 @@ def test_weighted_resamples_equal_the_resampled_cohorts(case):
             except EstimationError:
                 continue  # no estimate, so no bootstrap
             expected = loops.resample_estimates(cohort, query, method, n_boot, seed)
-            got = _quiet(inference.resample_estimates,
-                         cols, query.s, [query.t], [method], n_boot, seed)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a weighted curve warns of nothing
+                got = inference.resample_estimates(
+                    cols, query.s, [query.t], [method], n_boot, seed
+                )
             assert _bits(got[method][0].tolist()) == _bits(expected)
 
 

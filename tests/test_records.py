@@ -1,8 +1,12 @@
 import io
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
+import oracle_bruteforce as ob
+from cohortgen import random_cohort, to_oracle, with_ill_at_origin
 from illnessdeath import (
     Cause,
     EventKind,
@@ -135,6 +139,30 @@ class TestLandmarkSubset:
         r = IllnessDeathRecord("a", 3, 2, Cause.ILL, 9, Cause.ABSORBED)
         assert landmark_subset([r], 2.5) == []
         assert landmark_subset([r], 0) == []
+
+
+def test_landmark_and_two_risk_rules_equal_the_oracle():
+    # truncated, censored and tied cohorts with subjects ill at the origin,
+    # at s = 0 and s > 0, on and off the grid of observed times
+    kinds = {"ev1": EventKind.EVENT1, "ev2": EventKind.EVENT2, "cen": EventKind.CENSORED}
+    seen, sizes = set(), set()
+    for seed in range(60):
+        rng = random.Random(seed)
+        cohort = with_ill_at_origin(rng, random_cohort(rng, max_n=30, truncated=True))
+        mirror = to_oracle(cohort)
+        for s in (0.0, 0.5, 1.5, 2.0, 3.75, 6.0):
+            want = {id(o) for o in ob.landmark(mirror, Fraction(s))}
+            got = landmark_subset(cohort, s)
+            assert got == [r for r, o in zip(cohort, mirror) if id(o) in want]
+            sizes.add(min(len(got), 1))
+            for t in (s, s + 0.5, s + 2.0, s + 4.25):
+                query = TransitionQuery(s, t)
+                for r, o in zip(cohort, mirror):
+                    time, kind = ob.classify(o, Fraction(s), Fraction(t))
+                    obs = derive_competing_risks(r, query)
+                    assert (obs.time, obs.kind) == (time, kinds[kind])
+                    seen.add(kind)
+    assert seen == set(kinds) and sizes == {0, 1}
 
 
 class TestCohortCsv:

@@ -155,29 +155,25 @@ CUSTOM_DESIGNS = {
 class TestColumnarSimulator:
     @pytest.mark.parametrize("name", ["table1", "table2", "table3", *CUSTOM_DESIGNS])
     def test_columns_equal_the_records_columns(self, name):
+        # each row of a batch, padding dropped, is the cohort of its replication
         if name in CUSTOM_DESIGNS:
             config = CUSTOM_DESIGNS[name]
         else:
             config = preset(name).config
-        reps = 3 if config.n > 100 else 40
+        reps = range(3 if config.n > 100 else 40)
+        alive, batch = simulation._batch(reps, simulation._draws(config, reps))
         degenerate = 0
-        for rep in range(reps):
-            try:
-                _, cols = simulation._simulate_columns(config, rep)
-            except DegenerateCohort as err:
+        for rep in reps:
+            if not alive[rep].any():
                 degenerate += 1
-                with pytest.raises(DegenerateCohort, match=str(err)):
+                with pytest.raises(DegenerateCohort, match=f"^replication {rep} retained"):
                     simulate_cohort(config, rep)
                 continue
-            _assert_same_columns(cols, Columns.of(simulate_cohort(config, rep)))
+            row = Columns(*(column[rep][alive[rep]] for column in batch))
+            # the batch ranks the ids among every drawn subject: same order
+            row = row._replace(id_rank=np.argsort(np.argsort(row.id_rank)))
+            _assert_same_columns(row, Columns.of(simulate_cohort(config, rep)))
         assert (degenerate > 0) == (name == "censored-truncated")
-
-    @pytest.mark.parametrize("censor_hazard", [0.0, 0.05])
-    def test_markov_columns_equal_the_records_columns(self, censor_hazard):
-        for seed in range(5):
-            args = (200, 0.039, 0.026, 0.05, censor_hazard, seed, seed)
-            _, cols = simulation._markov_columns(*args)
-            _assert_same_columns(cols, Columns.of(simulate_markov_cohort(*args)))
 
     @pytest.mark.parametrize(
         "field,ill,value,message",
@@ -192,15 +188,16 @@ class TestColumnarSimulator:
         ],
     )
     def test_corrupted_column_is_malformed(self, field, ill, value, message):
-        keep, cols = simulation._simulate_columns(preset("table1").config, 0)
+        cohort = simulate_cohort(preset("table1").config, 0)
+        cols = Columns.of(cohort)
         def name(row):
-            return f"r0s{keep[row]}"
+            return cohort[row].id
 
         check_columns(cols, name)
         i = int(np.flatnonzero(cols.ill == ill)[5])
         getattr(cols, field)[i] = value(cols, i)
         # the message of the record constructor, with the subject's id
-        with pytest.raises(MalformedRecord, match=f"^r0s{keep[i]}: {message}"):
+        with pytest.raises(MalformedRecord, match=f"^{cohort[i].id}: {message}"):
             check_columns(cols, name)
 
     def test_monte_carlo_builds_no_records(self, monkeypatch):
@@ -286,7 +283,7 @@ def test_fragile_design_fails_every_way():
     kinds = set()
     for rep in range(config.replications):
         try:
-            _, cols = simulation._simulate_columns(config, rep)
+            cols = Columns.of(simulate_cohort(config, rep))
         except DegenerateCohort:
             kinds.add("degenerate")
             continue
