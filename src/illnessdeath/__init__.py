@@ -10,8 +10,9 @@ Estimators:
 
 - ``p01_landmark`` conditions on the subset in state 0 at s and reads the
   answer off a competing-risks incidence limit inside that subset; it is
-  the estimator of choice under left-truncation, with a plug-in variance
-  (``p01_landmark_variance``).
+  the estimator of choice under left-truncation, with a delta-method
+  variance (``p01_landmark_variance``; ``landmark_variance_curve`` for a
+  grid of t).
 - ``p01_cif_ratio`` normalises the full-cohort incidence limit by state-0
   survival at s; ``p01_km_integral`` is its ordered-weights form and
   ``cif_limit_ipcw`` the inverse-censoring-weighted form of the numerator
@@ -51,6 +52,7 @@ from .estimators import (
     cif_limit_ipcw,
     kaplan_meier,
     kaplan_meier_curve,
+    landmark_variance_curve,
     multinomial_uncensored,
     p01_aalen_johansen,
     p01_cif_ratio,
@@ -124,6 +126,7 @@ __all__ = [
     "kaplan_meier",
     "kaplan_meier_curve",
     "landmark_subset",
+    "landmark_variance_curve",
     "markov_true_p01",
     "multinomial_uncensored",
     "p01_aalen_johansen",

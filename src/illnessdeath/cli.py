@@ -31,7 +31,7 @@ from .errors import (
     SupportWarning,
     TooManyFailures,
 )
-from .estimators import ESTIMATORS, p01_landmark_variance
+from .estimators import ESTIMATORS, landmark_variance_curve
 from .inference import interval, resample_estimates
 from .records import TransitionQuery, read_columns, write_columns
 from .simulation import (
@@ -125,8 +125,9 @@ def _method_rows(
     mm_values: dict[float, tuple[float, bool]],
     boot: dict,
 ) -> list[list[str]]:
-    """One method's rows: one sweep over the t grid, then per t the variance
-    or bootstrap cells (of boot) and the flags.  A failed sweep gives blank rows."""
+    """One method's rows: one sweep over the t grid (and for check one of the
+    variance), then per t the variance or bootstrap cells (of boot) and the
+    flags.  A failed sweep gives blank rows."""
     blank = [""] * (7 if args.boot else 1)
     # one sweep; support does not depend on t, range belongs to the rows above 1
     with warnings.catch_warnings(record=True) as caught:
@@ -138,6 +139,9 @@ def _method_rows(
             return [[method, _fmt(q.s), _fmt(q.t), "", *blank, flag] for q in queries]
     support = any(issubclass(w.category, SupportWarning) for w in caught)
     ranged = any(issubclass(w.category, RangeWarning) for w in caught)
+    # check has a landmark once it has estimates: one variance sweep, every t
+    plain = method == "check" and not args.boot
+    variances = landmark_variance_curve(cols, args.s, args.t) if plain else []
     rows = []
     for i, (q, value) in enumerate(zip(queries, values)):
         estimate = float(value)
@@ -161,10 +165,8 @@ def _method_rows(
             except TooManyFailures:
                 flags.append("error:TooManyFailures")
                 cells += blank
-        elif method == "check":
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                cells += [_fmt(float(p01_landmark_variance(cols, q)))]
+        elif variances:
+            cells += [_fmt(variances[i])]
         else:
             cells += blank
         rows.append(cells + [";".join(sorted(set(flags)))])

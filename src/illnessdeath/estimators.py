@@ -288,13 +288,20 @@ def _ratio_curve(
 
     ``incidence(columns, event1 mask, exact, weights)`` gives the numerators;
     the errors, SupportWarning and RangeWarning (ratio above 1) are shared.
+    Both identify P01 only when every subject is observed from the origin,
+    so a delayed entry raises DelayedEntry before anything else.
     """
     ts = _query_times(s, ts)
     cols = Columns.of(cohort)
+    delayed = (cols.entry > 0) & (cols.entry < np.inf)  # padding enters at inf
+    if weights is None and cols.final.ndim == 1 and delayed.any():
+        raise DelayedEntry("full-cohort ratio requires every entry at the origin")
     den = _state0_survival(cols, s, exact, weights)
     out = incidence(cols, cols.event1(s, ts), exact, weights) / den
     if weights is not None or cols.final.ndim > 1:
-        return out  # NaN where the denominator is
+        # NaN where the denominator is, or where a row holds a delayed entry
+        held = delayed if weights is None else _among(weights, delayed)
+        return np.where(held.any(-1), np.nan, out)
     _warn_censored_tail(cols.final[cols.observed], cols.final[~cols.observed])
     for value in out:
         if value > 1:
@@ -410,9 +417,9 @@ def p01_cif_ratio(
     """Full-cohort estimator: incidence limit over state-0 survival at s.
 
     Consistent without any Markov assumption when entry is universal at the
-    origin.  Warns (RangeWarning) if the ratio exceeds one, which can happen
-    in small samples because numerator and denominator are estimated from
-    different processes.
+    origin; raises DelayedEntry on any entry above 0.  Warns (RangeWarning)
+    if the ratio exceeds one, which can happen in small samples because
+    numerator and denominator are estimated from different processes.
     """
     return p01_curve(cohort, query.s, [query.t], "mm", exact)[0]
 
@@ -449,39 +456,50 @@ def p01_aalen_johansen(
     return p01_curve(cohort, query.s, [query.t], "aj", exact)[0]
 
 
+def landmark_variance_curve(
+    cohort: Iterable[IllnessDeathRecord],
+    s: float,
+    ts: Iterable[float],
+    exact: bool = False,
+) -> list[Number]:
+    """Delta-method variance of the landmark estimator for every t in ts, by
+    one sweep of the landmark subset's product-limit grid (see
+    p01_landmark_variance)."""
+    ts = _query_times(s, ts)
+    sub = _landmark_columns(cohort, s)
+    grid = _ProductLimit(sub, exact)
+    before, y = grid.surv[:-1], grid.y
+    keep = 1 - _ratio(grid.d, y, exact)
+    out = []
+    for dn1 in grid.event1_counts(sub.event1(s, ts)):  # a t at a time: O(m) memory
+        h1, h2 = _ratio(dn1, y, exact), _ratio(grid.d - dn1, y, exact)
+        incidence = _incidence(before, dn1, y, exact)
+        after = incidence[-1] - incidence  # F(inf) - F(u)
+        r = after / np.where(after == 0, 1, keep)  # 0 past a y = d time
+        a1 = before - r  # and a2 = -r
+        terms = (a1 * a1 * h1 * (1 - h1) + r * r * h2 * (1 - h2) + 2 * a1 * r * h1 * h2) / y
+        out += np.cumsum(terms)[-1:].tolist()
+    return out
+
+
 def p01_landmark_variance(
     cohort: Sequence[IllnessDeathRecord],
     query: TransitionQuery,
     exact: bool = False,
 ) -> Number:
-    """Plug-in variance of the landmark estimator.
+    """Delta-method variance of the landmark estimator.
 
-    Sums squared influence of each pooled-process jump: a kind-1 jump at u
-    perturbs by the mass not yet committed (one minus the remaining
-    incidence), a kind-2 jump by the remaining incidence itself, both scaled
-    by the survival factor through u.  The remaining incidence is built by
-    one backward recursion over the grid.
+    At each grid time u of the landmark subset, with y at risk, the hazard
+    increments h1 = dn1 / y (kind 1) and h2 = dn2 / y (kind 2) are
+    multinomial, and the incidence limit F is affine in each, with
+    derivatives a1 = S(u-) - r(u) and a2 = -r(u), where
+    r(u) = (F(inf) - F(u)) / (1 - h1 - h2) (0 where nothing is left):
+
+        Var = sum_u [a1^2 h1 (1 - h1) + a2^2 h2 (1 - h2) - 2 a1 a2 h1 h2] / y,
+
+    exactly p (1 - p) / m on an uncensored landmark of m subjects.
     """
-    sub = _landmark_columns(cohort, query.s)
-    grid = _ProductLimit(sub, exact)
-    dn1 = grid.event1_counts(sub.event1(query.s, np.array([query.t])))[0]
-    jump1 = _ratio(dn1, grid.y, exact)
-    jump2 = _ratio(grid.d - dn1, grid.y, exact)
-    zero = _one(exact) * 0
-    surv = grid.surv[1:]  # through each grid time
-    # remaining incidence strictly after each grid time, per t by recursion
-    step, factor = jump1.tolist(), (1 - _ratio(grid.d, grid.y, exact)).tolist()
-    remaining = [zero] * len(step)
-    acc = zero
-    for i in range(len(step) - 2, -1, -1):
-        acc = step[i + 1] + factor[i + 1] * acc
-        remaining[i] = acc
-    remaining = np.array(remaining, dtype=surv.dtype)
-    tail = surv * surv * (1 - remaining) * (1 - remaining) * jump1
-    committed = surv * remaining
-    # per grid time, the kind-1 term before the kind-2 term
-    terms = np.stack((tail, committed * committed * jump2), axis=1).ravel()
-    return np.cumsum(terms).tolist()[-1]
+    return landmark_variance_curve(cohort, query.s, [query.t], exact)[0]
 
 
 def cif_limit_ipcw(

@@ -198,6 +198,8 @@ def landmark(cohort, query, exact=False):
 
 
 def _state0_survival(cp, query, exact):
+    if cp.y_origin != cp.size:
+        raise DelayedEntry("full-cohort ratio requires every entry at the origin")
     den = kaplan_meier(cp, query.s, exact=exact)
     if den == 0:
         raise ZeroDenominator(f"estimated state-0 survival at s={query.s} is zero")
@@ -269,28 +271,23 @@ def landmark_variance(cohort, query, exact=False):
     cp = build_counting(cohort, query, landmark=True)
     one = _one(exact)
     zero = one * 0
-    m = len(cp.times)
-    remaining = [zero] * m
-    acc = zero
-    for i in range(m - 2, -1, -1):
-        j = i + 1
-        y = cp.y[j]
-        if y:
-            acc = _ratio(cp.dn1[j], y, exact) + (1 - _ratio(cp.dn(j), y, exact)) * acc
-        remaining[i] = acc
-    var = zero
-    surv = one
-    for i in range(m):
+    # forward: per grid time, the survival before it and the incidence through it
+    surv, incidence, path = one, zero, []
+    for i in range(len(cp.times)):
         y = cp.y[i]
         if not y:
             continue
-        surv *= 1 - _ratio(cp.dn(i), y, exact)
-        if cp.dn1[i]:
-            tail = 1 - remaining[i]
-            var += surv * surv * tail * tail * _ratio(cp.dn1[i], y, exact)
-        if cp.dn2[i]:
-            committed = surv * remaining[i]
-            var += committed * committed * _ratio(cp.dn2[i], y, exact)
+        h1, h2 = _ratio(cp.dn1[i], y, exact), _ratio(cp.dn2[i], y, exact)
+        keep = 1 - _ratio(cp.dn(i), y, exact)
+        incidence += surv * h1
+        path.append((surv, incidence, h1, h2, keep, y))
+        surv *= keep
+    var = zero
+    for before, through, h1, h2, keep, y in path:
+        after = incidence - through
+        r = after / keep if after else zero
+        a1, a2 = before - r, -r
+        var += (a1 * a1 * h1 * (1 - h1) + a2 * a2 * h2 * (1 - h2) - 2 * a1 * a2 * h1 * h2) / y
     return var
 
 

@@ -185,40 +185,49 @@ def p01_landmark(cohort, lo, hi):
 
 
 def variance_landmark(cohort, lo, hi):
-    """Plug-in variance of the landmark estimator, by literal triple loop."""
+    """Delta-method variance of the landmark estimator, from exact derivatives.
+
+    The estimate is a polynomial in the hazard increments h(u, kind) of the
+    landmark subset's event times.  It is affine in each single increment,
+    so its partial derivative is its value at h = 1 minus its value at h = 0
+    with every other increment held.  At each u the increments are
+    multinomial shares of the y(u) at risk: Var h = h (1 - h) / y and
+    Cov(h1, h2) = -h1 h2 / y.
+    """
     sub = landmark(cohort, lo)
     data = _kappa(sub, lo, hi)
     times = _event_times(data)
+    kinds = ("ev1", "ev2")
+    hazards = [
+        {kind: Fraction(_d_kind(data, u, kind), y_total(sub, u)) for kind in kinds}
+        for u in times
+    ]
 
-    def surv_incl(u):
-        out = Fraction(1)
-        for v in times:
-            if v > u:
-                break
-            out *= 1 - Fraction(_d_any_event(data, v), y_total(sub, v))
-        return out
+    def estimate(increments):
+        total, surv = Fraction(0), Fraction(1)
+        for h in increments:
+            total += surv * h["ev1"]
+            surv *= 1 - h["ev1"] - h["ev2"]
+        return total
 
-    def remaining(u):
-        out = Fraction(0)
-        for r in times:
-            if r <= u:
-                continue
-            pref = Fraction(1)
-            for v in times:
-                if u < v < r:
-                    pref *= 1 - Fraction(_d_any_event(data, v), y_total(sub, v))
-            out += pref * Fraction(_d_kind(data, r, "ev1"), y_total(sub, r))
-        return out
+    def derivative(i, kind):
+        values = []
+        for at in (Fraction(1), Fraction(0)):
+            held = [dict(h) for h in hazards]
+            held[i][kind] = at
+            values.append(estimate(held))
+        return values[0] - values[1]
 
     var = Fraction(0)
-    for u in times:
-        y = y_total(sub, u)
-        d1 = _d_kind(data, u, "ev1")
-        d2 = _d_kind(data, u, "ev2")
-        if d1:
-            var += surv_incl(u) ** 2 * (1 - remaining(u)) ** 2 * Fraction(d1, y)
-        if d2:
-            var += (surv_incl(u) * remaining(u)) ** 2 * Fraction(d2, y)
+    for i, u in enumerate(times):
+        h = hazards[i]
+        grad = {kind: derivative(i, kind) for kind in kinds}
+        cov = {
+            (a, b): (h[a] * (1 - h[a]) if a == b else -h[a] * h[b]) / y_total(sub, u)
+            for a in kinds
+            for b in kinds
+        }
+        var += sum(grad[a] * grad[b] * cov[a, b] for a in kinds for b in kinds)
     return var
 
 

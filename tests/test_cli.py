@@ -9,6 +9,7 @@ import json
 import random
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -63,12 +64,42 @@ class TestEstimate:
         assert row["method"] == "check"
         assert row["s"] == "1.5" and row["t"] == "3.5"
         assert row["estimate"] == "0.666666666667"
-        assert row["variance"] == "0.148148148148"
+        assert row["variance"] == "0.0740740740741"
         assert row["flags"] == ""
         assert manifest["subcommand"] == "estimate"
         assert manifest["parameters"]["method"] == "check"
         assert len(manifest["input_digest"]) == 64
         assert manifest["seed"] == 0
+
+    def test_check_row_warns_of_nothing(self, tmp_path):
+        # tied and censored, the largest time a censoring: the check sweep's
+        # SupportWarning becomes a flag, and the variance sweep warns of nothing
+        cohort = random_cohort(random.Random(5), max_n=40)
+        path = tmp_path / "cohort.csv"
+        write_cohort(cohort, path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, rows, _, _ = _run(
+                tmp_path, "estimate", "--input", str(path), "--s", "1.5", "--t", "2,3.5,5,8"
+            )
+        assert code == 0
+        assert [r["flags"] for r in rows] == ["support"] * 4
+        # no illness onset in (1.5, 2] and none alive past 8: estimate and variance 0
+        assert [r["estimate"] == r["variance"] == "0" for r in rows] == [True, False, False, True]
+        assert all(0 <= float(r["variance"]) < 0.25 for r in rows)
+
+    def test_delayed_entry_fails_both_mm_forms(self, tmp_path):
+        cohort = random_cohort(random.Random(3), max_n=40, truncated=True)
+        path = tmp_path / "cohort.csv"
+        write_cohort(cohort, path)
+        code, rows, _, _ = _run(
+            tmp_path, "estimate", "--input", str(path), "--s", "1.5", "--t", "2,5",
+            "--method", "all",
+        )
+        assert code == 0
+        by = {r["method"]: (r["estimate"], r["flags"]) for r in rows}
+        assert by["mm"] == by["mm-stute"] == ("", "error:DelayedEntry")
+        assert by["check"][0] != "" and by["aj"][0] != ""
 
     def test_mm_row(self, toy_csv, tmp_path):
         code, rows, _, _ = _run(
@@ -140,8 +171,8 @@ class TestEstimate:
         assert json.loads(captured.stderr)["parameters"]["boot"] == 2
 
     def test_time_grid_rows_match_single_t_runs(self, tmp_path):
-        # censored and left-truncated: the largest time is a censoring, the
-        # mm ratio exceeds 1 at t=3 only, and the two mm forms disagree
+        # censored and left-truncated: the largest time is a censoring, and
+        # both mm forms refuse the delayed entries at every t
         cohort = [
             IllnessDeathRecord("a", 0, 0.5, Cause.ILL, 1, Cause.CENSORED),
             IllnessDeathRecord("b", 0, 2, Cause.ILL, 9, Cause.ABSORBED),
@@ -164,25 +195,23 @@ class TestEstimate:
         assert grid[1:] == [single[1 + m] for m in range(4) for single in singles]
         flags = {(r["method"], r["t"]): r["flags"] for r in csv.DictReader(grid)}
         assert flags[("check", "3")] == flags[("check", "10")] == "support"
-        assert flags[("mm", "3")] == "range;support"
-        assert flags[("mm", "5")] == flags[("mm", "10")] == "support"
-        assert flags[("mm-stute", "3")] == "range;stute-mismatch;support"
-        assert flags[("mm-stute", "5")] == "stute-mismatch;support"
+        for method in ("mm", "mm-stute"):
+            assert [flags[(method, t)] for t in ("3", "5", "10")] == ["error:DelayedEntry"] * 3
         assert flags[("aj", "3")] == ""
 
     @pytest.mark.parametrize(
         "extra, digest",
         [
-            ([], "9f36d82d59560d07e90d01caab0150b97df14a311d6eca61b09297b66a1256d7"),
+            ([], "9ff256508e73efb5be81dfde39351b109206ef60dd9f4fbfa60cc9297a03bd54"),
             (
                 ["--boot", "40", "--seed", "3"],
-                "7a37761659bbb933503f28279cd3520aa0e08e84f83655a8de37449085fb8fd8",
+                "2a1fab2aa45909696b7b3a5f4b3044624de660510c2275e5d1d2950050230876",
             ),
         ],
     )
     def test_all_methods_bytes_are_pinned(self, tmp_path, capsys, extra, digest):
         # tied, left-truncated cohort; the rows carry support and
-        # stute-mismatch flags, the variance column or the bootstrap columns
+        # error:DelayedEntry flags, the variance column or the bootstrap columns
         cohort = random_cohort(random.Random(3), max_n=40, truncated=True)
         path = tmp_path / "cohort.csv"
         write_cohort(cohort, path)
@@ -366,7 +395,8 @@ class TestEstimateUsageErrors:
 
 
 # a tiny left-truncated design: some replications retain no subject, others
-# have an empty landmark (check, aj) or a zero state-0 survival (mm, mm-stute)
+# have an empty landmark (check, aj); mm and mm-stute refuse every replication
+# (DelayedEntry), so their cells are all excluded
 FRAGILE_DESIGN = "n = 3\ncensor_hazard = 0.05\ntruncation = skew_normal\ntruncation_location = 3\n"
 
 # SHA-256 of `simulate --output -` stdout; the batching of the replications
@@ -375,9 +405,9 @@ SIMULATE_DIGESTS = {
     "table1": "40a03999f9e1aa40a9b157e86415efd22d0e51098436148a46d562eb36887d96",
     "table2": "6fc692edd4b6e45bc951cb61efcf0064a4660773701df10d6998bbdf363560b4",
     "table3": "95f1ea766b679315d30618416365a798d0e991d88d173eccf087318004e342ee",
-    "custom": "38cb901e35eb93684638b2379566ae5880ef17fbf48d8298744c9de7dd0292e6",
+    "custom": "f4abb06049772eb294ec83d0458dfa8d8b192fb6ece676b6a60baf2a72df24eb",
     # the custom design through run_monte_carlo with all four estimators
-    "custom-all": "ccf9872dc106654afe5faa6e7575f0c7767532320cd701e580d9a54dd41da5e9",
+    "custom-all": "7b36aff2d20d9ee57d1ccead89591bb15d1ab0a56646248e868b6363c99b89f8",
 }
 
 

@@ -2,6 +2,7 @@ import random
 import warnings
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from cohortgen import random_cohort, random_query
@@ -23,15 +24,21 @@ from illnessdeath import (
     cif_limit_ipcw,
     kaplan_meier,
     kaplan_meier_curve,
+    landmark_variance_curve,
     multinomial_uncensored,
     p01_aalen_johansen,
     p01_cif_ratio,
+    p01_curve,
     p01_km_integral,
     p01_landmark,
     p01_landmark_variance,
+    preset,
     risk_set_stability,
     tsai_crowley_weight,
 )
+from illnessdeath import simulation
+from illnessdeath.counting import Columns
+from illnessdeath.estimators import ESTIMATORS
 
 
 class TestKaplanMeier:
@@ -202,10 +209,15 @@ class TestLandmarkEstimator:
         assert p01_landmark(base, query, exact=True) == F(1, 2)
 
 
+def _landmark_size(cohort, s):
+    """Subjects in state 0 at s: entry < s < exit0, or from the origin at s = 0."""
+    return sum(r.entry < s < r.exit0 if s else r.entry == 0 < r.exit0 for r in cohort)
+
+
 class TestLandmarkVariance:
     def test_hand_values(self, cohort3, cohort4, query):
         assert p01_landmark_variance(cohort3, query, exact=True) == F(1, 8)
-        assert p01_landmark_variance(cohort4, query, exact=True) == F(4, 27)
+        assert p01_landmark_variance(cohort4, query, exact=True) == F(2, 27)
 
     def test_single_subject_gives_zero(self):
         one = [IllnessDeathRecord("a", 0, 2, Cause.ILL, 5, Cause.ABSORBED)]
@@ -219,6 +231,71 @@ class TestLandmarkVariance:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert p01_landmark_variance(cohort, TransitionQuery(1, 2)) == 0
+
+    def test_uncensored_is_the_binomial_variance(self):
+        # with nothing censored the estimate is the share p of the m landmark
+        # subjects, and the delta method gives exactly p (1 - p) / m
+        checked = 0
+        for seed in range(400):
+            rng = random.Random(seed)
+            cohort = random_cohort(rng, max_n=30, censored=False)
+            q = random_query(rng)
+            try:
+                p = multinomial_uncensored(cohort, q, exact=True)
+            except ZeroDenominator:
+                continue
+            m = _landmark_size(cohort, q.s)
+            assert p01_landmark_variance(cohort, q, exact=True) == p * (1 - p) / m
+            checked += 1
+        assert checked > 300
+
+    def test_curve_is_each_one_point_form(self):
+        for seed in range(60):
+            rng = random.Random(seed)
+            cohort = random_cohort(rng, max_n=30, truncated=bool(seed % 2))
+            q = random_query(rng)
+            ts = sorted({q.t, q.t + 1.5, q.s})
+            if not _landmark_size(cohort, q.s):
+                continue
+            for exact in (True, False):
+                points = [
+                    p01_landmark_variance(cohort, TransitionQuery(q.s, t), exact) for t in ts
+                ]
+                assert landmark_variance_curve(cohort, q.s, ts, exact) == points
+
+    @pytest.mark.parametrize("n", [200, 2000])
+    def test_calibrated_against_monte_carlo(self, n):
+        # table1 law, s = 10, t = 50: over 200 seeded replications the mean
+        # variance is within a factor 0.7-1.4 of the estimates' own variance
+        config = preset("table1", n=n, replications=200, seed=2024).config
+        reps = range(config.replications)
+        _, batch = simulation._batch(reps, simulation._draws(config, reps))
+        estimates = p01_curve(batch, 10.0, [50.0], "check")[0]  # a row per replication
+        variances = []
+        for row in zip(*batch):
+            cols = Columns(*row)
+            variances += landmark_variance_curve(cols.take(cols.final < np.inf), 10.0, [50.0])
+        ratio = np.mean(variances) / np.var(estimates, ddof=1)
+        assert 0.7 <= ratio <= 1.4, ratio
+
+
+class TestDelayedEntryGuard:
+    def test_both_mm_forms_reject_a_delayed_entry(self, cohort4, query):
+        # the full-cohort ratio needs every subject observed from the origin
+        late = IllnessDeathRecord("E", 1, 4, Cause.ABSORBED)
+        for estimator in (p01_cif_ratio, p01_km_integral):
+            for exact in (False, True):
+                with pytest.raises(DelayedEntry) as info:
+                    estimator(cohort4 + [late], query, exact=exact)
+                assert isinstance(info.value, EstimationError)
+
+    def test_a_resample_holding_a_delayed_entry_is_nan(self, cohort4, query):
+        cols = Columns.of(cohort4 + [IllnessDeathRecord("E", 1, 4, Cause.ABSORBED)])
+        # resamples of equal size: all but E, E once, and all but E again
+        weights = np.array([[2, 1, 1, 1, 0], [1, 1, 1, 1, 1], [1, 2, 1, 1, 0]])
+        for method in ("mm", "mm-stute"):
+            got = ESTIMATORS[method](cols, query.s, [query.t], weights=weights)[0]
+            assert np.isnan(got).tolist() == [False, True, False]
 
 
 class TestRiskSetStability:

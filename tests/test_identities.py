@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import oracle_bruteforce as ob
 from cohortgen import random_cohort, random_query, to_oracle
 from illnessdeath import (
+    DelayedEntry,
     EmptyLandmark,
     EmptyRiskSet,
     TransitionQuery,
@@ -63,6 +64,10 @@ class TestOracleAgreement:
 
             try:
                 ratio = p01_cif_ratio(cohort, q, exact=True)
+            except DelayedEntry:  # the full-cohort ratio needs entry at the origin
+                assert any(subject["entry"] > 0 for subject in mirror)
+                with pytest.raises(DelayedEntry):
+                    p01_km_integral(cohort, q, exact=True)
             except ZeroDenominator:
                 assert ob.km_state0(mirror, lo) == 0
             else:

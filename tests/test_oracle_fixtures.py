@@ -63,7 +63,7 @@ def test_landmark_estimator():
 
 def test_landmark_variance():
     assert ob.variance_landmark(COHORT3, LO, HI) == F(1, 8)
-    assert ob.variance_landmark(COHORT4, LO, HI) == F(4, 27)
+    assert ob.variance_landmark(COHORT4, LO, HI) == F(2, 27)
 
 
 def test_ordered_weights_form_matches_ratio():

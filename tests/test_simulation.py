@@ -248,6 +248,8 @@ FRAGILE = (
                    seed=3, replications=9),
     METHODS, [30.0, 60.0, 100.0], 10.0,
 )
+# entry at the origin, so the mm forms run: state-0 survivals reach zero
+FRAGILE_AT_ORIGIN = (ScenarioConfig(n=2, censor_hazard=0.05, seed=3, replications=9), *FRAGILE[1:])
 
 
 def _outcome(run):
@@ -263,6 +265,8 @@ def _outcome(run):
 @example(design=FRAGILE, batch=1, workers=1)
 @example(design=FRAGILE, batch=3, workers=2)
 @example(design=FRAGILE, batch=None, workers=1)
+@example(design=FRAGILE_AT_ORIGIN, batch=1, workers=1)
+@example(design=FRAGILE_AT_ORIGIN, batch=None, workers=1)
 def test_batches_equal_the_replication_loop(design, batch, workers):
     # every float repr-equal to one estimator call per replication, whatever
     # the batches (at most 1 or 3 replications, or all at once) and workers
@@ -278,21 +282,25 @@ def test_batches_equal_the_replication_loop(design, batch, workers):
 
 @pytest.mark.filterwarnings("ignore")
 def test_fragile_design_fails_every_way():
-    # the explicit example above covers each kind of excluded replication
-    config, estimators, times, landmark = FRAGILE
-    kinds = set()
-    for rep in range(config.replications):
-        try:
-            cols = Columns.of(simulate_cohort(config, rep))
-        except DegenerateCohort:
-            kinds.add("degenerate")
-            continue
-        for name in estimators:
+    # the explicit examples above cover each kind of excluded replication
+    for design, want in (
+        (FRAGILE, {"degenerate", "EmptyLandmark", "DelayedEntry"}),
+        (FRAGILE_AT_ORIGIN, {"EmptyLandmark", "ZeroDenominator"}),
+    ):
+        config, estimators, times, landmark = design
+        kinds = set()
+        for rep in range(config.replications):
             try:
-                simulation.ESTIMATORS[name](cols, landmark, times)
-            except EstimationError as err:
-                kinds.add(type(err).__name__)
-    assert kinds == {"degenerate", "EmptyLandmark", "ZeroDenominator"}
+                cols = Columns.of(simulate_cohort(config, rep))
+            except DegenerateCohort:
+                kinds.add("degenerate")
+                continue
+            for name in estimators:
+                try:
+                    simulation.ESTIMATORS[name](cols, landmark, times)
+                except EstimationError as err:
+                    kinds.add(type(err).__name__)
+        assert kinds == want
 
 
 class TestUncensoredAgreement:
