@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import IO, Callable, Sequence, get_type_hints
 
 from . import __version__
-from .counting import Columns
 from .errors import (
     DegenerateCohort,
     EstimationError,
@@ -31,7 +30,7 @@ from .errors import (
     SupportWarning,
     TooManyFailures,
 )
-from .estimators import ESTIMATORS, landmark_variance_curve
+from .estimators import ESTIMATORS, _landmark_variance, prepare_methods
 from .inference import interval, resample_estimates
 from .records import TransitionQuery, read_columns, write_columns
 from .simulation import (
@@ -119,29 +118,27 @@ def _emit(target: str, write: Callable[[IO[str]], None], manifest: RunManifest) 
 
 def _method_rows(
     args: argparse.Namespace,
-    cols: Columns,
     queries: list[TransitionQuery],
     method: str,
+    prepared,
     mm_values: dict[float, tuple[float, bool]],
     boot: dict,
 ) -> list[list[str]]:
-    """One method's rows: one sweep over the t grid (and for check one of the
-    variance), then per t the variance or bootstrap cells (of boot) and the
-    flags.  A failed sweep gives blank rows."""
+    """One method's rows: one sweep of its prepared cohort over the t grid (for
+    check one of the variance too, on its grid), then per t the variance or
+    bootstrap cells (of boot) and the flags; blank if preparing it failed."""
     blank = [""] * (7 if args.boot else 1)
+    if isinstance(prepared, EstimationError):
+        flag = f"error:{type(prepared).__name__}"
+        return [[method, _fmt(q.s), _fmt(q.t), "", *blank, flag] for q in queries]
     # one sweep; support does not depend on t, range belongs to the rows above 1
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        try:
-            values = ESTIMATORS[method](cols, args.s, args.t)
-        except EstimationError as err:
-            flag = f"error:{type(err).__name__}"
-            return [[method, _fmt(q.s), _fmt(q.t), "", *blank, flag] for q in queries]
+        values = ESTIMATORS[method].evaluate(prepared)
     support = any(issubclass(w.category, SupportWarning) for w in caught)
     ranged = any(issubclass(w.category, RangeWarning) for w in caught)
-    # check has a landmark once it has estimates: one variance sweep, every t
     plain = method == "check" and not args.boot
-    variances = landmark_variance_curve(cols, args.s, args.t) if plain else []
+    variances = _landmark_variance(prepared) if plain else []
     rows = []
     for i, (q, value) in enumerate(zip(queries, values)):
         estimate = float(value)
@@ -194,14 +191,16 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     header, boot = ["method", "s", "t", "estimate"], {}
     if args.boot:
         header += ["boot_variance", "q_lo", "q_hi", "n_lo", "n_hi", "n_boot", "n_failed"]
-        # one draw of each resample for every method and t
+        # one draw of each resample for every method and t; a method that
+        # fails on the cohort (rows of error flags) is not resampled
         boot = resample_estimates(cols, args.s, args.t, methods, args.boot, args.seed)
     else:
         header += ["variance"]
     rows = [header + ["flags"]]
     mm_values: dict[float, tuple[float, bool]] = {}
-    for method in methods:
-        rows += _method_rows(args, cols, queries, method, mm_values, boot)
+    # each method prepared once (the two mm forms share one), then swept
+    for method, prepared in prepare_methods(cols, args.s, args.t, methods):
+        rows += _method_rows(args, queries, method, prepared, mm_values, boot)
     text = "".join(",".join(row) + "\n" for row in rows)
     manifest = RunManifest(
         subcommand="estimate",

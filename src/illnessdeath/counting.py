@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -165,28 +166,48 @@ def rank_ids(ids: list[str]) -> np.ndarray:
     return rank
 
 
-def _tally(index: np.ndarray, m: int, weights: np.ndarray | None = None) -> np.ndarray:
-    """Subjects per grid index 0..m-1; with weights (one row per resample, one
-    column per subject), each row's total weight per index, summed exactly;
-    with an index row per replication (see _grid), each row's count.  The
-    rows are counted by one bincount over (row, index) keys."""
-    if weights is None and index.ndim == 1:
-        return np.bincount(index, minlength=m)
-    rows = len(index if weights is None else weights)
-    keys = (index + np.arange(rows)[:, None] * (m + 1)).ravel()  # index m: batch padding
-    flat = None if weights is None else weights.ravel()
-    counts = np.bincount(keys, flat, rows * (m + 1)).reshape(rows, m + 1)[:, :m]
-    return counts.astype(np.int64, copy=False)
+class _Tally:
+    """The subjects in mask (every one by default) per grid index 0..m-1 (see
+    _grid; m or more counts nowhere), a row per batch row.  With weights (a
+    row per resample, a column per subject), each row's total weight per
+    index, summed exactly by one bincount over the (row, index) keys of the
+    subjects that count, which the first such call finds."""
+
+    def __init__(self, index: np.ndarray, m: int, mask=True):
+        self.index, self.m, self.mask = index, m, mask
+
+    def __call__(self, weights: np.ndarray | None = None) -> np.ndarray:
+        m = self.m
+        if weights is None:  # one pass, for one evaluation
+            index = np.where(self.mask, self.index, m)
+            if index.ndim == 1:
+                return np.bincount(index, minlength=m + 1)[:m]
+            rows = len(index)
+            keys = (index + np.arange(rows)[:, None] * (m + 1)).ravel()
+            return np.bincount(keys, None, rows * (m + 1)).reshape(rows, m + 1)[:, :m]
+        subjects, index = self.kept
+        keys = (index + np.arange(len(weights))[:, None] * m).ravel()
+        counts = np.bincount(keys, weights[:, subjects].ravel(), len(weights) * m)
+        return counts.reshape(len(weights), m).astype(np.int64, copy=False)
+
+    @cached_property
+    def kept(self) -> tuple[np.ndarray, np.ndarray]:
+        subjects = np.flatnonzero(self.mask & (self.index < self.m))
+        return subjects, self.index[subjects]
 
 
 def _grid(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct times and each time's index in them; with a row per
-    cohort, a grid per row: each row sorted and cut to the widest row's m >= 1
-    finite times, a repeated value indexed at its first place and padding
-    (inf) at m, so a repeat or a row's inf tail adds exactly the unit factor
-    and zero mass of leaving it out."""
+    """The sorted distinct finite times and each time's index in them, padding
+    (inf, see _pick) at m; with a row per cohort, a grid per row: each row
+    sorted and cut to the widest row's m >= 1 finite times, a repeated value
+    indexed at its first place, so a repeat or a row's inf tail adds exactly
+    the unit factor and zero mass of leaving it out."""
     if times.ndim == 1:
-        return np.unique(times, return_inverse=True)
+        finite = times < np.inf
+        grid, inverse = np.unique(times[finite], return_inverse=True)
+        index = np.full(times.shape, len(grid))
+        index[finite] = inverse
+        return grid, index
     order = np.argsort(times, axis=-1)
     grid = np.take_along_axis(times, order, -1)
     m = int((grid < np.inf).sum(-1).max(initial=1))
@@ -197,40 +218,44 @@ def _grid(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return grid[:, :m], index
 
 
-def _pick(column: np.ndarray, mask: np.ndarray, pad=np.inf) -> np.ndarray:
-    """The masked subjects' values; a batch keeps its shape, padded with pad."""
-    return column[mask] if mask.ndim == 1 else np.where(mask, column, pad)
+def _pick(column: np.ndarray, mask) -> np.ndarray:
+    """The column with the subjects outside the mask as padding (inf)."""
+    return np.where(mask, column, np.inf)
 
 
-def _at_risk(starts, ends, times, weights=None) -> np.ndarray:
-    """Risk-set sizes on left-open windows: #(start < v) - #(end < v); with
-    weights (see _tally), each row's total weight at risk; with a grid per
-    row (sorted, see _grid), each row's own, padding (inf) never at risk."""
-    if weights is None and times.ndim > 1:
-        # a stable sort puts each grid time before the starts and ends equal
-        # to it, and keeps the grid's order: +1 per start, -1 per end before it
-        m, n = times.shape[-1], starts.shape[-1]
-        order = np.argsort(np.concatenate((times, starts, ends), -1), -1, kind="stable")
-        running = np.cumsum(np.where(order < m + n, 1, -1) * (order >= m), axis=-1)
-        return running[order < m].reshape(times.shape)
-    if weights is None:
+def _at_risk(starts, ends, times) -> np.ndarray:
+    """Risk-set sizes on left-open windows: #(start < v) - #(end < v); with a
+    grid per row (sorted, see _grid), each row's own, padding (inf) never at
+    risk."""
+    if times.ndim == 1:
         return np.searchsorted(np.sort(starts), times) - np.searchsorted(np.sort(ends), times)
-    start, end = (_tally(np.searchsorted(times, x, "right"), len(times) + 1, weights)
-                  for x in (starts, ends))
-    return np.cumsum(start - end, axis=-1)[:, :-1]
+    # a stable sort puts each grid time before the starts and ends equal to
+    # it, and keeps the grid's order: +1 per start, -1 per end before it
+    m, n = times.shape[-1], starts.shape[-1]
+    order = np.argsort(np.concatenate((times, starts, ends), -1), -1, kind="stable")
+    running = np.cumsum(np.where(order < m + n, 1, -1) * (order >= m), axis=-1)
+    return running[order < m].reshape(times.shape)
 
 
-def _among(weights: np.ndarray | None, mask: np.ndarray) -> np.ndarray | None:
-    """The weights of the masked subjects, if any."""
-    return None if weights is None else weights[:, mask]
+class _RiskSets:
+    """The risk sets of _at_risk of the subjects in who; with weights (see
+    _Tally), each row's total weight at risk, from the number of grid times
+    up to each start and end, which the first such call finds."""
 
+    def __init__(self, times: np.ndarray, who, starts: np.ndarray, ends: np.ndarray):
+        self.times, self.who, self.starts, self.ends = times, who, starts, ends
 
-def _landmark_columns(cohort: Iterable[IllnessDeathRecord], s: float) -> Columns:
-    cols = Columns.of(cohort)
-    sub = cols.take(cols.landmark(s))
-    if not len(sub.final):
-        raise EmptyLandmark(f"no subject in state 0 at landmark s={s}")
-    return sub
+    def __call__(self, weights: np.ndarray | None = None) -> np.ndarray:
+        if weights is None:
+            starts, ends = (_pick(at, self.who) for at in (self.starts, self.ends))
+            return _at_risk(starts, ends, self.times)
+        start, end = (tally(weights) for tally in self.places)
+        return np.cumsum(start - end, axis=-1)
+
+    @cached_property
+    def places(self) -> list[_Tally]:
+        places = (np.searchsorted(self.times, at, "right") for at in (self.starts, self.ends))
+        return [_Tally(at, len(self.times), self.who) for at in places]
 
 
 @dataclass(frozen=True)
@@ -300,12 +325,13 @@ def build_counting(
     EmptyLandmark (a subclass of EmptyRiskSet) when the landmark subset is
     empty, EmptyRiskSet when the cohort itself is.
     """
+    cols = Columns.of(cohort)
     if landmark:
-        cols = _landmark_columns(cohort, query.s)
-    else:
-        cols = Columns.of(cohort)
+        cols = cols.take(cols.landmark(query.s))
         if not len(cols.final):
-            raise EmptyRiskSet("empty cohort")
+            raise EmptyLandmark(f"no subject in state 0 at landmark s={query.s}")
+    elif not len(cols.final):
+        raise EmptyRiskSet("empty cohort")
     state0 = cols.state0
     exits = cols.exit0[state0]
     times, index = np.unique(np.concatenate((exits, cols.final)), return_inverse=True)

@@ -9,19 +9,21 @@ between the different representations testable to equality rather than
 tolerance.
 
 The four registered estimators (``ESTIMATORS``: check, mm, mm-stute, aj)
-are curves in t over the cohort's columns (``counting.Columns``, which
-callers read once per cohort): each builds the product-limit grid once per
-(cohort, s) and evaluates only the t-dependent illness indicator per t.
-The scalar forms are one-point curves.
-The same array code serves float and ``exact=True`` (object arrays of
-Fraction); every sum and product runs left to right along the grid
-(``np.cumsum``/``np.cumprod``), so floats equal a plain loop bit for bit.
-Every product-limit survival and incidence, of the curves and of the
-counting-process functions alike, comes from one primitive (``_survival``
-and ``_incidence``); tests/loop_reference.py holds the loop forms.
-With weights (a row per resample) or on a batch of cohorts (Columns with a
-row per cohort) a curve gives a (len(ts), rows) array, NaN for a row that
-fails, and warns of nothing; the floats are those of each row on its own.
+are curves in t over the cohort's columns (``counting.Columns``) in two
+steps.  ``prepare(cohort, s, ts, exact, resampled)`` does the work of the
+cohort alone, once: its grids, each subject's grid index, its masks and
+ranks; it raises every EstimationError (resampled, only those that fail
+every resample).  ``evaluate(prepared, weights=None)`` does the counts,
+risk sets and running products and sums, and never raises.  With weights
+(subject multiplicities, a row per resample) or on a batch of cohorts
+(Columns with a row per cohort) it gives a (len(ts), rows) array, NaN for
+a row that fails, and warns of nothing; the floats are those of each row
+on its own.  The scalar forms are one-point curves.  Float and
+``exact=True`` (object arrays of Fraction) share the array code; every sum
+and product runs left to right (``np.cumsum``/``np.cumprod``), so floats
+equal a plain loop bit for bit.  Every product-limit survival and
+incidence comes from ``_survival`` and ``_incidence``; tests/loop_reference.py
+holds the loop forms.
 
 Conventions shared by all routines: at tied times, events precede
 censorings; any hazard increment with an empty risk set contributes a unit
@@ -34,21 +36,21 @@ import math
 import warnings
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from functools import partial
+from functools import cached_property
 from itertools import compress
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .counting import Columns, CountingProcesses, StepFunction, build_counting, to_records
-from .counting import _ABSORBED, _CENSORED, _at_risk, _among, _grid, _landmark_columns
-from .counting import _pick, _tally
+from .counting import _ABSORBED, _CENSORED, _RiskSets, _Tally, _grid, _pick
 from .errors import (
     CensoredCohort,
     DegenerateWeight,
     DelayedEntry,
     EmptyLandmark,
     EmptyRiskSet,
+    EstimationError,
     RangeWarning,
     SupportWarning,
     ZeroDenominator,
@@ -162,47 +164,41 @@ def _censoring_survival(dc, y, d, exact: bool, start: Number | None = None):
 
 
 # ---------------------------------------------------------------------------
-# the array kernel behind the registered estimators
+# the array kernel behind the registered estimators: each is prepared once per
+# (cohort, s, ts) and evaluated per set of weights
 
 
 class _ProductLimit:
-    """Pooled event process of a cohort on the grid of its distinct final times.
+    """Pooled event process of the subjects in keep (every one by default) on
+    the grid of their distinct final times, with the kind-1 counts of each t
+    of a (len(ts), n) event1 mask.
 
     Every subject is at risk at its own final time, so ``y >= 1`` on this
     grid; times that are only state-0 exits would add unit factors and zero
-    masses, so leaving them out changes no value, not even in float.
-    ``surv`` is the pooled survival just before each grid time, then
-    through the last.
-    With ``weights`` (subject multiplicities, a row per resample) each count
-    has a row per resample; a time no resampled subject reaches adds exactly
-    the unit factor and zero mass of leaving it out.  A batch of cohorts
-    (Columns with a row per replication) has a grid per row (see _grid).
+    masses, so leaving them out changes no value, not even in float.  With
+    weights, a time no resampled subject reaches adds exactly the unit factor
+    and zero mass of leaving it out; a batch has a grid per row (see _grid).
     """
 
-    def __init__(self, cols: Columns, exact: bool, weights: np.ndarray | None = None):
-        self.exact, self.weights = exact, weights
-        self.times, self.index = _grid(cols.final)
-        m = self.times.shape[-1]
-        self.y = _at_risk(cols.entry, cols.final, self.times, weights)
-        observed = _among(weights, cols.observed)
-        self.d = _tally(_pick(self.index, cols.observed, m), m, observed)
-        self.surv = _survival(self.d, self.y, exact)
+    def __init__(self, cols: Columns, event1: np.ndarray, exact: bool, keep=True):
+        self.exact, self.plain = exact, cols.final.ndim == 1
+        times, index = _grid(_pick(cols.final, keep))
+        m = times.shape[-1]
+        self.events = _Tally(index, m, cols.observed)
+        self.risk = _RiskSets(times, keep, cols.entry, cols.final)
+        self.kind1 = [_Tally(index, m, e) for e in event1]
 
-    def event1_counts(self, event1: np.ndarray) -> np.ndarray:
-        """Per-t kind-1 counts on the grid, from a (len(ts), n) mask."""
-        m = len(self.times)
-        rows, subjects = np.nonzero(event1)
-        flat = rows * m + self.index[subjects]
-        return np.bincount(flat, minlength=len(event1) * m).reshape(-1, m)
+    def counts(self, weights=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Events d, risk sets y, and the survival before each time, then after."""
+        d, y = self.events(weights), self.risk(weights)
+        return d, y, _survival(d, y, self.exact)
 
-    def incidence(self, event1: np.ndarray) -> np.ndarray:
-        """Incidence limit per t: the kind-1 masses of each row, summed (with
-        weights or a batch, one t at a time, a row of resamples or cohorts each)."""
-        before, m, w = self.surv[..., :-1], self.times.shape[-1], self.weights
-        if w is None and self.index.ndim == 1:
-            return _incidence(before, self.event1_counts(event1), self.y, self.exact)[:, -1]
-        counts = (_tally(_pick(self.index, e, m), m, _among(w, e)) for e in event1)
-        return np.array([_incidence(before, c, self.y, self.exact)[:, -1] for c in counts])
+    def incidence(self, weights=None) -> tuple[np.ndarray, np.ndarray]:
+        """Incidence limit per t (a row per resample or cohort), and y."""
+        _, y, surv = self.counts(weights)
+        counts = (kind1(weights) for kind1 in self.kind1)
+        last = (_incidence(surv[..., :-1], c, y, self.exact).take(-1, -1) for c in counts)
+        return np.array(list(last)), y
 
 
 def _query_times(s: float, ts: Iterable[float]) -> np.ndarray:
@@ -214,54 +210,98 @@ def _query_times(s: float, ts: Iterable[float]) -> np.ndarray:
     return np.asarray(ts, dtype=float)
 
 
-def _state0_survival(cols: Columns, s: float, exact: bool, weights=None) -> Number:
-    """Product-limit state-0 survival at s, the denominator of both mm forms
-    (with weights or a batch, one per row, NaN where it is zero)."""
-    if not len(cols.final):
-        raise EmptyRiskSet("empty cohort")
-    state0 = cols.state0
-    exits = state0 & (cols.cause0 != _CENSORED) & (cols.exit0 <= s)
-    times, index = _grid(_pick(cols.exit0, exits))
-    d0 = _tally(index, times.shape[-1], _among(weights, exits))
-    starts, ends = (_pick(at, state0) for at in (cols.entry, cols.exit0))
-    y0 = _at_risk(starts, ends, times, _among(weights, state0))
-    den = _survival(d0, y0, exact)[..., -1]
-    if weights is not None or den.ndim:
-        return np.where(den == 0, np.nan, den)
-    if den == 0:
-        raise ZeroDenominator(f"estimated state-0 survival at s={s} is zero")
-    return den
-
-
-def _check_curve(
-    cohort: Iterable[IllnessDeathRecord],
-    s: float,
-    ts: Iterable[float],
-    exact: bool = False,
-    weights: np.ndarray | None = None,
-) -> list[Number] | np.ndarray:
+def _prepare_check(cohort, s: float, ts, exact: bool = False, resampled: bool = False):
+    """The landmark subset's grid, and its final times and observed flags."""
     ts = _query_times(s, ts)
     cols = Columns.of(cohort)
-    sub = _landmark_columns(cols, s)  # a batch keeps its shape
-    if weights is None and cols.final.ndim == 1:
-        _warn_censored_tail(sub.final[sub.observed], sub.final[~sub.observed])
-        return _ProductLimit(sub, exact).incidence(sub.event1(s, ts)).tolist()
     present = cols.landmark(s)
-    if weights is not None:
-        weights = present = weights[:, present]
-    values = _ProductLimit(sub, exact, weights).incidence(sub.event1(s, ts))
-    return np.where(present.sum(axis=-1) == 0, np.nan, values)  # empty landmark
+    if cols.final.ndim == 1 and not present.any():
+        raise EmptyLandmark(f"no subject in state 0 at landmark s={s}")
+    grid = _ProductLimit(cols, cols.event1(s, ts), exact, present)
+    return grid, cols.final[present], cols.observed[present]
 
 
-def _pooled_incidence(cols: Columns, event1, exact: bool, weights=None) -> np.ndarray:
+def _check(p, weights=None) -> list[Number] | np.ndarray:
+    grid, final, observed = p
+    values, y = grid.incidence(weights)
+    if weights is not None or not grid.plain:
+        return np.where(y[..., 0] == 0, np.nan, values)  # an empty landmark
+    _warn_censored_tail(final[observed], final[~observed])
+    return values.tolist()
+
+
+class _FullCohort:
+    """Both mm forms: the state-0 grid of their denominator, and when first
+    asked for the pooled grid (mm) or the ordered ranks (mm-stute).  The last
+    weights' denominator is kept for the other form.  Both identify P01 only
+    when every subject is observed from the origin, so a delayed entry raises
+    DelayedEntry before anything else (a NaN row, resampled or in a batch)."""
+
+    def __init__(self, cohort, s: float, ts, exact: bool = False, resampled: bool = False):
+        ts = _query_times(s, ts)
+        cols = self.cols = Columns.of(cohort)
+        self.exact = exact
+        self.delayed = (cols.entry > 0) & (cols.entry < np.inf)  # padding enters at inf
+        plain = cols.final.ndim == 1 and not resampled
+        if plain and self.delayed.any():
+            raise DelayedEntry("full-cohort ratio requires every entry at the origin")
+        if not len(cols.final):
+            raise EmptyRiskSet("empty cohort")
+        self.event1 = cols.event1(s, ts)
+        state0 = cols.state0
+        exits = state0 & (cols.cause0 != _CENSORED) & (cols.exit0 <= s)
+        times, index = _grid(_pick(cols.exit0, exits))
+        self.exits = _Tally(index, times.shape[-1])
+        self.risk0 = _RiskSets(times, state0, cols.entry, cols.exit0)
+        self._last: tuple = (self, None)  # (weights, denominator); self is never weights
+        if plain and self.denominator() == 0:
+            raise ZeroDenominator(f"estimated state-0 survival at s={s} is zero")
+
+    def denominator(self, weights=None):
+        """Product-limit state-0 survival at s (one per row)."""
+        if self._last[0] is not weights:
+            d0, y0 = self.exits(weights), self.risk0(weights)
+            self._last = weights, _survival(d0, y0, self.exact)[..., -1]
+        return self._last[1]
+
+    @cached_property
+    def pooled(self) -> _ProductLimit:
+        return _ProductLimit(self.cols, self.event1, self.exact)
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        # final time, events before censorings, then id; lexsort is stable
+        cols = self.cols
+        return np.lexsort((cols.id_rank, ~cols.observed, cols.final))  # a batch: per row
+
+
+def _ratio_of(p: _FullCohort, incidence: np.ndarray, weights) -> list[Number] | np.ndarray:
+    """Full-cohort incidence per t over state-0 survival at s (NaN where it
+    is zero), with the SupportWarning and RangeWarning (ratio above 1)."""
+    den, cols = p.denominator(weights), p.cols
+    if weights is not None or cols.final.ndim > 1:
+        out = incidence / np.where(den == 0, np.nan, den)
+        if not p.delayed.any():
+            return out
+        held = p.delayed if weights is None else weights[:, p.delayed] > 0
+        return np.where(held.any(-1), np.nan, out)  # a row that holds a delayed entry
+    out = incidence / den
+    _warn_censored_tail(cols.final[cols.observed], cols.final[~cols.observed])
+    for value in out:
+        if value > 1:
+            message = f"ratio estimate {float(value):.6g} exceeds 1"
+            warnings.warn(message, RangeWarning, stacklevel=2)
+    return out.tolist()
+
+
+def _pooled_ratio(p: _FullCohort, weights=None) -> list[Number] | np.ndarray:
     """mm: the incidence limit of the full cohort's pooled event process."""
-    return _ProductLimit(cols, exact, weights).incidence(event1)
+    return _ratio_of(p, p.pooled.incidence(weights)[0], weights)
 
 
-def _ordered_incidence(cols: Columns, event1, exact: bool, weights=None) -> np.ndarray:
+def _ordered_ratio(p: _FullCohort, weights=None) -> list[Number] | np.ndarray:
     """mm-stute: the same sum with the ordered-weights jump masses."""
-    # final time, events before censorings, then id; lexsort is stable
-    order = np.lexsort((cols.id_rank, ~cols.observed, cols.final))  # a batch: per row
+    cols, order, exact = p.cols, p.order, p.exact
     if weights is not None:  # a subject of weight w takes w consecutive ranks
         order = np.repeat(np.tile(order, len(weights)), weights[:, order].ravel())
         order = order.reshape(len(weights), -1)  # rows of equal total weight
@@ -272,51 +312,14 @@ def _ordered_incidence(cols: Columns, event1, exact: bool, weights=None) -> np.n
     left = np.maximum(n - np.arange(width), 1)  # n - rank + 1, and 1 on padding
     masses = _survival(cols.observed.ravel()[order], left, exact)[..., :-1] * _ratio(1, left, exact)
     zero = _one(exact) * 0
-    sums = [np.cumsum(np.where(e.ravel()[order], masses, zero), axis=-1)[..., -1] for e in event1]
-    return np.array(sums, dtype=masses.dtype)
+    sums = [np.cumsum(np.where(e.ravel()[order], masses, zero), axis=-1)[..., -1] for e in p.event1]
+    return _ratio_of(p, np.array(sums, dtype=masses.dtype), weights)
 
 
-def _ratio_curve(
-    incidence: Callable[..., np.ndarray],
-    cohort: Iterable[IllnessDeathRecord],
-    s: float,
-    ts: Iterable[float],
-    exact: bool = False,
-    weights: np.ndarray | None = None,
-) -> list[Number] | np.ndarray:
-    """Both mm forms: full-cohort incidence per t over state-0 survival at s.
-
-    ``incidence(columns, event1 mask, exact, weights)`` gives the numerators;
-    the errors, SupportWarning and RangeWarning (ratio above 1) are shared.
-    Both identify P01 only when every subject is observed from the origin,
-    so a delayed entry raises DelayedEntry before anything else.
-    """
-    ts = _query_times(s, ts)
-    cols = Columns.of(cohort)
-    delayed = (cols.entry > 0) & (cols.entry < np.inf)  # padding enters at inf
-    if weights is None and cols.final.ndim == 1 and delayed.any():
-        raise DelayedEntry("full-cohort ratio requires every entry at the origin")
-    den = _state0_survival(cols, s, exact, weights)
-    out = incidence(cols, cols.event1(s, ts), exact, weights) / den
-    if weights is not None or cols.final.ndim > 1:
-        # NaN where the denominator is, or where a row holds a delayed entry
-        held = delayed if weights is None else _among(weights, delayed)
-        return np.where(held.any(-1), np.nan, out)
-    _warn_censored_tail(cols.final[cols.observed], cols.final[~cols.observed])
-    for value in out:
-        if value > 1:
-            message = f"ratio estimate {float(value):.6g} exceeds 1"
-            warnings.warn(message, RangeWarning, stacklevel=2)
-    return out.tolist()
-
-
-def _aj_curve(
-    cohort: Iterable[IllnessDeathRecord],
-    s: float,
-    ts: Iterable[float],
-    exact: bool = False,
-    weights: np.ndarray | None = None,
-) -> list[Number] | np.ndarray:
+def _prepare_aj(cohort, s: float, ts, exact: bool = False, resampled: bool = False):
+    """The landmark, the counts of each kind of move and the two risk sets on
+    the grid of the transition times in (s, max(ts)], and each t's number of
+    grid times up to it."""
     ts = _query_times(s, ts)
     cols = Columns.of(cohort)
     present = cols.landmark(s)
@@ -329,17 +332,20 @@ def _aj_curve(
     at0, at1 = ((s < at) & (at <= ts.max(initial=s)) for at in (cols.exit0, cols.final))
     movers = [(at0 & state0 & ill, cols.exit0), (at0 & (cols.cause0 == _ABSORBED), cols.exit0)]
     movers.append((at1 & seen_ill & cols.observed, cols.final))
-    moves = [_pick(at, who) for who, at in movers]
-    times, index = _grid(np.concatenate(moves, axis=-1))  # each time > s
-    parts = np.split(index, np.cumsum([move.shape[-1] for move in moves])[:-1], axis=-1)
-    d01, d02, d12 = (
-        _tally(part, times.shape[-1], _among(weights, who))
-        for part, (who, _) in zip(parts, movers)
-    )
-    y0, y1 = (
-        _at_risk(_pick(start, who), _pick(end, who), times, _among(weights, who))
+    times, index = _grid(np.concatenate([_pick(at, who) for who, at in movers], axis=-1))
+    moves = [_Tally(move, times.shape[-1]) for move in np.split(index, 3, axis=-1)]
+    risk = [
+        _RiskSets(times, who, start, end)
         for who, start, end in ((state0, cols.entry, cols.exit0), (seen_ill, start1, cols.final))
-    )
+    ]
+    after = (times <= ts.reshape(-1, *(1,) * times.ndim)).sum(axis=-1)  # grid times up to t
+    return present, exact, moves, risk, after
+
+
+def _aj(p, weights=None) -> list[Number] | np.ndarray:
+    present, exact, moves, risk, after = p
+    d01, d02, d12 = (move(weights) for move in moves)
+    y0, y1 = (sizes(weights) for sizes in risk)
     # an empty risk set carries no transition, so its hazards are 0
     h01, h02 = (_ratio(d, np.maximum(y0, 1), exact) for d in (d01, d02))
     h12 = _ratio(d12, np.maximum(y1, 1), exact)
@@ -348,30 +354,60 @@ def _aj_curve(
     keep0 = 1 - h01 - h02
     first = np.full((*keep0.shape[:-1], 1), _one(exact), keep0.dtype)
     inflow = np.cumprod(np.concatenate((first, keep0), axis=-1), axis=-1)[..., :-1] * h01
-    # per transition time a Python number, or with weights or a batch a vector of rows
-    plain = weights is None and cols.final.ndim == 1
-    steps = [a.tolist() if plain else a.T for a in (1 - h12, inflow)]
-    p1 = _one(exact) * 0 if plain else np.full(h01.shape[:-1], _one(exact) * 0)
+    keep1, enter1 = np.atleast_2d(1 - h12, inflow)
+    # per transition time one number for one row (a vector of one costs more
+    # per step), or a vector of rows (resamples or cohorts)
+    zero = _one(exact) * 0
+    if len(keep1) == 1:
+        steps, p1 = zip(keep1[0].tolist(), enter1[0].tolist()), zero
+    else:
+        steps, p1 = zip(keep1.T, enter1.T), np.full(len(keep1), zero)
     history = [p1]  # p1 after each transition time
-    for keep1, enter1 in zip(*steps):
-        p1 = p1 * keep1 + enter1
+    for stay, enter in steps:
+        p1 = p1 * stay + enter
         history.append(p1)
-    after = (times <= ts.reshape(-1, *(1,) * times.ndim)).sum(axis=-1)  # grid times up to t
-    if plain:
-        return [history[i] for i in after]
-    values = np.array(history)[after.reshape(len(ts), -1), np.arange(len(p1))]
-    if weights is not None:
-        present = weights[:, present]
-    return np.where(present.sum(axis=-1) == 0, np.nan, values)
+    history = np.array(history).reshape(len(history), -1)
+    rows = after if after.ndim > 1 else after[:, None]  # (len(ts), 1 or batch rows)
+    values = history[rows, np.arange(history.shape[-1])]
+    if weights is None and after.ndim == 1:
+        return values[:, 0].tolist()
+    held = present if weights is None else weights[:, present]  # the landmark's weight
+    return np.where(held.sum(-1) == 0, np.nan, values)
+
+
+class Estimator:
+    """A registered estimator: ``prepare`` and ``evaluate`` (see the module
+    docstring); called, it is ``evaluate(prepare(...))``."""
+
+    def __init__(self, prepare: Callable, evaluate: Callable):
+        self.prepare, self.evaluate = prepare, evaluate
+
+    def __call__(self, cohort, s: float, ts, exact: bool = False, weights=None):
+        return self.evaluate(self.prepare(cohort, s, ts, exact, weights is not None), weights)
 
 
 # The registry the CLI, the bootstrap and the Monte-Carlo harness share.
-ESTIMATORS: dict[str, Callable[..., list[Number]]] = {
-    "check": _check_curve,
-    "mm": partial(_ratio_curve, _pooled_incidence),
-    "mm-stute": partial(_ratio_curve, _ordered_incidence),
-    "aj": _aj_curve,
+ESTIMATORS: dict[str, Estimator] = {
+    "check": Estimator(_prepare_check, _check),
+    "mm": Estimator(_FullCohort, _pooled_ratio),
+    "mm-stute": Estimator(_FullCohort, _ordered_ratio),
+    "aj": Estimator(_prepare_aj, _aj),
 }
+
+
+def prepare_methods(cols: Columns, s: float, ts, methods):
+    """Yield each method and its prepared cohort, or the EstimationError its
+    preparation raised.  Each prepare step runs once, when first needed (the
+    two mm forms share one), and is let go after its last method."""
+    steps = [ESTIMATORS[method].prepare for method in methods]
+    done: dict = {}
+    for i, (method, step) in enumerate(zip(methods, steps)):
+        if step not in done:
+            try:
+                done[step] = step(cols, s, ts)
+            except EstimationError as err:
+                done[step] = err
+        yield method, done[step] if step in steps[i + 1 :] else done.pop(step)
 
 
 def p01_curve(
@@ -465,14 +501,17 @@ def landmark_variance_curve(
     """Delta-method variance of the landmark estimator for every t in ts, by
     one sweep of the landmark subset's product-limit grid (see
     p01_landmark_variance)."""
-    ts = _query_times(s, ts)
-    sub = _landmark_columns(cohort, s)
-    grid = _ProductLimit(sub, exact)
-    before, y = grid.surv[:-1], grid.y
-    keep = 1 - _ratio(grid.d, y, exact)
+    return _landmark_variance(_prepare_check(cohort, s, ts, exact))
+
+
+def _landmark_variance(p) -> list[Number]:
+    """landmark_variance_curve on check's prepared grid."""
+    grid, exact = p[0], p[0].exact
+    d, y, surv = grid.counts()
+    before, keep = surv[:-1], 1 - _ratio(d, y, exact)
     out = []
-    for dn1 in grid.event1_counts(sub.event1(s, ts)):  # a t at a time: O(m) memory
-        h1, h2 = _ratio(dn1, y, exact), _ratio(grid.d - dn1, y, exact)
+    for dn1 in (kind1() for kind1 in grid.kind1):  # a t at a time: O(m) memory
+        h1, h2 = _ratio(dn1, y, exact), _ratio(d - dn1, y, exact)
         incidence = _incidence(before, dn1, y, exact)
         after = incidence[-1] - incidence  # F(inf) - F(u)
         r = after / np.where(after == 0, 1, keep)  # 0 past a y = d time

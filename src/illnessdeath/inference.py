@@ -4,12 +4,13 @@ Resampling is by subject with replacement.  Resample b of a run with seed q
 draws its indices from ``numpy.random.Philox`` keyed by
 ``SeedSequence((q, b))``, so intervals are reproducible and independent of
 any parallel scheduling above this layer.  A resample's draws become subject
-weights on the cohort's own grid, which give the resampled cohort's floats.
+weights on the cohort's own grid, which give the resampled cohort's floats:
+each method is prepared once per cohort (estimators.Estimator) and evaluated
+on every chunk of weights.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -21,13 +22,13 @@ import numpy as np
 from ._rng import philox
 from .counting import Columns
 from .errors import EstimationError, TooManyFailures
-from .estimators import ESTIMATORS
+from .estimators import ESTIMATORS, prepare_methods
 from .records import IllnessDeathRecord, TransitionQuery
 
 
-# A chunk holds about CHUNK_CELLS weights and at least MIN_CHUNK resamples (aj's
-# loop costs the same per chunk): past 1024 subjects its arrays grow as 16 * n.
-CHUNK_CELLS, MIN_CHUNK = 1 << 14, 16
+# A chunk holds about CHUNK_CELLS weights, at least one resample: its arrays
+# stay near CHUNK_CELLS elements whatever the cohort's size.
+CHUNK_CELLS = 1 << 14
 
 
 def _clip_unit(lo: float, hi: float) -> tuple[float, float]:
@@ -62,18 +63,23 @@ def resample_estimates(
     cols: Columns, s: float, ts: Sequence[float], methods, n_boot: int, seed: int
 ) -> dict[str, np.ndarray]:
     """Each method's (len(ts), n_boot) estimates, NaN where a resample fails,
-    one chunk of draws for every method; a method that fails on cols has none."""
+    one chunk of draws for every method; a method that fails on cols has none.
+    Each method is prepared once and evaluated on every chunk; the two mm
+    forms share their preparation and so their denominator."""
+    ready = prepare_methods(cols, s, ts, methods)
+    ready = {method: p for method, p in ready if not isinstance(p, EstimationError)}
     n = len(cols.final)
-    chunk = max(MIN_CHUNK, CHUNK_CELLS // max(n, 1))
-    parts: dict[str, list[np.ndarray]] = {method: [] for method in methods}
+    chunk = max(1, CHUNK_CELLS // max(n, 1))
+    parts: dict[str, list[np.ndarray]] = {method: [] for method in ready}
     for first in range(0, n_boot, chunk):
         resamples = range(first, min(first + chunk, n_boot))
         draws = (philox(seed, b).integers(0, n, size=n) for b in resamples)
         weights = np.stack([np.bincount(idx, minlength=n) for idx in draws])
-        for method in methods:
-            with contextlib.suppress(EstimationError):
-                parts[method].append(ESTIMATORS[method](cols, s, ts, False, weights))
-    return {method: np.concatenate(part, axis=1) for method, part in parts.items() if part}
+        for method, prepared in ready.items():
+            parts[method].append(ESTIMATORS[method].evaluate(prepared, weights))
+    out = {method: np.concatenate(part, axis=1) for method, part in parts.items() if part}
+    assert all(a.shape[1] == n_boot for a in out.values()), "a chunk of resamples was lost"
+    return out
 
 
 def interval(point: float, estimates: np.ndarray, level: float) -> CiResult:

@@ -25,9 +25,10 @@ from illnessdeath import (
     write_cohort,
 )
 from cohortgen import random_cohort
-from illnessdeath import inference
+from illnessdeath import estimators, inference
 from illnessdeath._rng import philox
 from illnessdeath.cli import main
+from illnessdeath.estimators import ESTIMATORS, Estimator
 
 
 def _run(tmp_path, *argv):
@@ -257,6 +258,55 @@ class TestEstimate:
                 "--method", "all", "--boot", "40", "--output", str(tmp_path / "o.csv")]
         assert main(argv) == 0
         assert calls == list(range(40))  # not 40 per (method, t)
+
+    def test_truncated_cohort_resamples_only_methods_with_estimates(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # on a left-truncated table3 cohort both mm forms fail (DelayedEntry),
+        # so no resample evaluates them; the bytes are the same as when every
+        # method was resampled
+        path = tmp_path / "cohort.csv"
+        write_cohort(simulate_cohort(preset("table3", n=150, seed=11).config), path)
+        weighted = []
+        for method, estimator in ESTIMATORS.items():
+
+            def evaluate(prepared, weights=None, method=method, inner=estimator.evaluate):
+                if weights is not None:
+                    weighted.append(method)
+                return inner(prepared, weights)
+
+            monkeypatch.setitem(ESTIMATORS, method, Estimator(estimator.prepare, evaluate))
+        code = main(
+            ["estimate", "--input", str(path), "--s", "10", "--t", "30,50", "--method", "all",
+             "--boot", "40", "--seed", "3", "--output", "-"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert set(weighted) == {"check", "aj"}
+        assert "mm,10,30,,,,,,,,,error:DelayedEntry" in out.splitlines()
+        digest = "4184f19a1cc850079a3ef6f7ff2e3ea2f89c23d3568b394026733a610e30114d"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_estimate_builds_one_landmark_grid(self, tmp_path, monkeypatch):
+        # check's rows and its variance column read one product-limit grid
+        built = []
+
+        class Counted(estimators._ProductLimit):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(estimators, "_ProductLimit", Counted)
+        cohort = random_cohort(random.Random(3), max_n=40, truncated=True)
+        path = tmp_path / "cohort.csv"
+        write_cohort(cohort, path)
+        code, rows, _, _ = _run(
+            tmp_path, "estimate", "--input", str(path), "--s", "1.5", "--t", "2,3.5,5",
+            "--method", "check",
+        )
+        assert code == 0
+        assert [row["variance"] != "" for row in rows] == [True] * 3
+        assert len(built) == 1
 
     def test_bootstrap_columns(self, toy_csv, tmp_path):
         code, rows, manifest, _ = _run(

@@ -323,6 +323,46 @@ def test_batch_rows_equal_each_cohort_curve(case):
             assert [repr(x) for x in got[:, row].tolist()] == [repr(w) for w in want]
 
 
+def _bits(value):
+    """repr of a curve's values (a list, or an array of rows), or the error type."""
+    return repr(value.tolist() if isinstance(value, np.ndarray) else value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=batches(), exact=st.booleans(), pick=st.integers(min_value=0, max_value=2**32 - 1))
+def test_one_preparation_evaluates_like_the_registry_curve(case, exact, pick):
+    # evaluate(prepare(...)) on one preparation evaluated again and again:
+    # plain, under resample weights in turn (the two mm forms on one shared
+    # preparation, and so one denominator) and on a batch, repr-equal to a
+    # fresh registry call each time, NaN and -0.0 included
+    cohorts, s, ts, seed = case
+    cols, rng = Columns.of(cohorts[0]), np.random.default_rng(pick)
+    n = len(cols.final)
+    draws = [
+        np.stack([np.bincount(rng.integers(0, n, n), minlength=n) for _ in range(rows)])
+        for rows in (1, 3)
+    ]
+    runs = [(cols, exact, [None, None]), (cols, exact, draws + draws[:1])]
+    runs.append((_batch(cohorts, seed), False, [None, None]))
+    for data, exact_, evaluations in runs:
+        resampled = evaluations[0] is not None
+        ready = {}  # a preparation per prepare step
+        for estimator in ESTIMATORS.values():
+            if estimator.prepare not in ready:
+                ready[estimator.prepare] = _outcome(
+                    lambda: estimator.prepare(data, s, ts, exact_, resampled)
+                )
+        for weights in evaluations:
+            for estimator in ESTIMATORS.values():
+                got = prepared = ready[estimator.prepare]
+                if not isinstance(prepared, type):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")
+                        got = estimator.evaluate(prepared, weights)  # never raises
+                want = _outcome(lambda: estimator(data, s, ts, exact_, weights))
+                assert _bits(got) == _bits(want)
+
+
 @st.composite
 def time_grids(draw):
     """(s, ts): valid grids, in every container, and arbitrary values."""

@@ -29,7 +29,7 @@ from illnessdeath import (
     simulate_cohort,
 )
 from illnessdeath.counting import Columns
-from illnessdeath.estimators import ESTIMATORS
+from illnessdeath.estimators import ESTIMATORS, Estimator
 
 
 def _quiet_ci(*args, **kwargs):
@@ -191,7 +191,7 @@ def test_weighted_resamples_equal_the_resampled_cohorts(case):
     # one estimator call per resampled cohort, in chunks of a few resamples
     cohort, query, chunk, n_boot, seed = case
     cols = Columns.of(cohort)
-    with mock.patch.multiple(inference, CHUNK_CELLS=chunk * len(cohort), MIN_CHUNK=1):
+    with mock.patch.object(inference, "CHUNK_CELLS", chunk * len(cohort)):
         for method in ESTIMATORS:
             args = (cohort, query, method, n_boot, 0.9, seed)
             expected, got = _outcome(loops.bootstrap_ci, *args), _outcome(bootstrap_ci, *args)
@@ -207,6 +207,35 @@ def test_weighted_resamples_equal_the_resampled_cohorts(case):
                     cols, query.s, [query.t], [method], n_boot, seed
                 )
             assert _bits(got[method][0].tolist()) == _bits(expected)
+
+
+@pytest.mark.parametrize("chunk", [1, 4, 1000])
+def test_each_method_is_prepared_once_per_call(chunk):
+    # however many chunks the resamples take; the two mm forms share one
+    # preparation, and every chunk evaluates every method
+    cols = Columns.of(random_cohort(random.Random(7), max_n=30))
+    prepared, evaluated = [], []
+
+    def spy(calls, name, step):
+        def recorded(*args):
+            calls.append(name)
+            return step(*args)
+
+        return recorded
+
+    steps = {estimator.prepare for estimator in ESTIMATORS.values()}
+    spies = {step: spy(prepared, step, step) for step in steps}
+    registry = {
+        method: Estimator(spies[estimator.prepare], spy(evaluated, method, estimator.evaluate))
+        for method, estimator in ESTIMATORS.items()
+    }
+    with mock.patch.object(inference, "CHUNK_CELLS", chunk * len(cols.final)):
+        with mock.patch.dict(ESTIMATORS, registry):
+            out = inference.resample_estimates(cols, 1.0, [2.0, 3.5], list(registry), 9, 0)
+    assert sorted(map(id, prepared)) == sorted(map(id, steps))
+    chunks = -(-9 // chunk)
+    assert sorted(evaluated) == sorted(list(ESTIMATORS) * chunks)
+    assert {method: a.shape for method, a in out.items()} == dict.fromkeys(ESTIMATORS, (2, 9))
 
 
 @settings(max_examples=60, deadline=None)
