@@ -189,17 +189,19 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         raise _UsageError("--level must be inside (0, 1)")
     methods = list(METHODS) if args.method == "all" else [args.method]
     header, boot = ["method", "s", "t", "estimate"], {}
+    # each method prepared once (the two mm forms share one), then swept
+    ready = prepare_methods(cols, args.s, args.t, methods)
     if args.boot:
         header += ["boot_variance", "q_lo", "q_hi", "n_lo", "n_hi", "n_boot", "n_failed"]
-        # one draw of each resample for every method and t; a method that
-        # fails on the cohort (rows of error flags) is not resampled
-        boot = resample_estimates(cols, args.s, args.t, methods, args.boot, args.seed)
+        # each resample drawn once for every method and t, on the preparations
+        # the rows read; a method that fails on the cohort has no resamples
+        ready = list(ready)
+        boot = resample_estimates(dict(ready), len(cols.final), args.boot, args.seed)
     else:
         header += ["variance"]
     rows = [header + ["flags"]]
     mm_values: dict[float, tuple[float, bool]] = {}
-    # each method prepared once (the two mm forms share one), then swept
-    for method, prepared in prepare_methods(cols, args.s, args.t, methods):
+    for method, prepared in ready:
         rows += _method_rows(args, queries, method, prepared, mm_values, boot)
     text = "".join(",".join(row) + "\n" for row in rows)
     manifest = RunManifest(

@@ -10,20 +10,20 @@ tolerance.
 
 The four registered estimators (``ESTIMATORS``: check, mm, mm-stute, aj)
 are curves in t over the cohort's columns (``counting.Columns``) in two
-steps.  ``prepare(cohort, s, ts, exact, resampled)`` does the work of the
-cohort alone, once: its grids, each subject's grid index, its masks and
-ranks; it raises every EstimationError (resampled, only those that fail
-every resample).  ``evaluate(prepared, weights=None)`` does the counts,
-risk sets and running products and sums, and never raises.  With weights
-(subject multiplicities, a row per resample) or on a batch of cohorts
-(Columns with a row per cohort) it gives a (len(ts), rows) array, NaN for
-a row that fails, and warns of nothing; the floats are those of each row
-on its own.  The scalar forms are one-point curves.  Float and
-``exact=True`` (object arrays of Fraction) share the array code; every sum
-and product runs left to right (``np.cumsum``/``np.cumprod``), so floats
-equal a plain loop bit for bit.  Every product-limit survival and
-incidence comes from ``_survival`` and ``_incidence``; tests/loop_reference.py
-holds the loop forms.
+steps.  ``prepare(cohort, s, ts, exact=False)`` does the work of the cohort
+alone, once: its grids, each subject's grid index, its masks and ranks; it
+raises every EstimationError of the cohort.  ``evaluate(prepared,
+weights=None)`` does the counts, risk sets and running products and sums,
+and never raises; weighted evaluation goes only through it.  With weights
+(subject multiplicities, a row per resample, on a cohort that prepared) or
+on a batch of cohorts (Columns with a row per cohort) it gives a
+(len(ts), rows) array, NaN for a row that fails, and warns of nothing; the
+floats are those of each row on its own.  The scalar forms are one-point
+curves.  Float and ``exact=True`` (object arrays of Fraction) share the
+array code; every sum and product runs left to right
+(``np.cumsum``/``np.cumprod``), so floats equal a plain loop bit for bit.
+Every product-limit survival and incidence comes from ``_survival`` and
+``_incidence``; tests/loop_reference.py holds the loop forms.
 
 Conventions shared by all routines: at tied times, events precede
 censorings; any hazard increment with an empty risk set contributes a unit
@@ -91,9 +91,7 @@ def _survival(d, y, exact: bool, start: Number | None = None) -> np.ndarray:
     included, gets a factor of exactly 1, as a loop that skips it would.
     """
     factors = 1 - _ratio(d, np.maximum(y, 1), exact)
-    first = [_one(exact) if start is None else start]
-    if factors.ndim > 1:  # a row per resample
-        first = np.full((*factors.shape[:-1], 1), first[0])
+    first = np.full((*factors.shape[:-1], 1), _one(exact) if start is None else start)
     return np.cumprod(np.concatenate((first, factors), axis=-1), axis=-1)
 
 
@@ -176,7 +174,7 @@ class _ProductLimit:
     Every subject is at risk at its own final time, so ``y >= 1`` on this
     grid; times that are only state-0 exits would add unit factors and zero
     masses, so leaving them out changes no value, not even in float.  With
-    weights, a time no resampled subject reaches adds exactly the unit factor
+    weights, a time no weighted subject reaches adds exactly the unit factor
     and zero mass of leaving it out; a batch has a grid per row (see _grid).
     """
 
@@ -210,7 +208,7 @@ def _query_times(s: float, ts: Iterable[float]) -> np.ndarray:
     return np.asarray(ts, dtype=float)
 
 
-def _prepare_check(cohort, s: float, ts, exact: bool = False, resampled: bool = False):
+def _prepare_check(cohort, s: float, ts, exact: bool = False):
     """The landmark subset's grid, and its final times and observed flags."""
     ts = _query_times(s, ts)
     cols = Columns.of(cohort)
@@ -235,14 +233,14 @@ class _FullCohort:
     asked for the pooled grid (mm) or the ordered ranks (mm-stute).  The last
     weights' denominator is kept for the other form.  Both identify P01 only
     when every subject is observed from the origin, so a delayed entry raises
-    DelayedEntry before anything else (a NaN row, resampled or in a batch)."""
+    DelayedEntry before anything else (a NaN row in a batch)."""
 
-    def __init__(self, cohort, s: float, ts, exact: bool = False, resampled: bool = False):
+    def __init__(self, cohort, s: float, ts, exact: bool = False):
         ts = _query_times(s, ts)
         cols = self.cols = Columns.of(cohort)
         self.exact = exact
         self.delayed = (cols.entry > 0) & (cols.entry < np.inf)  # padding enters at inf
-        plain = cols.final.ndim == 1 and not resampled
+        plain = cols.final.ndim == 1
         if plain and self.delayed.any():
             raise DelayedEntry("full-cohort ratio requires every entry at the origin")
         if not len(cols.final):
@@ -281,10 +279,7 @@ def _ratio_of(p: _FullCohort, incidence: np.ndarray, weights) -> list[Number] | 
     den, cols = p.denominator(weights), p.cols
     if weights is not None or cols.final.ndim > 1:
         out = incidence / np.where(den == 0, np.nan, den)
-        if not p.delayed.any():
-            return out
-        held = p.delayed if weights is None else weights[:, p.delayed] > 0
-        return np.where(held.any(-1), np.nan, out)  # a row that holds a delayed entry
+        return np.where(p.delayed.any(-1), np.nan, out)  # a batch row with a delayed entry
     out = incidence / den
     _warn_censored_tail(cols.final[cols.observed], cols.final[~cols.observed])
     for value in out:
@@ -316,7 +311,7 @@ def _ordered_ratio(p: _FullCohort, weights=None) -> list[Number] | np.ndarray:
     return _ratio_of(p, np.array(sums, dtype=masses.dtype), weights)
 
 
-def _prepare_aj(cohort, s: float, ts, exact: bool = False, resampled: bool = False):
+def _prepare_aj(cohort, s: float, ts, exact: bool = False):
     """The landmark, the counts of each kind of move and the two risk sets on
     the grid of the transition times in (s, max(ts)], and each t's number of
     grid times up to it."""
@@ -382,8 +377,8 @@ class Estimator:
     def __init__(self, prepare: Callable, evaluate: Callable):
         self.prepare, self.evaluate = prepare, evaluate
 
-    def __call__(self, cohort, s: float, ts, exact: bool = False, weights=None):
-        return self.evaluate(self.prepare(cohort, s, ts, exact, weights is not None), weights)
+    def __call__(self, cohort, s: float, ts, exact: bool = False):
+        return self.evaluate(self.prepare(cohort, s, ts, exact))
 
 
 # The registry the CLI, the bootstrap and the Monte-Carlo harness share.

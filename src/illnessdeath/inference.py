@@ -4,9 +4,10 @@ Resampling is by subject with replacement.  Resample b of a run with seed q
 draws its indices from ``numpy.random.Philox`` keyed by
 ``SeedSequence((q, b))``, so intervals are reproducible and independent of
 any parallel scheduling above this layer.  A resample's draws become subject
-weights on the cohort's own grid, which give the resampled cohort's floats:
-each method is prepared once per cohort (estimators.Estimator) and evaluated
-on every chunk of weights.
+weights on the cohort's own grid, which give the floats of the resample as a
+cohort of its own.  The caller prepares each method once per cohort
+(estimators.Estimator); the point estimate and every chunk of weights are
+evaluated on that preparation, the weights only through ``evaluate``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from ._rng import philox
 from .counting import Columns
 from .errors import EstimationError, TooManyFailures
-from .estimators import ESTIMATORS, prepare_methods
+from .estimators import ESTIMATORS
 from .records import IllnessDeathRecord, TransitionQuery
 
 
@@ -59,16 +60,13 @@ def _lower_quantile(ordered: Sequence[float], p: float) -> float:
     return ordered[k - 1]
 
 
-def resample_estimates(
-    cols: Columns, s: float, ts: Sequence[float], methods, n_boot: int, seed: int
-) -> dict[str, np.ndarray]:
+def resample_estimates(ready: dict, n: int, n_boot: int, seed: int) -> dict[str, np.ndarray]:
     """Each method's (len(ts), n_boot) estimates, NaN where a resample fails,
-    one chunk of draws for every method; a method that fails on cols has none.
-    Each method is prepared once and evaluated on every chunk; the two mm
-    forms share their preparation and so their denominator."""
-    ready = prepare_methods(cols, s, ts, methods)
-    ready = {method: p for method, p in ready if not isinstance(p, EstimationError)}
-    n = len(cols.final)
+    one chunk of draws for every method.  ready maps each method to its
+    cohort of n subjects, prepared once, or to the EstimationError that
+    preparing it raised: such a method has none.  The two mm forms share
+    their preparation and so their denominator."""
+    ready = {method: p for method, p in ready.items() if not isinstance(p, EstimationError)}
     chunk = max(1, CHUNK_CELLS // max(n, 1))
     parts: dict[str, list[np.ndarray]] = {method: [] for method in ready}
     for first in range(0, n_boot, chunk):
@@ -128,9 +126,10 @@ def bootstrap_ci(
         raise ValueError("n_boot must be >= 2")
     if seed < 0:
         raise ValueError("seed must be >= 0")
-    cols = Columns.of(cohort)
+    cols, steps = Columns.of(cohort), ESTIMATORS[estimator]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        point = float(ESTIMATORS[estimator](cols, query.s, [query.t])[0])
-    boot = resample_estimates(cols, query.s, [query.t], [estimator], n_boot, seed)
+        prepared = steps.prepare(cols, query.s, [query.t])
+        point = float(steps.evaluate(prepared)[0])
+    boot = resample_estimates({estimator: prepared}, len(cols.final), n_boot, seed)
     return interval(point, boot[estimator][0], level)

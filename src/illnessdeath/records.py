@@ -296,12 +296,12 @@ def _read_blocks(source: str | Path | IO[str]) -> Iterator[tuple[list[str], tupl
     where = {name: i for i, name in enumerate(header)}  # the last one wins
     fields = [where.get(name) for name in CSV_COLUMNS]
     seen: set[str] = set()
-    for texts, rows in _field_blocks(lines, line, len(header), fields):
+    for texts, block, start in _field_blocks(lines, line, len(header), fields):
         texts[0] = list(map(str.strip, texts[0]))
         part = _block_columns(texts)
         fresh = set(texts[0])
         if part is None or len(fresh) < len(texts[0]) or not seen.isdisjoint(fresh):
-            cohort = _validate_rows(header, *rows(), seen)
+            cohort = _validate_rows(header, block, start, len(texts[0]), seen)
             part, texts[0] = Columns.of(cohort)[:5], [r.id for r in cohort]
         else:
             seen |= fresh
@@ -310,16 +310,15 @@ def _read_blocks(source: str | Path | IO[str]) -> Iterator[tuple[list[str], tupl
 
 def _field_blocks(lines: Iterator[str], line: int, width: int, fields: list) -> Iterator:
     """The CSV_COLUMNS field texts of each block of rows after line ``line``,
-    blank where absent, and a function that gives the block's rows and the
-    line each ends on, until the next block.  Blocks of plain lines (_split)
-    are split at their commas; from the first that is not, csv.reader reads."""
+    blank where absent, with the block's lines and the line just before
+    them.  Blocks of plain lines (_split) are split at their commas; from
+    the first that is not, csv.reader reads."""
     while block := list(itertools.islice(lines, _BLOCK)):
         flat, n = _split(block, width), len(block)
         if flat is None:
             yield from _reader_blocks(itertools.chain(block, lines), line, fields)
             return
-        texts = [[""] * n if i is None else flat[i::width] for i in fields]
-        yield texts, lambda: (list(zip(*[iter(flat)] * width)), range(line + 1, line + n + 1))
+        yield [[""] * n if i is None else flat[i::width] for i in fields], block, line
         line += n
 
 
@@ -369,7 +368,7 @@ def _reader_blocks(lines: Iterator[str], line: int, fields: list) -> Iterator:
                 block = [row + [""] * (width - len(row)) for row in block]
             texts = [[""] * len(block) if i is None else list(map(itemgetter(i), block))
                      for i in fields]
-            yield texts, lambda: (block, _row_lines(text, line + start, len(block)))
+            yield texts, text, line + start
     raise error
 
 
@@ -412,26 +411,21 @@ def _block_columns(texts: list[list[str]]) -> tuple[np.ndarray, ...] | None:
 
 
 def _validate_rows(
-    header: list[str], rows: list[list[str]], lines: list[int], seen: set[str]
+    header: list[str], lines: list[str], start: int, count: int, seen: set[str]
 ) -> list[IllnessDeathRecord]:
-    """The records of the rows, each read as csv.DictReader reads it."""
+    """The records of the first ``count`` rows of the lines after line
+    ``start``, read by csv.DictReader: a row that fails to parse after them
+    is never read."""
+    reader = csv.DictReader(lines, header)
     cohort = []
-    for row, line in zip(rows, lines):
-        raw = dict(zip(header, row))
-        raw.update(dict.fromkeys(header[len(row):]))
+    for raw in itertools.islice(reader, count):
+        line = start + reader.line_num
         record = validate_record(raw, line)
         if record.id in seen:
             raise MalformedRecord(f"line {line}: duplicate id {record.id!r}")
         seen.add(record.id)
         cohort.append(record)
     return cohort
-
-
-def _row_lines(lines: list[str], start: int, count: int) -> list[int]:
-    """The line each of the first ``count`` non-blank rows of the lines after
-    line ``start`` ends on: csv.DictReader's line_num for the row."""
-    reader = csv.reader(lines)
-    return list(itertools.islice((start + reader.line_num for row in reader if row), count))
 
 
 # a cohort CSV row without and with an illness exit

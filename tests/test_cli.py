@@ -17,6 +17,7 @@ from illnessdeath import (
     Cause,
     IllnessDeathRecord,
     ScenarioConfig,
+    TransitionQuery,
     TruncationConfig,
     preset,
     read_cohort,
@@ -258,6 +259,33 @@ class TestEstimate:
                 "--method", "all", "--boot", "40", "--output", str(tmp_path / "o.csv")]
         assert main(argv) == 0
         assert calls == list(range(40))  # not 40 per (method, t)
+
+    def test_boot_and_bootstrap_ci_prepare_each_method_once(self, tmp_path, monkeypatch):
+        # the resamples read the preparation of the rows (or of the point
+        # estimate); the two mm forms share one prepare step
+        prepared = []
+
+        def spy(step):
+            def prepare(*args):
+                prepared.append(step)
+                return step(*args)
+
+            return prepare
+
+        spies = {estimator.prepare: spy(estimator.prepare) for estimator in ESTIMATORS.values()}
+        for method, estimator in list(ESTIMATORS.items()):
+            spied = Estimator(spies[estimator.prepare], estimator.evaluate)
+            monkeypatch.setitem(ESTIMATORS, method, spied)
+        cohort = random_cohort(random.Random(3), max_n=40)
+        path = tmp_path / "cohort.csv"
+        write_cohort(cohort, path)
+        argv = ["estimate", "--input", str(path), "--s", "1.5", "--t", "2,3.5,5",
+                "--method", "all", "--boot", "10", "--output", str(tmp_path / "o.csv")]
+        assert main(argv) == 0
+        assert sorted(map(id, prepared)) == sorted(map(id, spies))
+        prepared.clear()
+        ci = inference.bootstrap_ci(cohort, TransitionQuery(1.5, 3.5), "aj", n_boot=10)
+        assert prepared == [estimators._prepare_aj] and ci.n_boot == 10
 
     def test_truncated_cohort_resamples_only_methods_with_estimates(
         self, tmp_path, capsys, monkeypatch

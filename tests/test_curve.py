@@ -334,7 +334,8 @@ def test_one_preparation_evaluates_like_the_registry_curve(case, exact, pick):
     # evaluate(prepare(...)) on one preparation evaluated again and again:
     # plain, under resample weights in turn (the two mm forms on one shared
     # preparation, and so one denominator) and on a batch, repr-equal to a
-    # fresh registry call each time, NaN and -0.0 included
+    # fresh preparation each time, as a registry call makes, NaN and -0.0
+    # included
     cohorts, s, ts, seed = case
     cols, rng = Columns.of(cohorts[0]), np.random.default_rng(pick)
     n = len(cols.final)
@@ -345,13 +346,10 @@ def test_one_preparation_evaluates_like_the_registry_curve(case, exact, pick):
     runs = [(cols, exact, [None, None]), (cols, exact, draws + draws[:1])]
     runs.append((_batch(cohorts, seed), False, [None, None]))
     for data, exact_, evaluations in runs:
-        resampled = evaluations[0] is not None
         ready = {}  # a preparation per prepare step
         for estimator in ESTIMATORS.values():
             if estimator.prepare not in ready:
-                ready[estimator.prepare] = _outcome(
-                    lambda: estimator.prepare(data, s, ts, exact_, resampled)
-                )
+                ready[estimator.prepare] = _outcome(lambda: estimator.prepare(data, s, ts, exact_))
         for weights in evaluations:
             for estimator in ESTIMATORS.values():
                 got = prepared = ready[estimator.prepare]
@@ -359,7 +357,9 @@ def test_one_preparation_evaluates_like_the_registry_curve(case, exact, pick):
                     with warnings.catch_warnings():
                         warnings.simplefilter("ignore")
                         got = estimator.evaluate(prepared, weights)  # never raises
-                want = _outcome(lambda: estimator(data, s, ts, exact_, weights))
+                want = _outcome(
+                    lambda: estimator.evaluate(estimator.prepare(data, s, ts, exact_), weights)
+                )
                 assert _bits(got) == _bits(want)
 
 

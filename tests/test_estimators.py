@@ -38,7 +38,6 @@ from illnessdeath import (
 )
 from illnessdeath import simulation
 from illnessdeath.counting import Columns
-from illnessdeath.estimators import ESTIMATORS
 
 
 class TestKaplanMeier:
@@ -288,14 +287,6 @@ class TestDelayedEntryGuard:
                 with pytest.raises(DelayedEntry) as info:
                     estimator(cohort4 + [late], query, exact=exact)
                 assert isinstance(info.value, EstimationError)
-
-    def test_a_resample_holding_a_delayed_entry_is_nan(self, cohort4, query):
-        cols = Columns.of(cohort4 + [IllnessDeathRecord("E", 1, 4, Cause.ABSORBED)])
-        # resamples of equal size: all but E, E once, and all but E again
-        weights = np.array([[2, 1, 1, 1, 0], [1, 1, 1, 1, 1], [1, 2, 1, 1, 0]])
-        for method in ("mm", "mm-stute"):
-            got = ESTIMATORS[method](cols, query.s, [query.t], weights=weights)[0]
-            assert np.isnan(got).tolist() == [False, True, False]
 
 
 class TestRiskSetStability:

@@ -29,7 +29,7 @@ from illnessdeath import (
     simulate_cohort,
 )
 from illnessdeath.counting import Columns
-from illnessdeath.estimators import ESTIMATORS, Estimator
+from illnessdeath.estimators import ESTIMATORS, Estimator, prepare_methods
 
 
 def _quiet_ci(*args, **kwargs):
@@ -197,28 +197,26 @@ def test_weighted_resamples_equal_the_resampled_cohorts(case):
             expected, got = _outcome(loops.bootstrap_ci, *args), _outcome(bootstrap_ci, *args)
             assert repr(got) == repr(expected)
             try:
-                _quiet(ESTIMATORS[method], cols, query.s, [query.t])
+                prepared = _quiet(ESTIMATORS[method].prepare, cols, query.s, [query.t])
             except EstimationError:
                 continue  # no estimate, so no bootstrap
             expected = loops.resample_estimates(cohort, query, method, n_boot, seed)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # a weighted curve warns of nothing
-                got = inference.resample_estimates(
-                    cols, query.s, [query.t], [method], n_boot, seed
-                )
+                got = inference.resample_estimates({method: prepared}, len(cohort), n_boot, seed)
             assert _bits(got[method][0].tolist()) == _bits(expected)
 
 
 @pytest.mark.parametrize("chunk", [1, 4, 1000])
 def test_each_method_is_prepared_once_per_call(chunk):
-    # however many chunks the resamples take; the two mm forms share one
-    # preparation, and every chunk evaluates every method
+    # however many chunks the resamples take, every chunk evaluates every
+    # method on its one preparation; the two mm forms share one
     cols = Columns.of(random_cohort(random.Random(7), max_n=30))
     prepared, evaluated = [], []
 
     def spy(calls, name, step):
         def recorded(*args):
-            calls.append(name)
+            calls.append((name, args[0]))  # the cohort, or the prepared one
             return step(*args)
 
         return recorded
@@ -231,10 +229,12 @@ def test_each_method_is_prepared_once_per_call(chunk):
     }
     with mock.patch.object(inference, "CHUNK_CELLS", chunk * len(cols.final)):
         with mock.patch.dict(ESTIMATORS, registry):
-            out = inference.resample_estimates(cols, 1.0, [2.0, 3.5], list(registry), 9, 0)
-    assert sorted(map(id, prepared)) == sorted(map(id, steps))
+            ready = dict(prepare_methods(cols, 1.0, [2.0, 3.5], list(registry)))
+            out = inference.resample_estimates(ready, len(cols.final), 9, 0)
+    assert sorted(id(step) for step, _ in prepared) == sorted(map(id, steps))
     chunks = -(-9 // chunk)
-    assert sorted(evaluated) == sorted(list(ESTIMATORS) * chunks)
+    assert sorted(method for method, _ in evaluated) == sorted(list(ESTIMATORS) * chunks)
+    assert all(p is ready[method] for method, p in evaluated)
     assert {method: a.shape for method, a in out.items()} == dict.fromkeys(ESTIMATORS, (2, 9))
 
 
@@ -250,11 +250,8 @@ def test_weight_two_equals_a_duplicated_row(case, pick):
     ts = [query.t, query.t + 1.5]
     for method, curve in ESTIMATORS.items():
         expected = _outcome(curve, doubled, query.s, ts, True)
-        got = _outcome(curve, cols, query.s, ts, True, weights[None, :])
-        if isinstance(got, np.ndarray):
-            got = got[:, 0].tolist()
-            if isinstance(expected, type):  # the weighted form fails per resample
-                assert all(math.isnan(x) for x in got)
-                continue
+        got = prepared = _outcome(curve.prepare, cols, query.s, ts, True)
+        if not isinstance(prepared, type):
+            got = curve.evaluate(prepared, weights[None, :])[:, 0].tolist()
             assert all(type(x) is Fraction for x in got)
         assert got == expected
