@@ -17,6 +17,7 @@ import json
 import sys
 import warnings
 from dataclasses import asdict, dataclass
+from functools import cache
 from itertools import compress
 from pathlib import Path
 from typing import IO, Callable, Sequence, get_type_hints
@@ -317,6 +318,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
     return 0
 
 
+@cache  # one parser per process: parsing leaves no state on it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="illnessdeath",

@@ -229,10 +229,13 @@ def _at_risk(starts, ends, times) -> np.ndarray:
     risk."""
     if times.ndim == 1:
         return np.searchsorted(np.sort(starts), times) - np.searchsorted(np.sort(ends), times)
-    # a stable sort puts each grid time before the starts and ends equal to
-    # it, and keeps the grid's order: +1 per start, -1 per end before it
+    # the starts and ends sorted first, so the stable sort merges three sorted
+    # runs in linear time; it puts each grid time before the starts and ends
+    # equal to it and keeps the grid's order: +1 per start, -1 per end before
+    # it.  Exact: a count does not depend on the order of the subjects
     m, n = times.shape[-1], starts.shape[-1]
-    order = np.argsort(np.concatenate((times, starts, ends), -1), -1, kind="stable")
+    runs = (times, np.sort(starts, -1), np.sort(ends, -1))
+    order = np.argsort(np.concatenate(runs, -1), -1, kind="stable")
     running = np.cumsum(np.where(order < m + n, 1, -1) * (order >= m), axis=-1)
     return running[order < m].reshape(times.shape)
 

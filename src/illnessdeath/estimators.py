@@ -37,7 +37,7 @@ import warnings
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
+from itertools import compress, islice
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -313,8 +313,8 @@ def _ordered_ratio(p: _FullCohort, weights=None) -> list[Number] | np.ndarray:
 
 def _prepare_aj(cohort, s: float, ts, exact: bool = False):
     """The landmark, the counts of each kind of move and the two risk sets on
-    the grid of the transition times in (s, max(ts)], and each t's number of
-    grid times up to it."""
+    the grid of the transition times in (s, max(ts)], and the numbers of grid
+    times up to some t (reads) with each t's place in them."""
     ts = _query_times(s, ts)
     cols = Columns.of(cohort)
     present = cols.landmark(s)
@@ -333,12 +333,13 @@ def _prepare_aj(cohort, s: float, ts, exact: bool = False):
         _RiskSets(times, who, start, end)
         for who, start, end in ((state0, cols.entry, cols.exit0), (seen_ill, start1, cols.final))
     ]
-    after = (times <= ts.reshape(-1, *(1,) * times.ndim)).sum(axis=-1)  # grid times up to t
-    return present, exact, moves, risk, after
+    after = (times <= ts[:, None, None]).sum(axis=-1)  # grid times up to t, (len(ts), 1 or rows)
+    reads = sorted({0, *after.ravel().tolist()})  # the step counts some t reads, and 0
+    return present, exact, moves, risk, reads, np.searchsorted(reads, after)
 
 
 def _aj(p, weights=None) -> list[Number] | np.ndarray:
-    present, exact, moves, risk, after = p
+    present, exact, moves, risk, reads, place = p
     d01, d02, d12 = (move(weights) for move in moves)
     y0, y1 = (sizes(weights) for sizes in risk)
     # an empty risk set carries no transition, so its hazards are 0
@@ -357,14 +358,13 @@ def _aj(p, weights=None) -> list[Number] | np.ndarray:
         steps, p1 = zip(keep1[0].tolist(), enter1[0].tolist()), zero
     else:
         steps, p1 = zip(keep1.T, enter1.T), np.full(len(keep1), zero)
-    history = [p1]  # p1 after each transition time
-    for stay, enter in steps:
-        p1 = p1 * stay + enter
-        history.append(p1)
-    history = np.array(history).reshape(len(history), -1)
-    rows = after if after.ndim > 1 else after[:, None]  # (len(ts), 1 or batch rows)
-    values = history[rows, np.arange(history.shape[-1])]
-    if weights is None and after.ndim == 1:
+    kept = []  # p1 after each step count in reads
+    for skip in np.diff(reads, prepend=0).tolist():
+        for stay, enter in islice(steps, skip):
+            p1 = p1 * stay + enter
+        kept.append(p1)
+    values = np.take_along_axis(np.array(kept).reshape(len(kept), -1), place, 0)
+    if weights is None and present.ndim == 1:
         return values[:, 0].tolist()
     held = present if weights is None else weights[:, present]  # the landmark's weight
     return np.where(held.sum(-1) == 0, np.nan, values)

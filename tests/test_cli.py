@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -28,7 +29,7 @@ from illnessdeath import (
 from cohortgen import random_cohort
 from illnessdeath import estimators, inference
 from illnessdeath._rng import philox
-from illnessdeath.cli import main
+from illnessdeath.cli import build_parser, main
 from illnessdeath.estimators import ESTIMATORS, Estimator
 
 
@@ -722,3 +723,30 @@ def test_module_entry_point(toy_csv):
 
 def test_help_exits_clean():
     assert main(["--help"]) == 0
+
+
+def test_the_parser_carries_no_state_between_calls(tmp_path, capsys):
+    # one parser serves every call in a process: each call below exits and
+    # writes what it does as the first call of a fresh interpreter
+    assert build_parser() is build_parser()
+    path = tmp_path / "cohort.csv"
+    write_cohort(simulate_cohort(preset("table1", n=60, seed=100).config), path)
+    estimate = ["estimate", "--input", str(path), "--s", "10", "--t", "30,50", "--method", "all"]
+    calls = [
+        (2, [*estimate, "--boot", "ten"]),
+        (0, [*estimate, "--boot", "10", "--seed", "3"]),
+        (0, estimate),
+        (0, ["simulate", "--scenario", "table1", "--reps", "20", "--n", "50", "--seed", "3"]),
+    ]
+    for i, (code, argv) in enumerate(calls):
+        here, fresh = tmp_path / f"here-{i}.csv", tmp_path / f"fresh-{i}.csv"
+        assert main([*argv, "--output", str(here)]) == code
+        proc = subprocess.run(
+            [sys.executable, "-m", "illnessdeath", *argv, "--output", str(fresh)],
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (code, capsys.readouterr().err)
+        for suffix in ("", ".manifest.json"):
+            mine, theirs = (Path(f"{out}{suffix}") for out in (here, fresh))
+            assert mine.exists() == theirs.exists() == (code == 0)
+            assert code or mine.read_bytes() == theirs.read_bytes()

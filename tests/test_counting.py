@@ -1,7 +1,11 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from illnessdeath import (
     Cause,
@@ -12,7 +16,7 @@ from illnessdeath import (
     TransitionQuery,
     build_counting,
 )
-from illnessdeath.counting import Columns
+from illnessdeath.counting import Columns, _at_risk, _RiskSets
 
 import oracle_bruteforce as ob
 from cohortgen import random_cohort, random_query, to_oracle, with_ill_at_origin
@@ -149,6 +153,33 @@ def _assert_matches_oracle_recount(cohort, q, landmark):
     assert cp.size == len(subjects)
     at_origin = sum(1 for s in subjects if s["entry"] == 0)
     assert cp.y_origin == (len(subjects) if landmark else at_origin)
+
+
+@st.composite
+def _risk_batches(draw):
+    """A batch of integer-valued rows, so grid times, starts and ends tie: a
+    sorted grid per row with an inf tail of its own length (rows of unequal
+    finite width), and starts and ends (end >= start) of the subjects in who,
+    the others padding."""
+    rows, n, m = draw(st.integers(1, 5)), draw(st.integers(1, 9)), draw(st.integers(1, 7))
+    times = np.sort(draw(arrays(np.int64, (rows, m), elements=st.integers(0, 8))), -1)
+    widths = draw(arrays(np.int64, (rows, 1), elements=st.integers(0, m)))
+    times = np.where(np.arange(m) < widths, times, np.inf)
+    starts = draw(arrays(np.int64, (rows, n), elements=st.integers(0, 6))).astype(float)
+    ends = starts + draw(arrays(np.int64, (rows, n), elements=st.integers(0, 3)))
+    return times, draw(arrays(bool, (rows, n))), starts, ends
+
+
+@settings(max_examples=300, deadline=None)
+@given(_risk_batches())
+def test_batched_risk_sets_equal_each_row_alone(batch):
+    # the batch merges each row's sorted grid, starts and ends in one stable
+    # sort: a grid time must count only the starts and ends strictly before it
+    times, who, starts, ends = batch
+    alone = [_at_risk(s[w], e[w], t) for t, w, s, e in zip(times, who, starts, ends)]
+    padded = (np.where(who, at, np.inf) for at in (starts, ends))
+    assert np.array_equal(_at_risk(*padded, times), alone)
+    assert np.array_equal(_RiskSets(times, who, starts, ends)(), alone)
 
 
 class TestStepFunction:
