@@ -1,12 +1,10 @@
-"""The columnar cohort, its risk sets and its counting processes.
+"""Risk sets and counting processes of a cohort's columns (records.Columns).
 
-Every estimator reads a cohort as numpy columns (``Columns``), built once
-per cohort from the records.  The counting processes are computed from the
-same columns: distinct observed times with integer event counts and
-risk-set sizes, for both the state-0 process and the derived two-risk
-process of a given window.  Risk sets use left-open observation windows, so
-a subject with entry L and exit R is at risk at v iff L < v <= R; at the
-origin that degenerates to L == 0.
+The counting processes are distinct observed times with integer event
+counts and risk-set sizes, for both the state-0 process and the derived
+two-risk process of a given window.  Risk sets use left-open observation
+windows, so a subject with entry L and exit R is at risk at v iff
+L < v <= R; at the origin that degenerates to L == 0.
 """
 
 from __future__ import annotations
@@ -14,164 +12,21 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
-from .errors import EmptyLandmark, EmptyRiskSet, MalformedRecord
-from .records import Cause, IllnessDeathRecord, TransitionQuery
-
-# cause codes as plain ints for the int8 cause0 column: numpy compares an
-# enum member only after looking up attributes on it, about 4x slower
-_CENSORED, _ILL, _ABSORBED = int(Cause.CENSORED), int(Cause.ILL), int(Cause.ABSORBED)
-# a batch's padding: never at risk, never observed and never in a landmark
-_PADDING = (np.inf, np.inf, np.inf, _CENSORED, False, 0)
-
-
-class Columns(NamedTuple):
-    """The record fields the estimators read, one numpy array each.
-
-    ``id_rank`` ranks the subjects by record id, the last tie-break of the
-    ordered weights; rows taken from one cohort keep their ranks, so a
-    repeated subject repeats its rank.  A NamedTuple's ``len`` counts its
-    fields: the number of subjects is ``len(cols.final)``.  A batch of
-    cohorts has a row each, padded where a row has no subject (``take``).
-    """
-
-    entry: np.ndarray
-    exit0: np.ndarray
-    final: np.ndarray
-    cause0: np.ndarray
-    observed: np.ndarray
-    id_rank: np.ndarray
-
-    @classmethod
-    def of(cls, cohort: Iterable[IllnessDeathRecord] | Columns) -> Columns:
-        """The columns of a cohort of records; Columns come back unchanged."""
-        if isinstance(cohort, Columns):
-            return cohort
-        records = list(cohort)
-        # a list per column (per-record tuples wake the GC); final_time, observed inlined
-        absorbed, n = Cause.ABSORBED, len(records)
-        final_cause = [r.cause0 if r.cause1 is None else r.cause1 for r in records]
-        return cls(
-            np.array([r.entry for r in records], float),
-            np.array([r.exit0 for r in records], float),
-            np.array([r.exit0 if r.exit1 is None else r.exit1 for r in records], float),
-            np.fromiter([r.cause0 for r in records], np.int8, n),
-            np.fromiter([cause is absorbed for cause in final_cause], bool, n),
-            rank_ids([r.id for r in records]),
-        )
-
-    def take(self, rows: np.ndarray) -> Columns:
-        """The subjects at a mask, or at indices (repeats allowed); a batch
-        keeps its shape, the subjects outside a mask becoming padding."""
-        if np.ndim(rows) > 1:
-            return Columns(*(np.where(rows, c, pad) for c, pad in zip(self, _PADDING)))
-        return Columns(*(column[rows] for column in self))
-
-    @property
-    def ill(self) -> np.ndarray:
-        return self.cause0 == _ILL
-
-    @property
-    def state0(self) -> np.ndarray:
-        """Observed in state 0 at all, i.e. not recruited during illness."""
-        return self.entry < self.exit0
-
-    def landmark(self, s: float) -> np.ndarray:
-        """Mask of the subjects under observation in state 0 at s.
-
-        For s > 0 this is ``entry < s < exit0``; at s = 0 the windows are
-        left-open, so it is the subjects observed from the origin and still
-        in state 0 just after it (never one recruited during illness).
-        """
-        if s == 0:
-            return (self.entry == 0) & (self.exit0 > 0)
-        return (self.entry < s) & (s < self.exit0)
-
-    def event1(self, s: float, ts: np.ndarray) -> np.ndarray:
-        """(len(ts), *shape) mask: observed, ill in (s, t] and alive just after t."""
-        t = ts.reshape(-1, *(1,) * self.final.ndim)
-        onset = self.observed & self.ill & (s < self.exit0)
-        return onset & (self.exit0 <= t) & (t < self.final)
-
-    def clip(self, tau: float) -> tuple[np.ndarray, Columns]:
-        """Artificial censoring at tau (estimators.artificial_censoring).
-
-        Returns the mask of the subjects kept (entry < tau) and their
-        clipped columns: a stay in state 0 past tau becomes a direct
-        absorption at tau, an illness stay past tau an absorption at tau.
-        Kept subjects keep their ranks.
-        """
-        over0 = self.exit0 > tau
-        over = self.final > tau  # final >= exit0, so it covers over0
-        clipped = Columns(
-            self.entry,
-            np.where(over0, tau, self.exit0),
-            np.where(over, tau, self.final),
-            np.where(over0, np.int8(_ABSORBED), self.cause0),
-            self.observed | over,
-            self.id_rank,
-        )
-        keep = self.entry < tau
-        return keep, clipped.take(keep)
-
-
-def valid_rows(cols: Columns) -> np.ndarray:
-    """Mask of the rows that make valid records, in one vectorised pass.
-
-    The IllnessDeathRecord invariants on the time columns, plus the
-    column-only one that a subject who never fell ill ends at its state-0
-    exit.  The cause columns are taken as consistent.
-    """
-    times = np.stack((cols.entry, cols.exit0, cols.final))
-    return (np.isfinite(times) & (times >= 0)).all(axis=0) & np.where(
-        cols.ill,
-        (cols.exit0 <= cols.final) & (cols.entry < cols.final),
-        (cols.entry < cols.exit0) & (cols.final == cols.exit0),
-    )
-
-
-def check_columns(cols: Columns, name: Callable[[int], str]) -> None:
-    """Raise MalformedRecord unless every row makes a valid record.
-
-    ``name(i)`` is the id of row i.  The first bad row is built as its
-    record, so the error is the one the record constructor raises.
-    """
-    valid = valid_rows(cols)
-    if not valid.all():
-        row = np.flatnonzero(~valid)[:1]
-        to_records([name(row[0])], cols.take(row))
-        raise MalformedRecord(f"{name(row[0])}: inconsistent columns")
-
-
-def to_records(ids: Iterable[str], cols: Columns) -> list[IllnessDeathRecord]:
-    """The records of the rows, with Python float times and Cause members."""
-    columns = (cols.entry, cols.exit0, cols.ill, cols.final, cols.observed)
-    cohort = []
-    for ident, entry, exit0, is_ill, end, absorbed in zip(
-        ids, *(column.tolist() for column in columns)
-    ):
-        cause = Cause.ABSORBED if absorbed else Cause.CENSORED
-        path = (exit0, Cause.ILL, end, cause) if is_ill else (end, cause)
-        cohort.append(IllnessDeathRecord(ident, entry, *path))
-    return cohort
-
-
-def rank_ids(ids: list[str]) -> np.ndarray:
-    """Each id's rank in the stable sort of the ids."""
-    rank = np.empty(len(ids), dtype=np.intp)
-    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
-    return rank
+from .errors import EmptyLandmark, EmptyRiskSet
+from .records import _CENSORED, Columns, IllnessDeathRecord, TransitionQuery
 
 
 class _Tally:
     """The subjects in mask (every one by default) per grid index 0..m-1 (see
-    _grid; m or more counts nowhere), a row per batch row.  With weights (a
-    row per resample, a column per subject), each row's total weight per
-    index, summed exactly by one bincount over the (row, index) keys of the
-    subjects that count, which the first such call finds."""
+    _grid; m or more counts nowhere), a row per batch row.  With weights
+    (integer multiplicities, a row per resample, a column per subject), each
+    row's total weight per index, summed exactly by one bincount over the
+    (row, index) keys of the subjects that count, which the first such call
+    finds; the int64 cast of the sums would truncate float weights."""
 
     def __init__(self, index: np.ndarray, m: int, mask=True):
         self.index, self.m, self.mask = index, m, mask

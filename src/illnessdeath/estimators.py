@@ -9,14 +9,15 @@ between the different representations testable to equality rather than
 tolerance.
 
 The four registered estimators (``ESTIMATORS``: check, mm, mm-stute, aj)
-are curves in t over the cohort's columns (``counting.Columns``) in two
+are curves in t over the cohort's columns (``records.Columns``) in two
 steps.  ``prepare(cohort, s, ts, exact=False)`` does the work of the cohort
 alone, once: its grids, each subject's grid index, its masks and ranks; it
 raises every EstimationError of the cohort.  ``evaluate(prepared,
 weights=None)`` does the counts, risk sets and running products and sums,
 and never raises; weighted evaluation goes only through it.  With weights
-(subject multiplicities, a row per resample, on a cohort that prepared) or
-on a batch of cohorts (Columns with a row per cohort) it gives a
+(integer subject multiplicities, a row per resample, on a cohort that
+prepared; float weights are truncated or rejected, never weighed) or on a
+batch of cohorts (Columns with a row per cohort) it gives a
 (len(ts), rows) array, NaN for a row that fails, and warns of nothing; the
 floats are those of each row on its own.  The scalar forms are one-point
 curves.  Float and ``exact=True`` (object arrays of Fraction) share the
@@ -42,8 +43,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .counting import Columns, CountingProcesses, StepFunction, build_counting, to_records
-from .counting import _ABSORBED, _CENSORED, _RiskSets, _Tally, _grid, _pick
+from .counting import CountingProcesses, StepFunction, build_counting
+from .counting import _RiskSets, _Tally, _grid, _pick
 from .errors import (
     CensoredCohort,
     DegenerateWeight,
@@ -55,7 +56,7 @@ from .errors import (
     SupportWarning,
     ZeroDenominator,
 )
-from .records import IllnessDeathRecord, TransitionQuery
+from .records import _ABSORBED, _CENSORED, Columns, IllnessDeathRecord, TransitionQuery, to_records
 
 Number = float | Fraction
 
@@ -196,7 +197,7 @@ class _ProductLimit:
         _, y, surv = self.counts(weights)
         counts = (kind1(weights) for kind1 in self.kind1)
         last = (_incidence(surv[..., :-1], c, y, self.exact).take(-1, -1) for c in counts)
-        return np.array(list(last)), y
+        return np.array(list(last)).reshape(len(self.kind1), *y.shape[:-1]), y
 
 
 def _query_times(s: float, ts: Iterable[float]) -> np.ndarray:
@@ -308,7 +309,7 @@ def _ordered_ratio(p: _FullCohort, weights=None) -> list[Number] | np.ndarray:
     masses = _survival(cols.observed.ravel()[order], left, exact)[..., :-1] * _ratio(1, left, exact)
     zero = _one(exact) * 0
     sums = [np.cumsum(np.where(e.ravel()[order], masses, zero), axis=-1)[..., -1] for e in p.event1]
-    return _ratio_of(p, np.array(sums, dtype=masses.dtype), weights)
+    return _ratio_of(p, np.array(sums, masses.dtype).reshape(len(sums), *order.shape[:-1]), weights)
 
 
 def _prepare_aj(cohort, s: float, ts, exact: bool = False):

@@ -13,7 +13,6 @@ evaluated on that preparation, the weights only through ``evaluate``.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Sequence
@@ -21,10 +20,9 @@ from typing import Sequence
 import numpy as np
 
 from ._rng import philox
-from .counting import Columns
 from .errors import EstimationError, TooManyFailures
 from .estimators import ESTIMATORS
-from .records import IllnessDeathRecord, TransitionQuery
+from .records import Columns, IllnessDeathRecord, TransitionQuery
 
 
 # A chunk holds about CHUNK_CELLS weights, at least one resample: its arrays
@@ -117,7 +115,8 @@ def bootstrap_ci(
     level: float = 0.95,
     seed: int = 0,
 ) -> CiResult:
-    """Subject-level bootstrap for one estimator at one query (see interval)."""
+    """Subject-level bootstrap for one estimator at one query (see interval).
+    The point estimate warns as p01_curve does for that cohort and query."""
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}")
     if not 0 < level < 1:
@@ -127,9 +126,7 @@ def bootstrap_ci(
     if seed < 0:
         raise ValueError("seed must be >= 0")
     cols, steps = Columns.of(cohort), ESTIMATORS[estimator]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        prepared = steps.prepare(cols, query.s, [query.t])
-        point = float(steps.evaluate(prepared)[0])
+    prepared = steps.prepare(cols, query.s, [query.t])
+    point = float(steps.evaluate(prepared)[0])
     boot = resample_estimates({estimator: prepared}, len(cols.final), n_boot, seed)
     return interval(point, boot[estimator][0], level)

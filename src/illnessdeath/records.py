@@ -1,9 +1,11 @@
-"""Subject records for a progressive three-state process and derived data.
+"""The cohort data model: subject records, their columns and the CSV form.
 
 States are 0 (initial), 1 (intermediate illness) and 2 (absorbing).  A
 subject either moves 0 -> 1 -> 2 or 0 -> 2; there is no recovery.  Records
 store the observed pieces of that path under right-censoring and delayed
-entry.
+entry.  Every estimator reads a cohort as numpy columns (``Columns``), built
+once per cohort.  The record invariants have two forms: the constructor's
+checks, with each record's message, and ``valid_rows``, their vector mask.
 """
 
 from __future__ import annotations
@@ -15,14 +17,11 @@ from dataclasses import dataclass
 from enum import IntEnum
 from operator import itemgetter
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import MalformedRecord
-
-if TYPE_CHECKING:
-    from .counting import Columns
 
 
 class Cause(IntEnum):
@@ -106,6 +105,151 @@ class IllnessDeathRecord:
         return self.cause0 is Cause.ILL and self.entry >= self.exit0
 
 
+# cause codes as plain ints for the int8 cause0 column: numpy compares an
+# enum member only after looking up attributes on it, about 4x slower
+_CENSORED, _ILL, _ABSORBED = int(Cause.CENSORED), int(Cause.ILL), int(Cause.ABSORBED)
+# a batch's padding: never at risk, never observed and never in a landmark
+_PADDING = (np.inf, np.inf, np.inf, _CENSORED, False, 0)
+
+
+class Columns(NamedTuple):
+    """The record fields the estimators read, one numpy array each.
+
+    ``id_rank`` ranks the subjects by record id, the last tie-break of the
+    ordered weights; rows taken from one cohort keep their ranks, so a
+    repeated subject repeats its rank.  A NamedTuple's ``len`` counts its
+    fields: the number of subjects is ``len(cols.final)``.  A batch of
+    cohorts has a row each, padded where a row has no subject (``take``).
+    """
+
+    entry: np.ndarray
+    exit0: np.ndarray
+    final: np.ndarray
+    cause0: np.ndarray
+    observed: np.ndarray
+    id_rank: np.ndarray
+
+    @classmethod
+    def of(cls, cohort: Iterable[IllnessDeathRecord] | Columns) -> Columns:
+        """The columns of a cohort of records; Columns come back unchanged."""
+        if isinstance(cohort, Columns):
+            return cohort
+        records = list(cohort)
+        # a list per column (per-record tuples wake the GC); final_time, observed inlined
+        absorbed, n = Cause.ABSORBED, len(records)
+        final_cause = [r.cause0 if r.cause1 is None else r.cause1 for r in records]
+        return cls(
+            np.array([r.entry for r in records], float),
+            np.array([r.exit0 for r in records], float),
+            np.array([r.exit0 if r.exit1 is None else r.exit1 for r in records], float),
+            np.fromiter([r.cause0 for r in records], np.int8, n),
+            np.fromiter([cause is absorbed for cause in final_cause], bool, n),
+            rank_ids([r.id for r in records]),
+        )
+
+    def take(self, rows: np.ndarray) -> Columns:
+        """The subjects at a mask, or at indices (repeats allowed); a batch
+        keeps its shape, the subjects outside a mask becoming padding."""
+        if np.ndim(rows) > 1:
+            return Columns(*(np.where(rows, c, pad) for c, pad in zip(self, _PADDING)))
+        return Columns(*(column[rows] for column in self))
+
+    @property
+    def ill(self) -> np.ndarray:
+        return self.cause0 == _ILL
+
+    @property
+    def state0(self) -> np.ndarray:
+        """Observed in state 0 at all, i.e. not recruited during illness."""
+        return self.entry < self.exit0
+
+    def landmark(self, s: float) -> np.ndarray:
+        """Mask of the subjects under observation in state 0 at s.
+
+        For s > 0 this is ``entry < s < exit0``; at s = 0 the windows are
+        left-open, so it is the subjects observed from the origin and still
+        in state 0 just after it (never one recruited during illness).
+        """
+        if s == 0:
+            return (self.entry == 0) & (self.exit0 > 0)
+        return (self.entry < s) & (s < self.exit0)
+
+    def event1(self, s: float, ts: np.ndarray) -> np.ndarray:
+        """(len(ts), *shape) mask: observed, ill in (s, t] and alive just after t."""
+        t = ts.reshape(-1, *(1,) * self.final.ndim)
+        onset = self.observed & self.ill & (s < self.exit0)
+        return onset & (self.exit0 <= t) & (t < self.final)
+
+    def clip(self, tau: float) -> tuple[np.ndarray, Columns]:
+        """Artificial censoring at tau (estimators.artificial_censoring).
+
+        Returns the mask of the subjects kept (entry < tau) and their
+        clipped columns: a stay in state 0 past tau becomes a direct
+        absorption at tau, an illness stay past tau an absorption at tau.
+        Kept subjects keep their ranks.
+        """
+        over0 = self.exit0 > tau
+        over = self.final > tau  # final >= exit0, so it covers over0
+        clipped = Columns(
+            self.entry,
+            np.where(over0, tau, self.exit0),
+            np.where(over, tau, self.final),
+            np.where(over0, np.int8(_ABSORBED), self.cause0),
+            self.observed | over,
+            self.id_rank,
+        )
+        keep = self.entry < tau
+        return keep, clipped.take(keep)
+
+
+def valid_rows(cols: Columns) -> np.ndarray:
+    """Mask of the rows that make valid records, in one vectorised pass.
+
+    The IllnessDeathRecord invariants on the time columns, plus the
+    column-only one that a subject who never fell ill ends at its state-0
+    exit.  The cause columns are taken as consistent.
+    """
+    times = np.stack((cols.entry, cols.exit0, cols.final))
+    return (np.isfinite(times) & (times >= 0)).all(axis=0) & np.where(
+        cols.ill,
+        (cols.exit0 <= cols.final) & (cols.entry < cols.final),
+        (cols.entry < cols.exit0) & (cols.final == cols.exit0),
+    )
+
+
+def check_columns(cols: Columns, name: Callable[[int], str]) -> None:
+    """Raise MalformedRecord unless every row makes a valid record.
+
+    ``name(i)`` is the id of row i.  The first bad row is built as its
+    record, so the error is the one the record constructor raises.
+    """
+    valid = valid_rows(cols)
+    if not valid.all():
+        row = np.flatnonzero(~valid)[:1]
+        to_records([name(row[0])], cols.take(row))
+        raise MalformedRecord(f"{name(row[0])}: inconsistent columns")
+
+
+def to_records(ids: Iterable[str], cols: Columns) -> list[IllnessDeathRecord]:
+    """The records of the rows, with Python float times and Cause members."""
+    columns = (cols.entry, cols.exit0, cols.ill, cols.final, cols.observed)
+    cohort = []
+    for ident, entry, exit0, is_ill, end, absorbed in zip(
+        ids, *(column.tolist() for column in columns)
+    ):
+        cause = Cause.ABSORBED if absorbed else Cause.CENSORED
+        path = (exit0, Cause.ILL, end, cause) if is_ill else (end, cause)
+        cohort.append(IllnessDeathRecord(ident, entry, *path))
+    return cohort
+
+
+def rank_ids(ids: list[str]) -> np.ndarray:
+    """Each id's rank in the stable sort of the ids."""
+    rank = np.empty(len(ids), dtype=np.intp)
+    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return rank
+
+
 @dataclass(frozen=True)
 class TransitionQuery:
     """Evaluation window: occupy state 0 at s, ask about state 1 at t."""
@@ -142,8 +286,6 @@ def derive_competing_risks(
     observed path is EVENT2, and unobserved absorptions are CENSORED at the
     last time seen.
     """
-    from .counting import Columns  # counting imports this module
-
     cols = Columns.of([record])
     kind = EventKind.EVENT2 if cols.observed[0] else EventKind.CENSORED
     if cols.event1(query.s, np.array([query.t]))[0, 0]:  # observed ones only
@@ -156,8 +298,6 @@ def landmark_subset(
 ) -> list[IllnessDeathRecord]:
     """Subjects under observation in state 0 at the landmark time s, in
     cohort order (the rule of Columns.landmark)."""
-    from .counting import Columns
-
     if s < 0:
         raise ValueError("landmark time must be >= 0")
     cohort = list(cohort)
@@ -228,8 +368,6 @@ def validate_record(raw: Mapping[str, object], line: int = 0) -> IllnessDeathRec
 
 def read_cohort(source: str | Path | IO[str]) -> list[IllnessDeathRecord]:
     """Read a cohort CSV; raises MalformedRecord with the offending line."""
-    from .counting import Columns, to_records  # counting imports this module
-
     return [
         record
         for ids, part in _read_blocks(source)
@@ -243,8 +381,6 @@ def read_columns(source: str | Path | IO[str]) -> tuple[Columns, list[str]]:
     The rows, values and errors are those of read_cohort: of validating
     each row of a csv.DictReader in turn.
     """
-    from .counting import Columns, rank_ids
-
     ids: list[str] = []
     parts = [Columns.of([])[:5]]
     for block_ids, part in _read_blocks(source):
@@ -273,8 +409,6 @@ def _read_blocks(source: str | Path | IO[str]) -> Iterator[tuple[list[str], tupl
     alone, or the separators \\x1c-\\x1f that only str.strip skips) sends
     its block to validate_record.
     """
-    from .counting import Columns
-
     if isinstance(source, (str, Path)):
         with open(source, newline="") as handle:
             yield from _read_blocks(handle)
@@ -375,8 +509,6 @@ def _reader_blocks(lines: Iterator[str], line: int, fields: list) -> Iterator:
 def _block_columns(texts: list[list[str]]) -> tuple[np.ndarray, ...] | None:
     """The entry, exit0, final, cause0 and observed columns of the field
     texts, or None unless every row certainly makes a valid record."""
-    from .counting import Columns, valid_rows
-
     ident, entry, exit0, cause0, exit1, cause1 = texts
     n = len(ident)
     if "" in ident or "" in exit0 or "" in cause0:
@@ -459,6 +591,4 @@ def write_columns(ids: Sequence[str], cols: Columns, sink: str | Path | IO[str])
 
 def write_cohort(cohort: Sequence[IllnessDeathRecord], sink: str | Path | IO[str]) -> None:
     """Write records as a cohort CSV (write_columns)."""
-    from .counting import Columns
-
     write_columns([r.id for r in cohort], Columns.of(cohort), sink)

@@ -28,10 +28,10 @@ from typing import IO, Sequence
 import numpy as np
 
 from ._rng import philox
-from .counting import _ABSORBED, _CENSORED, _ILL, Columns, check_columns, to_records
 from .errors import DegenerateCohort, EstimationError
 from .estimators import ESTIMATORS, _query_times
-from .records import IllnessDeathRecord, TransitionQuery
+from .records import _ABSORBED, _CENSORED, _ILL, Columns, IllnessDeathRecord, TransitionQuery
+from .records import check_columns, to_records
 
 DEFAULT_SEED = 26
 DEFAULT_EVAL_TIMES = (30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0)
@@ -41,9 +41,9 @@ WORKERS_ENV = "ILLNESSDEATH_WORKERS"
 BATCH_CELLS = 1 << 13
 
 
-def _require_finite(config, prefix: str, names: tuple[str, ...]) -> None:
-    for name in names:
-        if not math.isfinite(getattr(config, name)):
+def _require_finite(prefix: str, **values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
             raise ValueError(f"{prefix}{name} must be finite")
 
 
@@ -58,7 +58,7 @@ class TruncationConfig:
     def __post_init__(self) -> None:
         if not (self.scale > 0):
             raise ValueError("truncation scale must be positive")
-        _require_finite(self, "truncation ", ("location", "scale", "shape"))
+        _require_finite("truncation ", **vars(self))
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ class ScenarioConfig:
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         rates = ("hazard_ill", "hazard_direct", "progression_factor", "censor_hazard")
-        _require_finite(self, "", rates)
+        _require_finite("", **{name: getattr(self, name) for name in rates})
 
 
 def _skew_normal(
@@ -246,6 +246,8 @@ def simulate_markov_cohort(
         raise ValueError("n and all transition hazards must be positive")
     if not censor_hazard >= 0:
         raise ValueError("censor hazard must be >= 0")
+    _require_finite("", hazard_ill=hazard_ill, hazard_direct=hazard_direct,
+                    hazard_progression=hazard_progression, censor_hazard=censor_hazard)
     rng = philox(seed, rep_index)
     onset, ill = _onset_and_illness(rng, n, hazard_ill, hazard_direct)
     sojourn = _exponential(rng, n, hazard_progression)

@@ -28,6 +28,7 @@ from cohortgen import random_cohort, to_oracle, with_ill_at_origin
 from illnessdeath import (
     EmptyRiskSet,
     EstimationError,
+    ScenarioConfig,
     StepFunction,
     TransitionQuery,
     build_counting,
@@ -43,6 +44,7 @@ from illnessdeath import (
     p01_landmark,
     p01_landmark_variance,
     risk_set_stability,
+    simulate_cohort,
     tsai_crowley_weight,
 )
 from illnessdeath.counting import Columns
@@ -321,6 +323,16 @@ def test_batch_rows_equal_each_cohort_curve(case):
                 continue
             want = [math.nan if isinstance(w, type) else w for w in want]
             assert [repr(x) for x in got[:, row].tolist()] == [repr(w) for w in want]
+
+
+def test_an_empty_t_list_keeps_the_shape_of_every_form():
+    # a curve is (len(ts), rows) on a batch and under weights, len(ts) = 0 too
+    cohorts = [simulate_cohort(ScenarioConfig(n=40, seed=3), rep) for rep in range(3)]
+    batch, cols = _batch(cohorts, 0), Columns.of(cohorts[0])
+    weights = np.ones((4, len(cols.final)), np.int64)
+    for method, steps in ESTIMATORS.items():
+        assert steps(batch, 10.0, []).shape == (0, 3), method
+        assert steps.evaluate(steps.prepare(cols, 10.0, []), weights).shape == (0, 4), method
 
 
 def _bits(value):

@@ -22,6 +22,7 @@ from illnessdeath import (
     EstimationError,
     IllnessDeathRecord,
     ScenarioConfig,
+    SupportWarning,
     TooManyFailures,
     TransitionQuery,
     bootstrap_ci,
@@ -36,6 +37,17 @@ def _quiet_ci(*args, **kwargs):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return bootstrap_ci(*args, **kwargs)
+
+
+def test_point_estimate_warns_as_the_curve_does():
+    # the largest observation (9) is a censoring: SupportWarning, as p01_curve gives
+    cohort = [
+        IllnessDeathRecord("a", 0, 2, Cause.ILL, 6, Cause.ABSORBED),
+        IllnessDeathRecord("b", 0, 3, Cause.ABSORBED),
+        IllnessDeathRecord("c", 0, 9, Cause.CENSORED),
+    ]
+    with pytest.warns(SupportWarning, match="largest observation is censored"):
+        bootstrap_ci(cohort, TransitionQuery(1, 4), "check", n_boot=20, seed=0)
 
 
 def _mixed_cohort():

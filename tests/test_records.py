@@ -1,10 +1,15 @@
+import ast
 import io
+import itertools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import illnessdeath
 import oracle_bruteforce as ob
 from cohortgen import random_cohort, to_oracle, with_ill_at_origin
 from illnessdeath import (
@@ -19,6 +24,7 @@ from illnessdeath import (
     validate_record,
     write_cohort,
 )
+from illnessdeath.records import Columns, to_records, valid_rows
 
 
 class TestRecordValidation:
@@ -199,3 +205,55 @@ class TestCohortCsv:
         text = "id,entry,exit0,cause0,exit1,cause1\nA,0,2,7,,\n"
         with pytest.raises(MalformedRecord, match="line 2"):
             read_cohort(io.StringIO(text))
+
+
+# edge values of a time column: negative, signed zero, inside, infinite, NaN
+EDGES = (-1.0, -0.0, 0.0, 0.5, 1.0, 2.0, math.inf, math.nan)
+
+
+def _one_row_cases():
+    """Every one-row Columns over the edge times, with cause codes and an
+    observed flag the columns can carry: absorbed iff cause0 is 2, unless
+    the subject fell ill (cause0 1), where either flag is possible."""
+    for entry, exit0, final in itertools.product(EDGES, repeat=3):
+        for cause0, observed in ((0, False), (2, True), (1, False), (1, True)):
+            fields = ([entry], [exit0], [final], np.int8([cause0]), [observed], [0])
+            yield Columns(*map(np.array, fields))
+
+
+def _record_form_accepts(cols) -> bool:
+    """True when the row builds its record and the record gives back the
+    same five columns, bit for bit."""
+    try:
+        back = Columns.of(to_records(["x"], cols))
+    except MalformedRecord:
+        return False
+    return all(
+        a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(cols[:5], back[:5])
+    )
+
+
+def test_valid_rows_agrees_with_the_record_constructor():
+    # the vector form of the invariants against the scalar form, on every case
+    cases = list(_one_row_cases())
+    assert len(cases) == 2048
+    wrong = [c for c in cases if bool(valid_rows(c)[0]) != _record_form_accepts(c)]
+    assert wrong == []
+    assert 0 < sum(bool(valid_rows(c)[0]) for c in cases) < len(cases)
+
+
+def test_every_import_is_at_module_level():
+    # an import inside a function or an ``if`` is how an import cycle
+    # between the package's modules hides; keep each one at the top
+    sources = sorted(Path(illnessdeath.__file__).parent.glob("*.py"))
+    assert len(sources) > 5
+    nested = []
+    for path in sources:
+        tree = ast.parse(path.read_text(), str(path))
+        top = set(map(id, tree.body))
+        nested += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
+        ]
+    assert nested == []

@@ -35,7 +35,8 @@ from illnessdeath import (
     write_cohort,
 )
 from illnessdeath import simulation
-from illnessdeath.counting import Columns, check_columns
+from illnessdeath.counting import Columns
+from illnessdeath.records import check_columns
 
 
 class TestTrueValue:
@@ -337,6 +338,22 @@ class TestMarkovControl:
         with pytest.raises(ValueError, match="censor hazard must be >= 0"):
             simulate_markov_cohort(10, censor_hazard=float("nan"))
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("hazard_ill", math.nan),
+            ("hazard_direct", math.nan),
+            ("hazard_direct", math.inf),
+            ("hazard_progression", math.inf),
+            ("censor_hazard", math.inf),
+        ],
+    )
+    def test_rejects_non_finite_rates(self, name, value):
+        # each slipped past the sign checks: a MalformedRecord, an empty
+        # cohort or subjects who die at onset
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            simulate_markov_cohort(10, **{name: value})
+
 
 class TestMonteCarloHarness:
     def test_rows_shape_and_order(self):
@@ -369,6 +386,11 @@ class TestMonteCarloHarness:
         assert first[0] == "check"
         assert float(first[1]) == 10.0 and float(first[2]) == 30.0
         assert math.isfinite(float(first[3])) and math.isfinite(float(first[4]))
+
+    def test_no_t_gives_no_rows(self):
+        # as estimators=() does, where the batched curves broke on (0,) shapes
+        cfg = preset("table1", n=20, replications=3).config
+        assert run_monte_carlo(cfg, eval_times=()).rows == ()
 
     def test_validates_arguments(self):
         cfg = ScenarioConfig(n=30, replications=4, seed=1)
