@@ -7,6 +7,8 @@ stage in a fresh interpreter, importing the package from ``--src``:
 
 - ``read_cohort``: the public record reader;
 - ``read_columns``: the column reader, when the package has one;
+- ``read_quoted``: the column reader on a copy of the CSV with every field
+  quoted, which ``csv.reader`` reads (R's ``write.csv`` quotes its strings);
 - ``estimate``: ``estimate --method all`` at s = 10 with 8 t values;
 - ``transform``: ``transform --tau 120``;
 - ``boot``: ``estimate --method all --boot 1000 --seed 7`` at s = 10, t = 50,
@@ -24,6 +26,7 @@ manifest, so two checkouts can be compared for speed and for byte identity:
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import statistics
 import subprocess
@@ -48,7 +51,7 @@ from illnessdeath import cli, records
 start = perf_counter()
 if stage == "read_cohort":
     records.read_cohort(path)
-elif stage == "read_columns":
+elif stage in ("read_columns", "read_quoted"):
     records.read_columns(path)
 elif stage == "estimate":
     code = cli.main(["estimate", "--input", path, "--s", "10", "--t", TIMES,
@@ -84,6 +87,12 @@ def _sha256(path: Path) -> str | None:
     return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
 
 
+def _quote_all(plain: Path, quoted: Path) -> None:
+    """Write the CSV again with every field in quotes."""
+    with open(plain, newline="") as rows, open(quoted, "w", newline="") as sink:
+        csv.writer(sink, quoting=csv.QUOTE_ALL, lineterminator="\n").writerows(csv.reader(rows))
+
+
 def _stage(src: str, stage: str, source: str, target: Path, reps: int) -> dict:
     """Median wall time and peak RSS of reps fresh interpreters, and the
     SHA-256 of the stage's output and manifest."""
@@ -114,7 +123,11 @@ def probe(src: str, rows: int, stages: list[str], seed: int, reps: int, workdir:
                    check=True)
     out: dict = {"rows": rows, "input_sha256": _sha256(cohort)}
     for stage in stages:
-        out[stage] = _stage(src, stage, str(cohort), workdir / f"{stage}-{rows}.csv", reps)
+        source = cohort
+        if stage == "read_quoted":
+            source = workdir / f"quoted-{rows}.csv"
+            _quote_all(cohort, source)
+        out[stage] = _stage(src, stage, str(source), workdir / f"{stage}-{rows}.csv", reps)
     return out
 
 
@@ -141,7 +154,8 @@ def main(argv: list[str] | None = None) -> int:
              f"import sys; sys.path.insert(0, {src!r}); from illnessdeath import records;"
              " sys.exit(0 if hasattr(records, 'read_columns') else 1)"],
         ).returncode == 0
-        stages = ["read_cohort", *(["read_columns"] if has_columns else []), "estimate", "transform"]
+        readers = ["read_columns", "read_quoted"] if has_columns else []
+        stages = ["read_cohort", *readers, "estimate", "transform"]
         results = [probe(src, rows, stages, args.seed, args.reps, workdir) for rows in args.rows]
         results += [probe(src, rows, ["boot"], args.seed, args.reps, workdir) for rows in BOOT_ROWS]
         results += [probe_simulate(src, name, args.reps, workdir) for name in SIMULATE]

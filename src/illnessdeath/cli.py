@@ -111,10 +111,10 @@ def _emit(target: str, write: Callable[[IO[str]], None], manifest: RunManifest) 
         sys.stderr.write(manifest.to_json())
         return
     with _usage(OSError):
-        handle = open(target, "w", newline="")
+        handle = open(target, "w", encoding="utf-8", newline="")
     with handle:
         write(handle)
-    Path(target + ".manifest.json").write_text(manifest.to_json())
+    Path(target + ".manifest.json").write_text(manifest.to_json(), encoding="utf-8")
 
 
 def _method_rows(
@@ -234,7 +234,7 @@ def _custom_scenario(path: str) -> Scenario:
     """The scenario of a key=value file.  Every line is read before any value
     is converted, and a repeated key keeps its last value."""
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

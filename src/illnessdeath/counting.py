@@ -132,7 +132,9 @@ class StepFunction:
 
     def __call__(self, u: float) -> float:
         # rightmost jump at or before u; right-continuity means the jump
-        # value applies from its time onward
+        # value applies from its time onward; NaN would pass every jump
+        if u != u:
+            raise ValueError("a step function has no value at NaN")
         k = bisect_right(self.jump_times, u)
         return self.initial_value if k == 0 else self.values[k - 1]
 

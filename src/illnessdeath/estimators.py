@@ -574,6 +574,8 @@ def tsai_crowley_weight(
     second block censoring of the landmark subset's pooled process strictly
     inside (s, u).  Factors condition on the post-event risk set at ties.
     """
+    if math.isnan(u):
+        raise ValueError("u must not be NaN")
     cols = Columns.of(cohort)
     cp = build_counting(cols, query)
     k = bisect_right(cp.times, query.s)

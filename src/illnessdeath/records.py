@@ -298,7 +298,7 @@ def landmark_subset(
 ) -> list[IllnessDeathRecord]:
     """Subjects under observation in state 0 at the landmark time s, in
     cohort order (the rule of Columns.landmark)."""
-    if s < 0:
+    if not s >= 0:
         raise ValueError("landmark time must be >= 0")
     cohort = list(cohort)
     return list(itertools.compress(cohort, Columns.of(cohort).landmark(s)))
@@ -368,18 +368,14 @@ def validate_record(raw: Mapping[str, object], line: int = 0) -> IllnessDeathRec
 
 def read_cohort(source: str | Path | IO[str]) -> list[IllnessDeathRecord]:
     """Read a cohort CSV; raises MalformedRecord with the offending line."""
-    return [
-        record
-        for ids, part in _read_blocks(source)
-        for record in to_records(ids, Columns(*part, None))
-    ]
+    return [r for ids, part in _read_blocks(source) for r in to_records(ids, Columns(*part, None))]
 
 
 def read_columns(source: str | Path | IO[str]) -> tuple[Columns, list[str]]:
     """Read a cohort CSV into columns and the subjects' ids, in file order.
 
     The rows, values and errors are those of read_cohort: of validating
-    each row of a csv.DictReader in turn.
+    each row in turn.
     """
     ids: list[str] = []
     parts = [Columns.of([])[:5]]
@@ -400,18 +396,21 @@ def _read_blocks(source: str | Path | IO[str]) -> Iterator[tuple[list[str], tupl
     each block of rows of a cohort CSV.
 
     Blank rows are skipped, short rows read blank, extra fields are ignored
-    and a repeated column name keeps its last column, as csv.DictReader
-    reads them.  A block that fails or does not pass every check of
-    _block_columns is decided by validate_record row by row instead, which
-    raises the first bad row's MalformedRecord with its line.  Only the ids
-    are stripped: float and int skip surrounding whitespace themselves,
-    never more than str.strip does, and a field they reject (whitespace
-    alone, or the separators \\x1c-\\x1f that only str.strip skips) sends
-    its block to validate_record.
+    and a repeated column name keeps its last column.  A block that fails
+    or does not pass every check of _block_columns is decided row by row
+    instead, by validate_record on the same field texts and the line each
+    row ends on, which raises the first bad row's MalformedRecord.  Only
+    the ids are stripped: float and int skip surrounding whitespace
+    themselves, never more than str.strip does, and a field they reject
+    (whitespace alone, or the separators \\x1c-\\x1f that only str.strip
+    skips) sends its block to validate_record.  A path must hold UTF-8 text.
     """
     if isinstance(source, (str, Path)):
-        with open(source, newline="") as handle:
-            yield from _read_blocks(handle)
+        with open(source, encoding="utf-8", newline="") as handle:
+            try:
+                yield from _read_blocks(handle)
+            except UnicodeDecodeError as err:
+                raise MalformedRecord(f"{source}: not UTF-8 text: {err.reason}") from None
         return
     lines = iter(source)
     first = next(lines, None)
@@ -430,12 +429,18 @@ def _read_blocks(source: str | Path | IO[str]) -> Iterator[tuple[list[str], tupl
     where = {name: i for i, name in enumerate(header)}  # the last one wins
     fields = [where.get(name) for name in CSV_COLUMNS]
     seen: set[str] = set()
-    for texts, block, start in _field_blocks(lines, line, len(header), fields):
+    for texts, ends in _field_blocks(lines, line, len(header), fields):
         texts[0] = list(map(str.strip, texts[0]))
         part = _block_columns(texts)
         fresh = set(texts[0])
         if part is None or len(fresh) < len(texts[0]) or not seen.isdisjoint(fresh):
-            cohort = _validate_rows(header, block, start, len(texts[0]), seen)
+            cohort = []
+            for row, end in zip(zip(*texts), ends):
+                record = validate_record(dict(zip(CSV_COLUMNS, row)), end)
+                if record.id in seen:
+                    raise MalformedRecord(f"line {end}: duplicate id {record.id!r}")
+                seen.add(record.id)
+                cohort.append(record)
             part, texts[0] = Columns.of(cohort)[:5], [r.id for r in cohort]
         else:
             seen |= fresh
@@ -444,15 +449,16 @@ def _read_blocks(source: str | Path | IO[str]) -> Iterator[tuple[list[str], tupl
 
 def _field_blocks(lines: Iterator[str], line: int, width: int, fields: list) -> Iterator:
     """The CSV_COLUMNS field texts of each block of rows after line ``line``,
-    blank where absent, with the block's lines and the line just before
-    them.  Blocks of plain lines (_split) are split at their commas; from
-    the first that is not, csv.reader reads."""
+    blank where absent, and the line each row ends on.  Blocks of plain
+    lines (_split) are split at their commas, a row a line; from the first
+    that is not, csv.reader reads."""
     while block := list(itertools.islice(lines, _BLOCK)):
         flat, n = _split(block, width), len(block)
         if flat is None:
             yield from _reader_blocks(itertools.chain(block, lines), line, fields)
             return
-        yield [[""] * n if i is None else flat[i::width] for i in fields], block, line
+        texts = [[""] * n if i is None else flat[i::width] for i in fields]
+        yield texts, range(line + 1, line + n + 1)
         line += n
 
 
@@ -482,28 +488,26 @@ def _split(lines: list[str], width: int) -> list[str] | None:
 
 def _reader_blocks(lines: Iterator[str], line: int, fields: list) -> Iterator:
     """_field_blocks of the rows that csv.reader reads."""
-    source, raw = itertools.tee(lines)  # raw keeps the lines of a block
-    reader = csv.reader(source)
+    reader = csv.reader(lines)
     width = 1 + max(i for i in fields if i is not None)
-    end, error = 0, None
-    while error is None:
-        rows: list[list[str]] = []
-        try:
-            rows.extend(itertools.islice(reader, _BLOCK))  # keeps the rows before an error
+    error, start = None, -1
+    while error is None and start < reader.line_num:  # until an error or the end
+        rows, ends, start = [], [], reader.line_num
+        try:  # keeps the rows before an error
+            for row in itertools.islice(reader, _BLOCK):
+                if row:  # blank rows are skipped
+                    rows.append(row)
+                    ends.append(line + reader.line_num)
         except csv.Error as err:
             error = MalformedRecord(f"line {line + reader.line_num}: {err}")
-        if not rows and error is None:
-            return
-        text = list(itertools.islice(raw, reader.line_num - end))
-        start, end = end, reader.line_num
-        block = [row for row in rows if row] if [] in rows else rows
-        if block:
-            if min(map(len, block)) < width:
-                block = [row + [""] * (width - len(row)) for row in block]
-            texts = [[""] * len(block) if i is None else list(map(itemgetter(i), block))
+        if rows:
+            if min(map(len, rows)) < width:
+                rows = [row + [""] * (width - len(row)) for row in rows]
+            texts = [[""] * len(rows) if i is None else list(map(itemgetter(i), rows))
                      for i in fields]
-            yield texts, text, line + start
-    raise error
+            yield texts, ends
+    if error is not None:
+        raise error
 
 
 def _block_columns(texts: list[list[str]]) -> tuple[np.ndarray, ...] | None:
@@ -542,24 +546,6 @@ def _block_columns(texts: list[list[str]]) -> tuple[np.ndarray, ...] | None:
     return part if valid_rows(Columns(*part, None)).all() else None
 
 
-def _validate_rows(
-    header: list[str], lines: list[str], start: int, count: int, seen: set[str]
-) -> list[IllnessDeathRecord]:
-    """The records of the first ``count`` rows of the lines after line
-    ``start``, read by csv.DictReader: a row that fails to parse after them
-    is never read."""
-    reader = csv.DictReader(lines, header)
-    cohort = []
-    for raw in itertools.islice(reader, count):
-        line = start + reader.line_num
-        record = validate_record(raw, line)
-        if record.id in seen:
-            raise MalformedRecord(f"line {line}: duplicate id {record.id!r}")
-        seen.add(record.id)
-        cohort.append(record)
-    return cohort
-
-
 # a cohort CSV row without and with an illness exit
 _ROW = "%s,%.12g,%.12g,%d,,\n"
 _ILL_ROW = "%s,%.12g,%.12g,%d,%.12g,%d\n"
@@ -570,7 +556,7 @@ def write_columns(ids: Sequence[str], cols: Columns, sink: str | Path | IO[str])
     digits: each block of rows from one ``%`` template per row kind, in one
     write, or through csv.writer when its ids need quoting."""
     if isinstance(sink, (str, Path)):
-        with open(sink, "w", newline="") as handle:
+        with open(sink, "w", encoding="utf-8", newline="") as handle:
             write_columns(ids, cols, handle)
         return
     sink.write(",".join(CSV_COLUMNS) + "\n")

@@ -439,6 +439,18 @@ class TestEstimateUsageErrors:
             "error: line 2: field larger than field limit (131072)\n"
         )
 
+    @pytest.mark.parametrize("command", ["estimate", "transform"])
+    def test_input_that_is_not_utf8_is_reported(self, tmp_path, capsys, command):
+        # a Latin-1 id is malformed input: no traceback, and nothing written
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"id,entry,exit0,cause0,exit1,cause1\n\xe9A,0,1,2,,\n")
+        argv = ["--s", "0", "--t", "1"] if command == "estimate" else ["--tau", "1"]
+        code, _, manifest, out = _run(tmp_path, command, "--input", str(bad), *argv)
+        assert code == 2 and manifest is None and not out.exists()
+        assert capsys.readouterr().err == (
+            f"error: {bad}: not UTF-8 text: invalid continuation byte\n"
+        )
+
     def test_header_only_input(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("id,entry,exit0,cause0,exit1,cause1\n")

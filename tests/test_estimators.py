@@ -1,3 +1,4 @@
+import math
 import random
 import warnings
 from fractions import Fraction as F
@@ -24,6 +25,7 @@ from illnessdeath import (
     cif_limit_ipcw,
     kaplan_meier,
     kaplan_meier_curve,
+    landmark_subset,
     landmark_variance_curve,
     multinomial_uncensored,
     p01_aalen_johansen,
@@ -178,6 +180,18 @@ class TestTsaiCrowleyWeight:
         # the landmark censoring at 2.5 enters only for u > 2.5
         assert tsai_crowley_weight(cohort4, query, 2.5) == 1.0
         assert tsai_crowley_weight(cohort4, query, 2.6, exact=True) == F(1, 2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda cohort, q: kaplan_meier(build_counting(cohort, q), math.nan),
+    lambda cohort, q: tsai_crowley_weight(cohort, q, math.nan),
+    lambda cohort, q: landmark_subset(cohort, math.nan),
+], ids=["kaplan_meier", "tsai_crowley_weight", "landmark_subset"])
+def test_nan_time_raises(call, cohort4, query):
+    # bisect puts NaN past every time and every comparison with it is false,
+    # so each would return a plausible value: 0.0, 1.0 and no subject
+    with pytest.raises(ValueError):
+        call(cohort4, query)
 
 
 class TestLandmarkEstimator:

@@ -95,6 +95,9 @@ HEADER = "id,entry,exit0,cause0,exit1,cause1\n"
 @example(text="id,exit0,cause0\nA,1,2\x00\n", block=4096)
 # a quoted line break moves the line of every later row
 @example(text=HEADER + '"A\n1",0,1,2,,\n"B\r\n2",0,1,2,,\nC,-0,1,7,,\n', block=1)
+@example(text=HEADER + '"A\n1",0,1,2,,\n"B",0,1,2,,\n"C",0,x,2,,\n', block=2)
+# a repeated id in a later block that csv.reader reads
+@example(text=HEADER + '"A",0,1,2,,\n"B",0,1,2,,\n"C",0,1,2,,\n"A",0,1,2,,\n', block=2)
 # a repeated column name reads its last column
 @example(text="id,exit0,cause0,exit0\nA,x,2,1\n", block=4096)
 # rules the masks check beside the record invariants
@@ -136,6 +139,27 @@ def test_lines_of_any_iterable(lines):
         assert type(got) is MalformedRecord and str(got) == str(want)
     else:
         assert got[1] == [r.id for r in want]
+
+
+@pytest.mark.parametrize("rows", [
+    ["A,0,1,2,,", "B,0,1,2,,", "C,0,x,2,,", "D,0,1,2,,", "A,0,1,2,,"],
+    ['"A",0,1,2,,', '"B\n2",0,1,2,,', '"C",0,x,2,,', '"D",0,1,2,,', '"A",0,1,2,,'],
+], ids=["plain", "quoted"])
+def test_fallback_never_reparses(tmp_path, rows):
+    # a block that fails the column checks is decided on the fields read
+    # once: the second block's bad row, then, with it mended, the repeated id
+    for name, text in [("bad", HEADER + "\n".join(rows) + "\n"),
+                       ("mended", HEADER + "\n".join(rows).replace("x", "1") + "\n")]:
+        want = _outcome(ref.read_cohort, text)
+        assert isinstance(want, MalformedRecord)
+        path = tmp_path / f"{name}.csv"
+        path.write_text(text)
+        with mock.patch.object(csv, "DictReader", side_effect=AssertionError("a re-parse")), \
+                mock.patch.object(records, "_BLOCK", 2):
+            for read in (read_columns, read_cohort):
+                with pytest.raises(MalformedRecord) as got:
+                    read(path)
+                assert type(got.value) is MalformedRecord and str(got.value) == str(want)
 
 
 def test_nul_lines_are_for_csv_reader():
