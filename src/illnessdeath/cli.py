@@ -16,8 +16,8 @@ import hashlib
 import json
 import sys
 import warnings
-from dataclasses import asdict, dataclass
-from functools import cache
+from dataclasses import asdict
+from functools import cache, partial
 from itertools import compress
 from pathlib import Path
 from typing import IO, Callable, Sequence, get_type_hints
@@ -45,20 +45,6 @@ from .simulation import (
 
 METHODS = tuple(ESTIMATORS)
 STUTE_MISMATCH = 1e-9
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce one CLI run's output exactly."""
-
-    subcommand: str
-    parameters: dict
-    seed: int | None = None
-    input_digest: str | None = None
-    version: str = __version__
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
 
 def _digest(path: str) -> str:
@@ -103,72 +89,41 @@ def _usage(*errors: type[Exception]):
         raise _UsageError(err) from None
 
 
-def _emit(target: str, write: Callable[[IO[str]], None], manifest: RunManifest) -> None:
+def _emit(
+    target: str,
+    write: Callable[[IO[str]], None],
+    subcommand: str,
+    parameters: dict,
+    seed: int | None = None,
+    input_digest: str | None = None,
+) -> None:
     """Write to a file with ``<file>.manifest.json`` beside it, or to stdout
-    ('-') with the manifest on stderr."""
+    ('-') with the manifest on stderr: everything needed to reproduce the
+    output exactly."""
+    manifest = {
+        "subcommand": subcommand,
+        "parameters": parameters,
+        "seed": seed,
+        "input_digest": input_digest,
+        "version": __version__,
+    }
+    text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
     if target == "-":
         write(sys.stdout)
-        sys.stderr.write(manifest.to_json())
+        sys.stderr.write(text)
         return
     with _usage(OSError):
         handle = open(target, "w", encoding="utf-8", newline="")
     with handle:
         write(handle)
-    Path(target + ".manifest.json").write_text(manifest.to_json(), encoding="utf-8")
+    Path(target + ".manifest.json").write_text(text, encoding="utf-8")
 
 
-def _method_rows(
-    args: argparse.Namespace,
-    queries: list[TransitionQuery],
-    method: str,
-    prepared,
-    mm_values: dict[float, tuple[float, bool]],
-    boot: dict,
-) -> list[list[str]]:
-    """One method's rows: one sweep of its prepared cohort over the t grid (for
-    check one of the variance too, on its grid), then per t the variance or
-    bootstrap cells (of boot) and the flags; blank if preparing it failed."""
-    blank = [""] * (7 if args.boot else 1)
-    if isinstance(prepared, EstimationError):
-        flag = f"error:{type(prepared).__name__}"
-        return [[method, _fmt(q.s), _fmt(q.t), "", *blank, flag] for q in queries]
-    # one sweep; support does not depend on t, range belongs to the rows above 1
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        values = ESTIMATORS[method].evaluate(prepared)
-    support = any(issubclass(w.category, SupportWarning) for w in caught)
-    ranged = any(issubclass(w.category, RangeWarning) for w in caught)
-    plain = method == "check" and not args.boot
-    variances = _landmark_variance(prepared) if plain else []
-    rows = []
-    for i, (q, value) in enumerate(zip(queries, values)):
-        estimate = float(value)
-        flags = ["support"] if support else []
-        over = ranged and value > 1
-        if method == "mm":
-            mm_values[q.t] = estimate, over
-        if method == "mm-stute" and q.t in mm_values:
-            if abs(estimate - mm_values[q.t][0]) > STUTE_MISMATCH:
-                flags.append("stute-mismatch")
-            else:  # the two forms of one estimate are judged on one value
-                over = mm_values[q.t][1]
-        if over:
-            flags.append("range")
-        cells = [method, _fmt(q.s), _fmt(q.t), _fmt(estimate)]
-        if args.boot:
-            try:
-                ci = interval(estimate, boot[method][i], args.level)
-                bounds = (ci.boot_variance, *ci.quantile_ci, *ci.normal_ci)
-                cells += [*map(_fmt, bounds), str(ci.n_boot), str(ci.n_failed)]
-            except TooManyFailures:
-                flags.append("error:TooManyFailures")
-                cells += blank
-        elif variances:
-            cells += [_fmt(variances[i])]
-        else:
-            cells += blank
-        rows.append(cells + [";".join(sorted(set(flags)))])
-    return rows
+def _tau(tau: float) -> float:
+    """The --tau of estimate and transform, which must be positive."""
+    if not tau > 0:  # NaN included
+        raise _UsageError("--tau must be positive")
+    return tau
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
@@ -179,9 +134,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     with _usage(ValueError):
         queries = [TransitionQuery(args.s, t) for t in args.t]
     if args.tau is not None:
-        if not args.tau > 0:  # NaN included
-            raise _UsageError("--tau must be positive")
-        _, cols = cols.clip(args.tau)
+        _, cols = cols.clip(_tau(args.tau))
     if args.boot and args.boot < 2:
         raise _UsageError("--boot needs at least 2 resamples")
     if args.seed < 0:
@@ -189,37 +142,67 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     if not 0 < args.level < 1:
         raise _UsageError("--level must be inside (0, 1)")
     methods = list(METHODS) if args.method == "all" else [args.method]
-    header, boot = ["method", "s", "t", "estimate"], {}
+    columns, boot = ["variance"], {}
     # each method prepared once (the two mm forms share one), then swept
     ready = prepare_methods(cols, args.s, args.t, methods)
     if args.boot:
-        header += ["boot_variance", "q_lo", "q_hi", "n_lo", "n_hi", "n_boot", "n_failed"]
+        columns = ["boot_variance", "q_lo", "q_hi", "n_lo", "n_hi", "n_boot", "n_failed"]
         # each resample drawn once for every method and t, on the preparations
         # the rows read; a method that fails on the cohort has no resamples
         ready = list(ready)
         boot = resample_estimates(dict(ready), len(cols.final), args.boot, args.seed)
-    else:
-        header += ["variance"]
-    rows = [header + ["flags"]]
-    mm_values: dict[float, tuple[float, bool]] = {}
+    rows = [["method", "s", "t", "estimate", *columns, "flags"]]
+    blank = [""] * len(columns)
+    mm: list[tuple[float, bool]] = []  # mm's (estimate, range verdict) per t
     for method, prepared in ready:
-        rows += _method_rows(args, queries, method, prepared, mm_values, boot)
+        if isinstance(prepared, EstimationError):
+            flag = f"error:{type(prepared).__name__}"
+            rows += [[method, _fmt(q.s), _fmt(q.t), "", *blank, flag] for q in queries]
+            continue
+        # one sweep; support does not depend on t, range belongs to the rows above 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            values = ESTIMATORS[method].evaluate(prepared)
+        support = any(issubclass(w.category, SupportWarning) for w in caught)
+        ranged = any(issubclass(w.category, RangeWarning) for w in caught)
+        variances = _landmark_variance(prepared) if method == "check" and not args.boot else []
+        for i, (q, value) in enumerate(zip(queries, values)):
+            estimate = float(value)
+            flags = {"support"} if support else set()
+            over = ranged and value > 1
+            if method == "mm":
+                mm.append((estimate, over))
+            elif method == "mm-stute" and mm:
+                if abs(estimate - mm[i][0]) > STUTE_MISMATCH:
+                    flags.add("stute-mismatch")
+                else:  # the two forms of one estimate are judged on one value
+                    over = mm[i][1]
+            if over:
+                flags.add("range")
+            cells = [method, _fmt(q.s), _fmt(q.t), _fmt(estimate)]
+            if args.boot:
+                try:
+                    ci = interval(estimate, boot[method][i], args.level)
+                    bounds = (ci.boot_variance, *ci.quantile_ci, *ci.normal_ci)
+                    cells += [*map(_fmt, bounds), str(ci.n_boot), str(ci.n_failed)]
+                except TooManyFailures:
+                    flags.add("error:TooManyFailures")
+                    cells += blank
+            else:
+                cells.append(_fmt(variances[i]) if variances else "")
+            rows.append(cells + [";".join(sorted(flags))])
     text = "".join(",".join(row) + "\n" for row in rows)
-    manifest = RunManifest(
-        subcommand="estimate",
-        parameters={
-            "input": args.input,
-            "s": args.s,
-            "t": list(args.t),
-            "method": args.method,
-            "boot": args.boot,
-            "level": args.level,
-            "tau": args.tau,
-        },
-        seed=args.seed,
-        input_digest=_digest(args.input),
-    )
-    _emit(args.output, lambda sink: sink.write(text), manifest)
+    parameters = {
+        "input": args.input,
+        "s": args.s,
+        "t": list(args.t),
+        "method": args.method,
+        "boot": args.boot,
+        "level": args.level,
+        "tau": args.tau,
+    }
+    digest = _digest(args.input)
+    _emit(args.output, lambda sink: sink.write(text), "estimate", parameters, args.seed, digest)
     return 0 if any(row[3] for row in rows[1:]) else 3
 
 
@@ -233,8 +216,12 @@ _CONFIG_FIELDS = {
 def _custom_scenario(path: str) -> Scenario:
     """The scenario of a key=value file.  Every line is read before any value
     is converted, and a repeated key keeps its last value."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: not UTF-8 text: {err.reason}") from None
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -247,7 +234,10 @@ def _custom_scenario(path: str) -> Scenario:
     for key, value in raw.items():
         if key in _CONFIG_FIELDS:
             name = key.removeprefix("truncation_")
-            (kwargs if name == key else trunc_kwargs)[name] = _CONFIG_FIELDS[key](value)
+            try:
+                (kwargs if name == key else trunc_kwargs)[name] = _CONFIG_FIELDS[key](value)
+            except ValueError as err:
+                raise ValueError(f"{path}: {key}: {err}") from None
         elif key == "truncation":
             if value not in ("none", "skew_normal"):
                 raise ValueError(f"truncation must be none or skew_normal, got {value}")
@@ -286,35 +276,26 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 4
     config = asdict(scenario.config)  # its truncation becomes a dict too
-    manifest = RunManifest(
-        subcommand="simulate",
-        parameters={
-            **{key: value for key, value in config.items() if key != "seed"},
-            "scenario": args.scenario,
-            "estimators": list(scenario.estimators),
-            "s": landmark,
-            "t": list(eval_times),
-            "mean_cohort_size": table.mean_cohort_size,
-        },
-        seed=config["seed"],
-    )
-    _emit(args.output, table.to_csv, manifest)
+    parameters = {
+        **{key: value for key, value in config.items() if key != "seed"},
+        "scenario": args.scenario,
+        "estimators": list(scenario.estimators),
+        "s": landmark,
+        "t": list(eval_times),
+        "mean_cohort_size": table.mean_cohort_size,
+    }
+    _emit(args.output, table.to_csv, "simulate", parameters, config["seed"])
     return 0
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
     with _usage(MalformedRecord, OSError):
         cols, ids = read_columns(args.input)
-    if not args.tau > 0:
-        raise _UsageError("--tau must be positive")
-    keep, clipped = cols.clip(args.tau)
+    keep, clipped = cols.clip(_tau(args.tau))
     ids = list(compress(ids, keep))
-    manifest = RunManifest(
-        subcommand="transform",
-        parameters={"input": args.input, "tau": args.tau},
-        input_digest=_digest(args.input),
-    )
-    _emit(args.output, lambda sink: write_columns(ids, clipped, sink), manifest)
+    parameters = {"input": args.input, "tau": args.tau}
+    digest = _digest(args.input)
+    _emit(args.output, partial(write_columns, ids, clipped), "transform", parameters, None, digest)
     return 0
 
 

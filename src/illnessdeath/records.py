@@ -70,6 +70,8 @@ class IllnessDeathRecord:
             raise MalformedRecord(f"{self.id}: exit0 must be a finite time >= 0")
         if self.cause0 not in (Cause.CENSORED, Cause.ILL, Cause.ABSORBED):
             raise MalformedRecord(f"{self.id}: bad cause0 {self.cause0!r}")
+        if type(self.cause0) is not Cause:  # a plain code: the `is` tests need a member
+            object.__setattr__(self, "cause0", Cause(self.cause0))
         if self.cause0 is Cause.ILL:
             if self.exit1 is None or self.cause1 is None:
                 raise MalformedRecord(f"{self.id}: illness exit requires exit1/cause1")
@@ -77,6 +79,8 @@ class IllnessDeathRecord:
                 raise MalformedRecord(f"{self.id}: exit1 must be finite and >= exit0")
             if self.cause1 not in (Cause.CENSORED, Cause.ABSORBED):
                 raise MalformedRecord(f"{self.id}: bad cause1 {self.cause1!r}")
+            if type(self.cause1) is not Cause:
+                object.__setattr__(self, "cause1", Cause(self.cause1))
             if self.entry >= self.exit0 and self.entry >= self.exit1:
                 raise MalformedRecord(f"{self.id}: no observation time after entry")
         else:
@@ -403,10 +407,11 @@ def _read_blocks(source: str | Path | IO[str]) -> Iterator[tuple[list[str], tupl
     the ids are stripped: float and int skip surrounding whitespace
     themselves, never more than str.strip does, and a field they reject
     (whitespace alone, or the separators \\x1c-\\x1f that only str.strip
-    skips) sends its block to validate_record.  A path must hold UTF-8 text.
+    skips) sends its block to validate_record.  A path must hold UTF-8 text,
+    and a byte-order mark at its start is skipped.
     """
     if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8", newline="") as handle:
+        with open(source, encoding="utf-8-sig", newline="") as handle:
             try:
                 yield from _read_blocks(handle)
             except UnicodeDecodeError as err:

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from string import Template
 
 import pytest
 
@@ -20,6 +21,7 @@ from illnessdeath import (
     ScenarioConfig,
     TransitionQuery,
     TruncationConfig,
+    __version__,
     preset,
     read_cohort,
     run_monte_carlo,
@@ -244,6 +246,41 @@ class TestEstimate:
         both = flags("all")
         assert both["mm"] == both["mm-stute"] == ("1", "")
         assert flags("mm-stute")["mm-stute"] == ("1", "range")
+
+    def test_stute_mismatch_keeps_its_own_range_verdict(self, tmp_path, monkeypatch):
+        # an mm-stute off mm's value by more than the tolerance is flagged, and
+        # judged on its own value; mm's row is unchanged
+        cohort = random_cohort(random.Random(5544), max_n=25, censored=False)
+        path = tmp_path / "cohort.csv"
+        write_cohort(cohort, path)
+        real = ESTIMATORS["mm-stute"]
+
+        def shifted(prepared, weights=None):
+            return [value + 1e-6 for value in real.evaluate(prepared, weights)]
+
+        monkeypatch.setitem(ESTIMATORS, "mm-stute", Estimator(real.prepare, shifted))
+        code, rows, _, _ = _run(
+            tmp_path, "estimate", "--input", str(path), "--s", "2", "--t", "4.25",
+            "--method", "all",
+        )
+        assert code == 0
+        flags = {r["method"]: r["flags"] for r in rows}
+        assert (flags["mm"], flags["mm-stute"]) == ("", "range;stute-mismatch")
+
+    def test_too_few_surviving_resamples_blank_the_interval(self, tmp_path):
+        # every resample of a two-subject cohort fails at s = 2, for every method
+        path = tmp_path / "two.csv"
+        path.write_text("id,entry,exit0,cause0,exit1,cause1\nA,0,1,2,,\nB,0,3,1,5,2\n")
+        code, rows, _, _ = _run(
+            tmp_path, "estimate", "--input", str(path), "--s", "2", "--t", "4",
+            "--method", "all", "--boot", "2", "--seed", "22",
+        )
+        assert code == 0
+        assert [r["method"] for r in rows] == ["check", "mm", "mm-stute", "aj"]
+        assert all(r["estimate"] == "1" for r in rows)
+        assert all(r["flags"] == "error:TooManyFailures" for r in rows)
+        columns = ("boot_variance", "q_lo", "q_hi", "n_lo", "n_hi", "n_boot", "n_failed")
+        assert all(r[c] == "" for r in rows for c in columns)
 
     def test_boot_draws_each_resample_once_per_cohort(self, tmp_path, monkeypatch):
         calls = []
@@ -477,6 +514,18 @@ class TestEstimateUsageErrors:
         assert code == 2 and manifest is None
         assert capsys.readouterr().err == "error: --seed must be >= 0\n"
 
+    @pytest.mark.parametrize(
+        "times, message",
+        [("abc", "bad time list: 'abc'"), (",", "empty time list")],
+        ids=["not-a-number", "empty"],
+    )
+    def test_bad_time_list_is_usage_error(self, toy_csv, tmp_path, capsys, times, message):
+        code, _, manifest, _ = _run(
+            tmp_path, "estimate", "--input", toy_csv, "--s", "1", "--t", times
+        )
+        assert code == 2 and manifest is None
+        assert capsys.readouterr().err.endswith(f"--t: {message}\n")
+
     def test_unknown_method_is_usage_error(self, toy_csv, tmp_path):
         code = main(
             ["estimate", "--input", toy_csv, "--s", "1", "--t", "2",
@@ -618,6 +667,40 @@ class TestSimulate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n = 10\n# a comment\nreplications 2\n", "{cfg}:3: expected key=value"),
+            ("truncation = gamma\n", "truncation must be none or skew_normal, got gamma"),
+        ],
+        ids=["no-equals-sign", "unknown-truncation"],
+    )
+    def test_bad_config_line_is_usage_error(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        code, _, manifest, _ = _run(
+            tmp_path, "simulate", "--scenario", "custom", "--config", str(cfg)
+        )
+        assert code == 2 and manifest is None
+        assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (b"id,entry\n\xe9A,0\n", "{cfg}: not UTF-8 text: invalid continuation byte"),
+            (b"n = 1e3\n", "{cfg}: n: invalid literal for int() with base 10: '1e3'"),
+        ],
+        ids=["not-utf8", "unconvertible-value"],
+    )
+    def test_config_errors_name_the_file(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(text)
+        code, _, manifest, _ = _run(
+            tmp_path, "simulate", "--scenario", "custom", "--config", str(cfg)
+        )
+        assert code == 2 and manifest is None
+        assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
+
     def test_degenerate_design_exits_4(self, tmp_path):
         cfg = tmp_path / "doomed.cfg"
         cfg.write_text(
@@ -720,6 +803,95 @@ class TestTransform:
         _check_unwritable_output(
             tmp_path, capsys, "transform", "--input", toy_csv, "--tau", "2"
         )
+
+
+# the manifest text of each subcommand, beside its output and on stderr;
+# $input is the JSON string of the input path, $version the package version
+MANIFESTS = {
+    "estimate": (
+        ["--s", "1.5", "--t", "3.5,2.5", "--method", "all", "--boot", "5", "--seed", "4",
+         "--tau", "5"],
+        """{
+  "input_digest": "6385d005725b898d23a717119e6fe8b211bc0e2fa1a8305d0986b5745a21c78e",
+  "parameters": {
+    "boot": 5,
+    "input": $input,
+    "level": 0.95,
+    "method": "all",
+    "s": 1.5,
+    "t": [
+      2.5,
+      3.5
+    ],
+    "tau": 5.0
+  },
+  "seed": 4,
+  "subcommand": "estimate",
+  "version": "$version"
+}
+""",
+    ),
+    "simulate": (
+        ["--scenario", "table3", "--reps", "3", "--n", "20", "--seed", "3", "--t", "30"],
+        """{
+  "input_digest": null,
+  "parameters": {
+    "censor_hazard": 0.013,
+    "estimators": [
+      "aj",
+      "check"
+    ],
+    "hazard_direct": 0.026,
+    "hazard_ill": 0.039,
+    "mean_cohort_size": 17.666666666666668,
+    "n": 20,
+    "progression_factor": 1.7,
+    "replications": 3,
+    "s": 10.0,
+    "scenario": "table3",
+    "t": [
+      30.0
+    ],
+    "truncation": {
+      "location": -5.0,
+      "scale": 10.0,
+      "shape": 10.0
+    }
+  },
+  "seed": 3,
+  "subcommand": "simulate",
+  "version": "$version"
+}
+""",
+    ),
+    "transform": (
+        ["--tau", "2.75"],
+        """{
+  "input_digest": "6385d005725b898d23a717119e6fe8b211bc0e2fa1a8305d0986b5745a21c78e",
+  "parameters": {
+    "input": $input,
+    "tau": 2.75
+  },
+  "seed": null,
+  "subcommand": "transform",
+  "version": "$version"
+}
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(MANIFESTS))
+def test_manifest_text_is_pinned(toy_csv, tmp_path, capsys, command):
+    extra, text = MANIFESTS[command]
+    argv = [command, *extra] if command == "simulate" else [command, "--input", toy_csv, *extra]
+    expected = Template(text).substitute(input=json.dumps(toy_csv), version=__version__)
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--output", str(out)]) == 0
+    assert Path(f"{out}.manifest.json").read_text(encoding="utf-8") == expected
+    capsys.readouterr()
+    assert main([*argv, "--output", "-"]) == 0
+    assert capsys.readouterr().err == expected
 
 
 def test_module_entry_point(toy_csv):

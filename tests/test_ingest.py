@@ -243,6 +243,24 @@ def test_clip_equals_the_record_loop():
             _assert_same_columns(clipped, Columns.of(want), ranks=False)
 
 
+def test_a_byte_order_mark_is_skipped(tmp_path):
+    # spreadsheet "CSV UTF-8" exports begin with one
+    path, marked = tmp_path / "cohort.csv", tmp_path / "marked.csv"
+    write_cohort(random_cohort(random.Random(3), max_n=40), path)
+    marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    (cols, ids), (marked_cols, marked_ids) = read_columns(path), read_columns(marked)
+    assert marked_ids == ids
+    _assert_same_columns(marked_cols, cols)
+    assert read_cohort(marked) == read_cohort(path)
+    outputs = []
+    for source in (path, marked):
+        out = tmp_path / f"{source.stem}.out.csv"
+        argv = ["estimate", "--input", str(source), "--s", "1.5", "--t", "2,3.5,5", "--method", "all"]
+        assert main([*argv, "--output", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_cli_builds_no_records(tmp_path, monkeypatch):
     cohort = random_cohort(random.Random(5), max_n=40, truncated=True)
     path = tmp_path / "cohort.csv"

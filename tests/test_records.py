@@ -3,6 +3,7 @@ import io
 import itertools
 import math
 import random
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,10 +21,13 @@ from illnessdeath import (
     TransitionQuery,
     derive_competing_risks,
     landmark_subset,
+    p01_curve,
+    p01_landmark,
     read_cohort,
     validate_record,
     write_cohort,
 )
+from illnessdeath.estimators import ESTIMATORS
 from illnessdeath.records import Columns, to_records, valid_rows
 
 
@@ -76,6 +80,38 @@ class TestRecordValidation:
     def test_negative_entry_rejected_by_constructor(self):
         with pytest.raises(MalformedRecord):
             IllnessDeathRecord("a", -1, 2, Cause.ABSORBED)
+
+    def test_integer_cause_codes_read_as_their_members(self):
+        # a plain code equals its member, but the record's readers test `is`
+        coded = [IllnessDeathRecord(f"a{i}", 0, float(i), 2) for i in range(1, 6)]
+        coded.append(IllnessDeathRecord("b", 0, 2.0, 1, 6.0, 2))
+        want = [IllnessDeathRecord(f"a{i}", 0, float(i), Cause.ABSORBED) for i in range(1, 6)]
+        want.append(IllnessDeathRecord("b", 0, 2.0, Cause.ILL, 6.0, Cause.ABSORBED))
+        for got, member in zip(coded, want):
+            assert type(got.cause0) is Cause
+            assert got.cause1 is member.cause1
+            assert (got.observed, got.final_cause) == (member.observed, member.final_cause)
+        for got, member in zip(Columns.of(coded), Columns.of(want)):
+            assert got.dtype == member.dtype and got.tolist() == member.tolist()
+        assert p01_landmark(coded, TransitionQuery(0, 4)) == pytest.approx(1 / 6)
+        cohort = random_cohort(random.Random(3), max_n=40)
+        plain = [
+            IllnessDeathRecord(r.id, r.entry, r.exit0, int(r.cause0), r.exit1,
+                               None if r.cause1 is None else int(r.cause1))
+            for r in cohort
+        ]
+        assert plain == cohort
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for method in ESTIMATORS:
+                got, member = (p01_curve(c, 1.5, [2, 3.5, 5], method) for c in (plain, cohort))
+                assert got == member, method
+
+    def test_bad_cause_codes_rejected(self):
+        with pytest.raises(MalformedRecord, match="a: bad cause0 7"):
+            IllnessDeathRecord("a", 0, 2.0, 7)
+        with pytest.raises(MalformedRecord, match="a: bad cause1 1"):
+            IllnessDeathRecord("a", 0, 2.0, 1, 3.0, 1)
 
     def test_ingest_clamps_negative_entry(self):
         r = validate_record({"id": "a", "entry": "-3", "exit0": "2", "cause0": "2"})
