@@ -14,7 +14,9 @@ stage in a fresh interpreter, importing the package from ``--src``:
 - ``boot``: ``estimate --method all --boot 1000 --seed 7`` at s = 10, t = 50,
   the bootstrap layer, on ``BOOT_ROWS`` cohorts only;
 - ``simulate``: ``simulate --scenario S --reps 1000 --seed 7`` for each preset
-  S in ``SIMULATE``, the Monte-Carlo layer, with no cohort CSV.
+  S in ``SIMULATE``, the Monte-Carlo layer, with no cohort CSV;
+- ``import``: ``import illnessdeath.cli`` itself, what every CLI call pays
+  before any work (its peak memory is the package's resident set).
 
 Each stage reports its median wall time over ``--reps`` runs, the peak
 resident memory of its interpreter, and the SHA-256 of its CLI output and
@@ -43,12 +45,14 @@ SIMULATE = ("table1", "table3")
 
 # run in the child: prints {"seconds": ..., "peak_rss_mb": ...}
 CHILD = r"""
-import resource, sys, json
+import sys
 from time import perf_counter
 sys.path.insert(0, sys.argv[1])
 stage, path, out = sys.argv[2:5]
+before_import = perf_counter()
 from illnessdeath import cli, records
-start = perf_counter()
+# the import stage times the package's import, every other stage its own work
+start = before_import if stage == "import" else perf_counter()
 if stage == "read_cohort":
     records.read_cohort(path)
 elif stage in ("read_columns", "read_quoted"):
@@ -65,10 +69,11 @@ elif stage == "simulate":  # path names the scenario
     code = cli.main(["simulate", "--scenario", path, "--reps", "1000", "--seed", "7",
                      "--output", out])
     assert code == 0, code
-else:
+elif stage == "transform":
     code = cli.main(["transform", "--input", path, "--tau", "120", "--output", out])
     assert code == 0, code
 seconds = perf_counter() - start
+import json, resource
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps({"seconds": seconds, "peak_rss_mb": rss}))
 """.replace("TIMES", repr(TIMES))
@@ -136,6 +141,10 @@ def probe_simulate(src: str, scenario: str, reps: int, workdir: Path) -> dict:
     return {"scenario": scenario, "simulate": _stage(src, "simulate", scenario, target, reps)}
 
 
+def probe_import(src: str, reps: int, workdir: Path) -> dict:
+    return {"import": _stage(src, "import", "", workdir / "import.out", reps)}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
@@ -159,6 +168,7 @@ def main(argv: list[str] | None = None) -> int:
         results = [probe(src, rows, stages, args.seed, args.reps, workdir) for rows in args.rows]
         results += [probe(src, rows, ["boot"], args.seed, args.reps, workdir) for rows in BOOT_ROWS]
         results += [probe_simulate(src, name, args.reps, workdir) for name in SIMULATE]
+        results.append(probe_import(src, args.reps, workdir))
     text = json.dumps({"src": src, "seed": args.seed, "results": results}, indent=1) + "\n"
     if args.out == "-":
         sys.stdout.write(text)

@@ -215,7 +215,7 @@ _CONFIG_FIELDS = {
 
 def _custom_scenario(path: str) -> Scenario:
     """The scenario of a key=value file.  Every line is read before any value
-    is converted, and a repeated key keeps its last value."""
+    is converted, a repeated key keeps its last value, and errors name the file."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as err:
@@ -231,25 +231,28 @@ def _custom_scenario(path: str) -> Scenario:
         raw[key.strip()] = value.strip()
     kwargs: dict = {}
     trunc_kwargs: dict = {}
-    for key, value in raw.items():
-        if key in _CONFIG_FIELDS:
-            name = key.removeprefix("truncation_")
-            try:
-                (kwargs if name == key else trunc_kwargs)[name] = _CONFIG_FIELDS[key](value)
-            except ValueError as err:
-                raise ValueError(f"{path}: {key}: {err}") from None
-        elif key == "truncation":
-            if value not in ("none", "skew_normal"):
-                raise ValueError(f"truncation must be none or skew_normal, got {value}")
-            if value == "skew_normal":
-                trunc_kwargs.setdefault("location", -5.0)
-        else:
-            raise ValueError(f"unknown config key {key!r}")
-    if raw.get("truncation") == "none" and trunc_kwargs:
-        key = next(key for key in raw if key.startswith("truncation_"))
-        raise ValueError(f"{key} is set, but truncation = none")
-    truncation = TruncationConfig(**trunc_kwargs) if trunc_kwargs else None
-    config = ScenarioConfig(truncation=truncation, **kwargs)
+    try:
+        for key, value in raw.items():
+            if key in _CONFIG_FIELDS:
+                name = key.removeprefix("truncation_")
+                try:
+                    (kwargs if name == key else trunc_kwargs)[name] = _CONFIG_FIELDS[key](value)
+                except ValueError as err:
+                    raise ValueError(f"{key}: {err}") from None
+            elif key == "truncation":
+                if value not in ("none", "skew_normal"):
+                    raise ValueError(f"truncation must be none or skew_normal, got {value}")
+                if value == "skew_normal":
+                    trunc_kwargs.setdefault("location", -5.0)
+            else:
+                raise ValueError(f"unknown config key {key!r}")
+        if raw.get("truncation") == "none" and trunc_kwargs:
+            key = next(key for key in raw if key.startswith("truncation_"))
+            raise ValueError(f"{key} is set, but truncation = none")
+        truncation = TruncationConfig(**trunc_kwargs) if trunc_kwargs else None
+        config = ScenarioConfig(truncation=truncation, **kwargs)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
     return Scenario(config=config, estimators=("check", "mm", "aj"))
 
 

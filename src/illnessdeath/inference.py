@@ -2,12 +2,12 @@
 
 Resampling is by subject with replacement.  Resample b of a run with seed q
 draws its indices from ``numpy.random.Philox`` keyed by
-``SeedSequence((q, b))``, so intervals are reproducible and independent of
-any parallel scheduling above this layer.  A resample's draws become subject
-weights on the cohort's own grid, which give the floats of the resample as a
-cohort of its own.  The caller prepares each method once per cohort
-(estimators.Estimator); the point estimate and every chunk of weights are
-evaluated on that preparation, the weights only through ``evaluate``.
+``SeedSequence((q, b))``, a call's keys hashed in one pass, so intervals are
+reproducible and independent of any scheduling.  A resample's draws become
+subject weights on the cohort's own grid, which give the floats of the
+resample as a cohort of its own.  The caller prepares each method once per
+cohort (estimators.Estimator); the point estimate and every chunk of weights
+are evaluated on that preparation, the weights only through ``evaluate``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._rng import philox
+from ._rng import streams
 from .errors import EstimationError, TooManyFailures
 from .estimators import ESTIMATORS
 from .records import Columns, IllnessDeathRecord, TransitionQuery
@@ -67,9 +67,10 @@ def resample_estimates(ready: dict, n: int, n_boot: int, seed: int) -> dict[str,
     ready = {method: p for method, p in ready.items() if not isinstance(p, EstimationError)}
     chunk = max(1, CHUNK_CELLS // max(n, 1))
     parts: dict[str, list[np.ndarray]] = {method: [] for method in ready}
+    rngs = streams(seed, range(n_boot))
     for first in range(0, n_boot, chunk):
         resamples = range(first, min(first + chunk, n_boot))
-        draws = (philox(seed, b).integers(0, n, size=n) for b in resamples)
+        draws = (next(rngs).integers(0, n, size=n) for _ in resamples)
         weights = np.stack([np.bincount(idx, minlength=n) for idx in draws])
         for method, prepared in ready.items():
             parts[method].append(ESTIMATORS[method].evaluate(prepared, weights))

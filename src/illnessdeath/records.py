@@ -342,26 +342,19 @@ def validate_record(raw: Mapping[str, object], line: int = 0) -> IllnessDeathRec
     MalformedRecord.
     """
 
-    def text(key: str) -> str:
+    def text(key: str, required: bool = False) -> str:
         value = raw.get(key)
-        return "" if value is None else str(value).strip()
+        value = "" if value is None else str(value).strip()
+        if required and not value:
+            raise MalformedRecord(f"line {line}: missing {key}")
+        return value
 
-    ident = text("id")
-    if not ident:
-        raise MalformedRecord(f"line {line}: missing id")
+    ident = text("id", required=True)
     entry_text = text("entry")
-    entry = _parse_time("entry", entry_text, line) if entry_text else 0.0
-    entry = max(entry, 0.0)
-    exit0_text = text("exit0")
-    if not exit0_text:
-        raise MalformedRecord(f"line {line}: missing exit0")
-    exit0 = _parse_time("exit0", exit0_text, line)
-    cause0_text = text("cause0")
-    if not cause0_text:
-        raise MalformedRecord(f"line {line}: missing cause0")
-    cause0 = _parse_cause("cause0", cause0_text, line)
-    exit1_text = text("exit1")
-    cause1_text = text("cause1")
+    entry = max(_parse_time("entry", entry_text, line), 0.0) if entry_text else 0.0
+    exit0 = _parse_time("exit0", text("exit0", required=True), line)
+    cause0 = _parse_cause("cause0", text("cause0", required=True), line)
+    exit1_text, cause1_text = text("exit1"), text("cause1")
     exit1 = _parse_time("exit1", exit1_text, line) if exit1_text else None
     cause1 = _parse_cause("cause1", cause1_text, line) if cause1_text else None
     try:
@@ -408,18 +401,18 @@ def _read_blocks(source: str | Path | IO[str]) -> Iterator[tuple[list[str], tupl
     themselves, never more than str.strip does, and a field they reject
     (whitespace alone, or the separators \\x1c-\\x1f that only str.strip
     skips) sends its block to validate_record.  A path must hold UTF-8 text,
-    and a byte-order mark at its start is skipped.
+    and a byte-order mark that starts a path or a stream is skipped.
     """
     if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8-sig", newline="") as handle:
+        with open(source, encoding="utf-8", newline="") as handle:
             try:
                 yield from _read_blocks(handle)
             except UnicodeDecodeError as err:
                 raise MalformedRecord(f"{source}: not UTF-8 text: {err.reason}") from None
         return
     lines = iter(source)
-    first = next(lines, None)
-    if first is None:
+    first = next(lines, "").removeprefix("\ufeff")
+    if not first:  # a line read from text is never empty
         raise MalformedRecord("empty input: no header row")
     header, line = _split([first], first.count(",") + 1), 1
     if header is None:

@@ -8,26 +8,27 @@ under this law have a closed form, which the harness uses as the truth when
 tabulating bias.
 
 Reproducibility contract: replication r of a run with seed q draws from
-``numpy.random.Philox`` keyed by ``SeedSequence((q, r))``, and within a
-replication the draw order is onset times, illness marks, censoring spans,
-then the two normal blocks of the entry sampler.  Results therefore depend
-only on (seed, r), never on how replications are batched or scheduled
-across workers.  The harness draws each replication on its own, then
-classifies and estimates a batch of them at once, a row per replication.
+``numpy.random.Philox`` keyed by ``SeedSequence((q, r))``, the keys of a
+batch hashed in one pass (_rng), and within a replication the draw order is
+onset times, illness marks, censoring spans, then the two normal blocks of
+the entry sampler.  Results therefore depend only on (seed, r), never on how
+replications are batched or scheduled across workers.  The harness draws
+each replication on its own, then classifies and estimates a batch of them
+at once, a row per replication.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import IO, Sequence
 
 import numpy as np
 
-from ._rng import philox
+from ._rng import streams
 from .errors import DegenerateCohort, EstimationError
 from .estimators import ESTIMATORS, _query_times
 from .records import _ABSORBED, _CENSORED, _ILL, Columns, IllnessDeathRecord, TransitionQuery
@@ -197,8 +198,7 @@ def _draws(config: ScenarioConfig, reps) -> tuple[np.ndarray, ...]:
     """Entry, onset, illness marks, absorption and censoring times of the
     replications reps, a row each, each drawn from its own stream."""
     rows = []
-    for rep in reps:
-        rng = philox(config.seed, rep)
+    for rng in streams(config.seed, reps):
         onset, ill = _onset_and_illness(rng, config.n, config.hazard_ill, config.hazard_direct)
         span = _exponential(rng, config.n, config.censor_hazard)
         if config.truncation is not None:
@@ -248,7 +248,7 @@ def simulate_markov_cohort(
         raise ValueError("censor hazard must be >= 0")
     _require_finite("", hazard_ill=hazard_ill, hazard_direct=hazard_direct,
                     hazard_progression=hazard_progression, censor_hazard=censor_hazard)
-    rng = philox(seed, rep_index)
+    rng = next(streams(seed, [rep_index]))
     onset, ill = _onset_and_illness(rng, n, hazard_ill, hazard_direct)
     sojourn = _exponential(rng, n, hazard_progression)
     cens = _exponential(rng, n, censor_hazard)
@@ -264,19 +264,11 @@ def markov_true_p01(
     hazard_progression: float = 0.05,
 ) -> float:
     """Closed-form occupation probability for the Markov control law."""
-    lam = hazard_ill + hazard_direct
+    lam, gap = hazard_ill + hazard_direct, query.t - query.s
     if lam == hazard_progression:
-        return (
-            hazard_ill
-            * (query.t - query.s)
-            * math.exp(-hazard_progression * (query.t - query.s))
-        )
-    gap = query.t - query.s
-    return (
-        hazard_ill
-        / (lam - hazard_progression)
-        * (math.exp(-hazard_progression * gap) - math.exp(-lam * gap))
-    )
+        return hazard_ill * gap * math.exp(-hazard_progression * gap)
+    decay = math.exp(-hazard_progression * gap) - math.exp(-lam * gap)
+    return hazard_ill / (lam - hazard_progression) * decay
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +343,7 @@ def run_monte_carlo(
     arguments; the batches (a row per replication) and the worker count only
     schedule work.
     """
-    unknown = [e for e in estimators if e not in ESTIMATORS]
-    if unknown:
+    if unknown := [e for e in estimators if e not in ESTIMATORS]:
         raise ValueError(f"unknown estimator(s): {', '.join(unknown)}")
     times = list(eval_times)
     if any(t < landmark for t in times):
@@ -366,36 +357,24 @@ def run_monte_carlo(
         for first in range(0, reps, batch)
     ]
     if nworkers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=nworkers) as pool:
             outcomes = list(pool.map(_mc_batch, tasks))
     else:
         outcomes = [_mc_batch(t) for t in tasks]
     sizes, cells = (np.concatenate(part, axis=-1) for part in zip(*outcomes))
     if not sizes.any():
         raise DegenerateCohort("every replication retained no subjects")
-    rows = []
+    rows, law = [], (config.hazard_ill, config.hazard_direct, config.progression_factor)
     for e_idx, name in enumerate(estimators):
         for t_idx, t in enumerate(times):
             values = cells[e_idx, t_idx]
             arr = values[~np.isnan(values)]
             excluded = reps - len(arr)
-            truth = true_p01(
-                TransitionQuery(landmark, t),
-                config.hazard_ill,
-                config.hazard_direct,
-                config.progression_factor,
-            )
+            truth = true_p01(TransitionQuery(landmark, t), *law)
             bias = float(arr.mean()) - truth if len(arr) else math.nan
             variance = float(arr.var(ddof=1)) if len(arr) > 1 else math.nan
-            rows.append(
-                BiasVarianceRow(name, landmark, t, bias, variance, len(arr), excluded)
-            )
-    return BiasVarianceTable(
-        rows=tuple(rows),
-        mean_cohort_size=float(np.mean(sizes)),
-        config=config,
-        landmark=landmark,
-    )
+            rows.append(BiasVarianceRow(name, landmark, t, bias, variance, len(arr), excluded))
+    return BiasVarianceTable(tuple(rows), float(np.mean(sizes)), config, landmark)
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,6 @@ from illnessdeath import (
     validate_record,
 )
 from illnessdeath import simulation
-from illnessdeath._rng import philox
 from illnessdeath.counting import Columns
 from illnessdeath.estimators import ESTIMATORS
 
@@ -369,7 +368,9 @@ def artificial_censoring(cohort, tau) -> list[IllnessDeathRecord]:
 
 
 def resample_estimates(cohort, query, estimator, n_boot, seed) -> list[float | None]:
-    """Each resample's estimate on its own cohort (cols.take), None if it fails."""
+    """Each resample's estimate on its own cohort (cols.take), None if it fails.
+    Resample b draws from a Philox generator seeded by SeedSequence((seed, b)),
+    built here directly so that the reference shares no keying code."""
     curve = ESTIMATORS[estimator]
     cols = Columns.of(cohort)
     n = len(cols.final)
@@ -377,7 +378,8 @@ def resample_estimates(cohort, query, estimator, n_boot, seed) -> list[float | N
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for b in range(n_boot):
-            idx = philox(seed, b).integers(0, n, size=n)
+            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, b))))
+            idx = rng.integers(0, n, size=n)
             try:
                 out.append(float(curve(cols.take(idx), query.s, [query.t])[0]))
             except EstimationError:

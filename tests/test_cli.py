@@ -30,7 +30,7 @@ from illnessdeath import (
 )
 from cohortgen import random_cohort
 from illnessdeath import estimators, inference
-from illnessdeath._rng import philox
+from illnessdeath._rng import streams
 from illnessdeath.cli import build_parser, main
 from illnessdeath.estimators import ESTIMATORS, Estimator
 
@@ -285,11 +285,11 @@ class TestEstimate:
     def test_boot_draws_each_resample_once_per_cohort(self, tmp_path, monkeypatch):
         calls = []
 
-        def counting_philox(seed, index):
-            calls.append(index)
-            return philox(seed, index)
+        def counting_streams(seed, indices):
+            calls.extend(indices)
+            return streams(seed, indices)
 
-        monkeypatch.setattr(inference, "philox", counting_philox)
+        monkeypatch.setattr(inference, "streams", counting_streams)
         cohort = random_cohort(random.Random(3), max_n=40, truncated=True)
         path = tmp_path / "cohort.csv"
         write_cohort(cohort, path)
@@ -659,19 +659,20 @@ class TestSimulate:
         code, _, _, _ = _run(tmp_path, "simulate", "--scenario", "custom")
         assert code == 2
 
-    def test_unknown_config_key(self, tmp_path):
+    def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("frobnicate = 3\n")
         code, _, _, _ = _run(
             tmp_path, "simulate", "--scenario", "custom", "--config", str(cfg)
         )
         assert code == 2
+        assert capsys.readouterr().err == f"error: {cfg}: unknown config key 'frobnicate'\n"
 
     @pytest.mark.parametrize(
         "text, message",
         [
             ("n = 10\n# a comment\nreplications 2\n", "{cfg}:3: expected key=value"),
-            ("truncation = gamma\n", "truncation must be none or skew_normal, got gamma"),
+            ("truncation = gamma\n", "{cfg}: truncation must be none or skew_normal, got gamma"),
         ],
         ids=["no-equals-sign", "unknown-truncation"],
     )
@@ -722,7 +723,7 @@ class TestSimulate:
             tmp_path, "simulate", "--scenario", "custom", "--config", str(cfg)
         )
         assert code == 2 and manifest is None
-        assert capsys.readouterr().err.startswith("error: censor hazard must be >= 0")
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: censor hazard must be >= 0")
         _check_unwritable_output(
             tmp_path, capsys, "simulate", "--scenario", "table1", "--reps", "2",
             "--n", "10",
@@ -745,7 +746,7 @@ class TestSimulate:
             tmp_path, "simulate", "--scenario", "custom", "--config", str(cfg), "--t", "30"
         )
         assert code == 2 and manifest is None
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
 
     @pytest.mark.parametrize("key", ["truncation_scale", "truncation_location"])
     def test_truncation_key_beside_truncation_none_is_usage_error(self, tmp_path, capsys, key):
@@ -757,7 +758,7 @@ class TestSimulate:
                 tmp_path, "simulate", "--scenario", "custom", "--config", str(cfg), "--t", "30"
             )
             assert code == 2 and manifest is None
-            assert capsys.readouterr().err == f"error: {key} is set, but truncation = none\n"
+            assert capsys.readouterr().err == f"error: {cfg}: {key} is set, but truncation = none\n"
 
     def test_zero_reps_is_usage_error(self, tmp_path):
         code, _, _, _ = _run(
@@ -934,3 +935,14 @@ def test_the_parser_carries_no_state_between_calls(tmp_path, capsys):
             mine, theirs = (Path(f"{out}{suffix}") for out in (here, fresh))
             assert mine.exists() == theirs.exists() == (code == 0)
             assert code or mine.read_bytes() == theirs.read_bytes()
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # run_monte_carlo imports the pool, and with it multiprocessing, socket
+    # and subprocess, only when it starts more than one worker
+    code = (
+        "import sys, illnessdeath.cli; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"

@@ -154,7 +154,7 @@ class TestFailureHandling:
 
     def test_negative_seed_is_rejected_before_any_draw(self, monkeypatch):
         drawn = []
-        monkeypatch.setattr(inference, "philox", lambda *key: drawn.append(key))
+        monkeypatch.setattr(inference, "streams", lambda *key: drawn.append(key))
         with pytest.raises(ValueError, match="^seed must be >= 0$"):
             bootstrap_ci(_mixed_cohort(), TransitionQuery(1.5, 3), "check", n_boot=10, seed=-1)
         assert drawn == []

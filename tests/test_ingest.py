@@ -252,6 +252,11 @@ def test_a_byte_order_mark_is_skipped(tmp_path):
     assert marked_ids == ids
     _assert_same_columns(marked_cols, cols)
     assert read_cohort(marked) == read_cohort(path)
+    # a text stream is decoded already: its first line starts with U+FEFF
+    stream_cols, stream_ids = read_columns(io.StringIO("\ufeff" + path.read_text()))
+    assert stream_ids == ids
+    _assert_same_columns(stream_cols, cols)
+    assert read_cohort(io.StringIO("\ufeff" + path.read_text())) == read_cohort(path)
     outputs = []
     for source in (path, marked):
         out = tmp_path / f"{source.stem}.out.csv"
