@@ -32,9 +32,9 @@ def stream_keys(seed: int, indices: Sequence[int]) -> np.ndarray:
     index = np.asarray(indices, dtype=np.int64)
     if seed < 0 or index.size and (index.min() < 0 or index.max() > _MASK):
         raise ValueError("a stream needs a seed >= 0 and an index in [0, 2**32)")
-    # the seed's little-endian words, then the index's one word
+    # the seed's little-endian words, then the index's one word (a scalar for one stream)
     entropy = [np.uint32(seed >> s & _MASK) for s in range(0, max(seed.bit_length(), 1), 32)]
-    entropy.append(index.astype(np.uint32))
+    entropy.append(np.uint32(index[0]) if len(index) == 1 else index.astype(np.uint32))
     consts = _A if len(entropy) <= _POOL else _chain(4 * len(entropy) + 1)
     pairs = zip(consts, consts[1:])  # hash k xors with constant k, multiplies by k + 1
 
@@ -47,9 +47,9 @@ def stream_keys(seed: int, indices: Sequence[int]) -> np.ndarray:
         mix(dst, pool[src])
     for word, dst in product(entropy[_POOL:], range(_POOL)):
         mix(dst, word)
-    # the index reaches every pool word, so each state word is a vector
+    # the index reaches every pool word, so each state word is a vector (or a scalar)
     state = np.stack([_hash(word, *_B[k : k + 2]) for k, word in enumerate(pool)], axis=-1)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
+    return state.astype("<u4").view("<u8").astype(np.uint64).reshape(-1, 2)
 
 
 def streams(seed: int, indices: Sequence[int]) -> Iterator[np.random.Generator]:

@@ -42,7 +42,7 @@ class _Tally:
             return np.bincount(keys, None, rows * (m + 1)).reshape(rows, m + 1)[:, :m]
         subjects, index = self.kept
         keys = (index + np.arange(len(weights))[:, None] * m).ravel()
-        counts = np.bincount(keys, weights[:, subjects].ravel(), len(weights) * m)
+        counts = np.bincount(keys, weights.take(subjects, 1).ravel(), len(weights) * m)
         return counts.reshape(len(weights), m).astype(np.int64, copy=False)
 
     @cached_property

@@ -168,28 +168,29 @@ def _censoring_survival(dc, y, d, exact: bool, start: Number | None = None):
 
 
 class _ProductLimit:
-    """Pooled event process of the subjects in keep (every one by default) on
-    the grid of their distinct final times, with the kind-1 counts of each t
-    of a (len(ts), n) event1 mask.
+    """Product-limit process of the subjects in keep on the grid of their
+    distinct times, with events where the events mask holds and the kind-1
+    counts of each t of a (len(ts), n) event1 mask.
 
-    Every subject is at risk at its own final time, so ``y >= 1`` on this
-    grid; times that are only state-0 exits would add unit factors and zero
-    masses, so leaving them out changes no value, not even in float.  With
-    weights, a time no weighted subject reaches adds exactly the unit factor
-    and zero mass of leaving it out; a batch has a grid per row (see _grid).
+    Precondition: every kept subject enters before the first grid time (a
+    landmark before s, mm at 0), so y(v) = #(time >= v): one tally at the
+    subjects' own grid indices summed from the right, exact in integers, on
+    a batch's grid per row (see _grid) at the first place of a time, the one
+    with its events.  A time no kept (or weighted) subject has would add a
+    factor of exactly 1 and a zero mass, so leaving it out changes no value.
     """
 
-    def __init__(self, cols: Columns, event1: np.ndarray, exact: bool, keep=True):
-        self.exact, self.plain = exact, cols.final.ndim == 1
-        times, index = _grid(_pick(cols.final, keep))
+    def __init__(self, time: np.ndarray, keep, events, event1, exact: bool):
+        self.exact, self.plain = exact, time.ndim == 1
+        times, index = _grid(_pick(time, keep))
         m = times.shape[-1]
-        self.events = _Tally(index, m, cols.observed)
-        self.risk = _RiskSets(times, keep, cols.entry, cols.final)
+        self.events, self.finals = _Tally(index, m, events), _Tally(index, m)
         self.kind1 = [_Tally(index, m, e) for e in event1]
 
     def counts(self, weights=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Events d, risk sets y, and the survival before each time, then after."""
-        d, y = self.events(weights), self.risk(weights)
+        d, finals = self.events(weights), self.finals(weights)
+        y = np.cumsum(finals[..., ::-1], axis=-1)[..., ::-1]
         return d, y, _survival(d, y, self.exact)
 
     def incidence(self, weights=None) -> tuple[np.ndarray, np.ndarray]:
@@ -216,7 +217,7 @@ def _prepare_check(cohort, s: float, ts, exact: bool = False):
     present = cols.landmark(s)
     if cols.final.ndim == 1 and not present.any():
         raise EmptyLandmark(f"no subject in state 0 at landmark s={s}")
-    grid = _ProductLimit(cols, cols.event1(s, ts), exact, present)
+    grid = _ProductLimit(cols.final, present, cols.observed, cols.event1(s, ts), exact)
     return grid, cols.final[present], cols.observed[present]
 
 
@@ -249,9 +250,7 @@ class _FullCohort:
         self.event1 = cols.event1(s, ts)
         state0 = cols.state0
         exits = state0 & (cols.cause0 != _CENSORED) & (cols.exit0 <= s)
-        times, index = _grid(_pick(cols.exit0, exits))
-        self.exits = _Tally(index, times.shape[-1])
-        self.risk0 = _RiskSets(times, state0, cols.entry, cols.exit0)
+        self.state0 = _ProductLimit(cols.exit0, state0, exits, [], exact)
         self._last: tuple = (self, None)  # (weights, denominator); self is never weights
         if plain and self.denominator() == 0:
             raise ZeroDenominator(f"estimated state-0 survival at s={s} is zero")
@@ -259,13 +258,12 @@ class _FullCohort:
     def denominator(self, weights=None):
         """Product-limit state-0 survival at s (one per row)."""
         if self._last[0] is not weights:
-            d0, y0 = self.exits(weights), self.risk0(weights)
-            self._last = weights, _survival(d0, y0, self.exact)[..., -1]
+            self._last = weights, self.state0.counts(weights)[2][..., -1]
         return self._last[1]
 
     @cached_property
     def pooled(self) -> _ProductLimit:
-        return _ProductLimit(self.cols, self.event1, self.exact)
+        return _ProductLimit(self.cols.final, True, self.cols.observed, self.event1, self.exact)
 
     @cached_property
     def order(self) -> np.ndarray:
@@ -299,7 +297,7 @@ def _ordered_ratio(p: _FullCohort, weights=None) -> list[Number] | np.ndarray:
     """mm-stute: the same sum with the ordered-weights jump masses."""
     cols, order, exact = p.cols, p.order, p.exact
     if weights is not None:  # a subject of weight w takes w consecutive ranks
-        order = np.repeat(np.tile(order, len(weights)), weights[:, order].ravel())
+        order = np.repeat(np.tile(order, len(weights)), weights.take(order, 1).ravel())
         order = order.reshape(len(weights), -1)  # rows of equal total weight
     n = width = order.shape[-1]
     if cols.final.ndim > 1:  # a row per cohort: its own subjects, then padding
@@ -352,6 +350,14 @@ def _aj(p, weights=None) -> list[Number] | np.ndarray:
     first = np.full((*keep0.shape[:-1], 1), _one(exact), keep0.dtype)
     inflow = np.cumprod(np.concatenate((first, keep0), axis=-1), axis=-1)[..., :-1] * h01
     keep1, enter1 = np.atleast_2d(1 - h12, inflow)
+    # a step with no 0 -> 1 or 1 -> 2 move has stay 1.0 and enter 0.0 of
+    # inflow's sign, so it leaves p1 as it is unless p1 is -0.0 and enter
+    # +0.0; p1 starts at +0.0 and can be -0.0 only after an enter of sign -
+    # (1 - h01 - h02 can round below 0), so where there is one every step
+    # runs, and elsewhere only the others; reads counts the steps that run
+    run = np.atleast_2d((d01 > 0) | (d12 > 0)).any(0) | np.signbit(enter1.astype(float)).any()
+    run = np.flatnonzero(run)
+    keep1, enter1, reads = keep1.take(run, -1), enter1.take(run, -1), np.searchsorted(run, reads)
     # per transition time one number for one row (a vector of one costs more
     # per step), or a vector of rows (resamples or cohorts)
     zero = _one(exact) * 0

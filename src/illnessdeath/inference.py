@@ -90,22 +90,11 @@ def interval(point: float, estimates: np.ndarray, level: float) -> CiResult:
         raise TooManyFailures(f"{failed} of {n_boot} resamples failed")
     boot_var = float(np.var(ordered, ddof=1)) if len(ordered) > 1 else math.nan
     alpha = 1 - level
-    quantile_ci = _clip_unit(
-        _lower_quantile(ordered, alpha / 2),
-        _lower_quantile(ordered, 1 - alpha / 2),
-    )
+    quantile_ci = _clip_unit(*(_lower_quantile(ordered, p) for p in (alpha / 2, 1 - alpha / 2)))
     z = NormalDist().inv_cdf(1 - alpha / 2)
     half = z * math.sqrt(boot_var)
     normal_ci = _clip_unit(point - half, point + half)
-    return CiResult(
-        point=point,
-        boot_variance=boot_var,
-        quantile_ci=quantile_ci,
-        normal_ci=normal_ci,
-        level=level,
-        n_boot=n_boot,
-        n_failed=failed,
-    )
+    return CiResult(point, boot_var, quantile_ci, normal_ci, level, n_boot, failed)
 
 
 def bootstrap_ci(

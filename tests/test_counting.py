@@ -16,7 +16,8 @@ from illnessdeath import (
     TransitionQuery,
     build_counting,
 )
-from illnessdeath.counting import Columns, _at_risk, _RiskSets
+from illnessdeath.counting import Columns, _at_risk, _grid, _pick, _RiskSets
+from illnessdeath.estimators import _ProductLimit
 
 import oracle_bruteforce as ob
 from cohortgen import random_cohort, random_query, to_oracle, with_ill_at_origin
@@ -180,6 +181,47 @@ def test_batched_risk_sets_equal_each_row_alone(batch):
     padded = (np.where(who, at, np.inf) for at in (starts, ends))
     assert np.array_equal(_at_risk(*padded, times), alone)
     assert np.array_equal(_RiskSets(times, who, starts, ends)(), alone)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    s=st.sampled_from((0.0, 0.5, 1.0, 2.0, 3.5)),
+    rows=st.integers(min_value=1, max_value=4),
+)
+def test_product_limit_risk_sets_are_sums_from_the_right(seed, s, rows):
+    # a landmark enters before s, so before every grid time: y(v) = #(final
+    # >= v) must equal the left-open count, on delayed entries and ties
+    cols = Columns.of(random_cohort(random.Random(seed), 30, truncated=True))
+    gen, n = np.random.default_rng(seed), len(cols.final)
+
+    def risk_sets(c, weights=None):
+        keep = c.landmark(s)
+        return _ProductLimit(c.final, keep, c.observed, [], False).counts(weights)[:2]
+
+    keep = cols.landmark(s)
+    times = np.unique(cols.final[keep])
+    at_risk = _at_risk(cols.entry[keep], cols.final[keep], times)
+    assert risk_sets(cols)[1].tolist() == at_risk.tolist()
+    # a batch (each row a subset): equal at the first place of each time, the
+    # only one that carries events
+    batch = cols.take(gen.random((rows, n)) < 0.7)
+    keep = batch.landmark(s)
+    times = _grid(_pick(batch.final, keep))[0]
+    first = np.insert(times[:, 1:] != times[:, :-1], 0, True, -1) & (times < np.inf)
+    d, y = risk_sets(batch)
+    assert not d[~first].any()
+    at_risk = _at_risk(_pick(batch.entry, keep), _pick(batch.final, keep), times)
+    assert y[first].tolist() == at_risk[first].tolist()
+    # integer weights: a subject of weight w counts as w copies of itself
+    weights = gen.integers(0, 3, (rows, n))
+    times = np.unique(cols.final[cols.landmark(s)])
+    for w, y in zip(weights, risk_sets(cols, weights)[1]):
+        copies = cols.take(np.repeat(np.arange(n), w))
+        keep = copies.landmark(s)
+        assert y.tolist() == _at_risk(copies.entry[keep], copies.final[keep], times).tolist()
+        own = np.searchsorted(times, np.unique(copies.final[keep]))
+        assert y[own].tolist() == risk_sets(copies)[1].tolist()
 
 
 class TestStepFunction:

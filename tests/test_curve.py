@@ -26,8 +26,10 @@ import loop_reference as loops
 import oracle_bruteforce as ob
 from cohortgen import random_cohort, to_oracle, with_ill_at_origin
 from illnessdeath import (
+    Cause,
     EmptyRiskSet,
     EstimationError,
+    IllnessDeathRecord,
     ScenarioConfig,
     StepFunction,
     TransitionQuery,
@@ -323,6 +325,59 @@ def test_batch_rows_equal_each_cohort_curve(case):
                 continue
             want = [math.nan if isinstance(w, type) else w for w in want]
             assert [repr(x) for x in got[:, row].tolist()] == [repr(w) for w in want]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    s=st.sampled_from(LANDMARKS),
+    gap=st.sampled_from((0.5, 1.5, 3.0, 6.0)),
+    rows=st.integers(min_value=1, max_value=4),
+    exact=st.booleans(),
+)
+def test_aj_skipping_idle_steps_equals_the_loop_over_every_step(seed, s, gap, rows, exact):
+    # aj leaves out the steps with no 0 -> 1 or 1 -> 2 move: here a 0 -> 2
+    # only time, and one where every resample weighs every such mover 0
+    rng = random.Random(seed)
+    cohort = random_cohort(rng, 20, truncated=rng.random() < 0.5)
+    cohort.append(IllnessDeathRecord("direct", 0.0, s + 0.25, Cause.ABSORBED))
+    query, cols = TransitionQuery(s, s + gap), Columns.of(cohort)
+    movers = (cols.ill & (cols.exit0 > s), cols.ill & cols.observed & (cols.final > s))
+    times = sorted({*cols.exit0[movers[0]].tolist(), *cols.final[movers[1]].tolist()})
+    weights = np.random.default_rng(seed).integers(0, 3, (rows, len(cohort)))
+    if times:
+        v = rng.choice(times)
+        weights[:, (movers[0] & (cols.exit0 == v)) | (movers[1] & (cols.final == v))] = 0
+    aj = ESTIMATORS["aj"]
+    prepared = aj.prepare(cols, s, [query.t], exact)
+    assert repr(aj.evaluate(prepared)) == repr([loops.aalen_johansen(cohort, query, exact)])
+    want = []
+    for w in weights:
+        copies = [r for r, k in zip(cohort, w) for _ in range(k)]
+        want.append(_outcome(lambda: loops.aalen_johansen(copies, query, exact)))
+    want = [math.nan if isinstance(x, type) else x for x in want]
+    assert [repr(x) for x in aj.evaluate(prepared, weights)[0].tolist()] == [repr(x) for x in want]
+
+
+def test_aj_runs_every_step_once_state0_occupation_rounds_below_zero():
+    # 1 - 0.8 - 0.2 is -5.6e-17: state 0 empties at 1 and 6, the illness
+    # state at 2 and 4, and p1 is -0.0 from 4 while inflow is +0.0 after 6,
+    # so the 0 -> 2 only step at 8 turns p1 to +0.0 and must not be skipped
+    ill, absorbed, censored = Cause.ILL, Cause.ABSORBED, Cause.CENSORED
+    cohort = [IllnessDeathRecord(f"a{k}", 0.0, 1.0, ill, 2.0, absorbed) for k in range(4)]
+    cohort += [IllnessDeathRecord(f"c{k}", 5.0, 6.0, ill, 20.0, censored) for k in range(4)]
+    cohort += [
+        IllnessDeathRecord("a4", 0.0, 1.0, absorbed),
+        IllnessDeathRecord("b", 2.5, 3.0, ill, 4.0, absorbed),
+        IllnessDeathRecord("c4", 5.0, 6.0, absorbed),
+        IllnessDeathRecord("d", 7.0, 8.0, absorbed),
+    ]
+    query = TransitionQuery(0.0, 9.0)
+    assert repr(loops.aalen_johansen(cohort, query)) == "0.0"
+    assert repr(p01_aalen_johansen(cohort, query)) == "0.0"
+    prepared = ESTIMATORS["aj"].prepare(Columns.of(cohort), query.s, [query.t])
+    weighted = ESTIMATORS["aj"].evaluate(prepared, np.ones((2, len(cohort)), np.int64))
+    assert [repr(x) for x in weighted[0].tolist()] == ["0.0", "0.0"]
 
 
 def test_an_empty_t_list_keeps_the_shape_of_every_form():

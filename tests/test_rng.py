@@ -21,6 +21,7 @@ from illnessdeath._rng import stream_keys, streams
 @example(seed=2**64, indices=[3])
 @example(seed=2**96 + 1, indices=[0, 7])  # five words of entropy: more than the pool holds
 @example(seed=3**140, indices=[0, 2**31])  # above 2**200
+@example(seed=7, indices=[2**32 - 1])  # one index: the hash runs on scalars
 def test_keys_are_the_seed_sequence_states(seed, indices):
     keys = stream_keys(seed, indices)
     assert keys.dtype == np.uint64 and keys.shape == (len(indices), 2)
