@@ -13,6 +13,16 @@ stage in a fresh interpreter, importing the package from ``--src``:
 - ``transform``: ``transform --tau 120``;
 - ``boot``: ``estimate --method all --boot 1000 --seed 7`` at s = 10, t = 50,
   the bootstrap layer, on ``BOOT_ROWS`` cohorts only;
+- ``resample``: the bootstrap per resample at s = 10, t = 50.  After one
+  chunk that fills the lazy caches, at least ``CHUNKS`` chunks of resample
+  weights, and as many as ``RESAMPLE_S`` seconds hold
+  (``inference.CHUNK_CELLS`` weights each, one resample past 2^14 rows), are
+  evaluated by every method in registry order, so ``mm`` computes the
+  state-0 denominator that ``mm-stute`` then reads; ``draw`` is
+  ``resample_estimates`` with no method, the package's own draws of a
+  chunk.  It reports the median milliseconds per resample of each, their
+  sum, and the SHA-256 of the arrays of the first ``CHUNKS`` + 1 chunks (the
+  weights are drawn here, seeded, so both checkouts evaluate the same ones);
 - ``simulate``: ``simulate --scenario S --reps 1000 --seed 7`` for each preset
   S in ``SIMULATE``, the Monte-Carlo layer, with no cohort CSV;
 - ``import``: ``import illnessdeath.cli`` itself, what every CLI call pays
@@ -42,6 +52,8 @@ TIMES = "30,40,50,60,70,80,90,100"
 BOOT_ROWS = (10_000, 100_000)
 # the simulate stage's presets: light censoring, and left truncation
 SIMULATE = ("table1", "table3")
+# the resample stage's timed chunks: at least CHUNKS, and for RESAMPLE_S seconds
+CHUNKS, RESAMPLE_S = 10, 2.0
 
 # run in the child: prints {"seconds": ..., "peak_rss_mb": ...}
 CHILD = r"""
@@ -53,6 +65,7 @@ before_import = perf_counter()
 from illnessdeath import cli, records
 # the import stage times the package's import, every other stage its own work
 start = before_import if stage == "import" else perf_counter()
+extra = {}  # the resample stage's own figures
 if stage == "read_cohort":
     records.read_cohort(path)
 elif stage in ("read_columns", "read_quoted"):
@@ -72,11 +85,41 @@ elif stage == "simulate":  # path names the scenario
 elif stage == "transform":
     code = cli.main(["transform", "--input", path, "--tau", "120", "--output", out])
     assert code == 0, code
+elif stage == "resample":
+    import hashlib
+    import numpy as np
+    from illnessdeath import estimators, inference
+    cols = records.read_columns(path)[0]
+    n = len(cols.final)
+    ready = dict(estimators.prepare_methods(cols, 10.0, [50.0], list(estimators.ESTIMATORS)))
+    rows = max(1, inference.CHUNK_CELLS // n)
+    rng, digest = np.random.default_rng(7), hashlib.sha256()
+    spent = {name: [] for name in ("draw", *ready)}
+    chunk, begun = 0, perf_counter()
+    while chunk <= CHUNKS or perf_counter() - begun < RESAMPLE_S:
+        weights = np.array([np.bincount(rng.integers(0, n, n), minlength=n) for _ in range(rows)])
+        ticks = [perf_counter()]
+        inference.resample_estimates({}, n, rows, chunk)
+        ticks.append(perf_counter())
+        for method, prepared in ready.items():
+            values = estimators.ESTIMATORS[method].evaluate(prepared, weights)
+            ticks.append(perf_counter())
+            if chunk <= CHUNKS:  # the chunks every run evaluates
+                digest.update(values.tobytes())
+        if chunk:
+            for name, a, b in zip(spent, ticks, ticks[1:]):
+                spent[name].append((b - a) * 1e3 / rows)
+        chunk += 1
+    median = {name: sorted(ms)[len(ms) // 2] for name, ms in spent.items()}
+    extra = {"ms_per_resample": {**median, "total": sum(median.values())},
+             "resample_sha256": digest.hexdigest()}
 seconds = perf_counter() - start
 import json, resource
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(json.dumps({"seconds": seconds, "peak_rss_mb": rss}))
-""".replace("TIMES", repr(TIMES))
+print(json.dumps({"seconds": seconds, "peak_rss_mb": rss, **extra}))
+"""
+for name, value in (("TIMES", repr(TIMES)), ("CHUNKS", CHUNKS), ("RESAMPLE_S", RESAMPLE_S)):
+    CHILD = CHILD.replace(name, str(value))
 
 GENERATE = r"""
 import sys
@@ -113,6 +156,11 @@ def _stage(src: str, stage: str, source: str, target: Path, reps: int) -> dict:
         "runs_s": [r["seconds"] for r in runs],
         "peak_rss_mb": max(r["peak_rss_mb"] for r in runs),
     }
+    if stage == "resample":
+        per = [r["ms_per_resample"] for r in runs]
+        out["ms_per_resample"] = {k: statistics.median(p[k] for p in per) for k in per[0]}
+        out["resample_sha256"] = runs[0]["resample_sha256"]
+        assert all(r["resample_sha256"] == out["resample_sha256"] for r in runs), stage
     if stage in ("estimate", "transform", "boot", "simulate"):
         manifest = Path(str(target) + ".manifest.json")
         out["output_sha256"] = _sha256(target)
@@ -165,6 +213,7 @@ def main(argv: list[str] | None = None) -> int:
         ).returncode == 0
         readers = ["read_columns", "read_quoted"] if has_columns else []
         stages = ["read_cohort", *readers, "estimate", "transform"]
+        stages += ["resample"] if has_columns else []
         results = [probe(src, rows, stages, args.seed, args.reps, workdir) for rows in args.rows]
         results += [probe(src, rows, ["boot"], args.seed, args.reps, workdir) for rows in BOOT_ROWS]
         results += [probe_simulate(src, name, args.reps, workdir) for name in SIMULATE]

@@ -98,7 +98,8 @@ def _at_risk(starts, ends, times) -> np.ndarray:
 class _RiskSets:
     """The risk sets of _at_risk of the subjects in who; with weights (see
     _Tally), each row's total weight at risk, from the number of grid times
-    up to each start and end, which the first such call finds."""
+    up to each start and end, which the first such call finds; a subject with
+    as many up to its start as its end cancels at one place and is left out."""
 
     def __init__(self, times: np.ndarray, who, starts: np.ndarray, ends: np.ndarray):
         self.times, self.who, self.starts, self.ends = times, who, starts, ends
@@ -112,8 +113,8 @@ class _RiskSets:
 
     @cached_property
     def places(self) -> list[_Tally]:
-        places = (np.searchsorted(self.times, at, "right") for at in (self.starts, self.ends))
-        return [_Tally(at, len(self.times), self.who) for at in places]
+        start, end = (np.searchsorted(self.times, at, "right") for at in (self.starts, self.ends))
+        return [_Tally(at, len(self.times), self.who & (start < end)) for at in (start, end)]
 
 
 @dataclass(frozen=True)

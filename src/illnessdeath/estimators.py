@@ -173,32 +173,39 @@ class _ProductLimit:
     counts of each t of a (len(ts), n) event1 mask.
 
     Precondition: every kept subject enters before the first grid time (a
-    landmark before s, mm at 0), so y(v) = #(time >= v): one tally at the
-    subjects' own grid indices summed from the right, exact in integers, on
-    a batch's grid per row (see _grid) at the first place of a time, the one
-    with its events.  A time no kept (or weighted) subject has would add a
-    factor of exactly 1 and a zero mass, so leaving it out changes no value.
+    landmark before s, mm at 0), so y(v) = #(time >= v): the events plus the
+    rest, each kept subject tallied once at its own grid index, summed from
+    the right, exact in integers, on a batch's grid per row (see _grid) at
+    the first place of a time, the one with its events.  A time no kept (or
+    weighted) subject has adds a factor of exactly 1 and a zero mass; under
+    weights a t's incidence runs over time 0 and its kind-1 times alone
+    (wanted), as any other adds before * 0 / y = +0.0 to a sum >= +0.0.
     """
 
     def __init__(self, time: np.ndarray, keep, events, event1, exact: bool):
         self.exact, self.plain = exact, time.ndim == 1
         times, index = _grid(_pick(time, keep))
         m = times.shape[-1]
-        self.events, self.finals = _Tally(index, m, events), _Tally(index, m)
+        self.events, self.rest = _Tally(index, m, events), _Tally(index, m, ~events)
         self.kind1 = [_Tally(index, m, e) for e in event1]
 
     def counts(self, weights=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Events d, risk sets y, and the survival before each time, then after."""
-        d, finals = self.events(weights), self.finals(weights)
-        y = np.cumsum(finals[..., ::-1], axis=-1)[..., ::-1]
+        d = self.events(weights)
+        y = np.cumsum((d + self.rest(weights))[..., ::-1], axis=-1)[..., ::-1]
         return d, y, _survival(d, y, self.exact)
+
+    @cached_property
+    def wanted(self) -> list[np.ndarray]:  # per t: 0 and its kind-1 subjects' grid indices
+        return [np.flatnonzero(np.bincount(np.append(kind1.kept[1], 0))) for kind1 in self.kind1]
 
     def incidence(self, weights=None) -> tuple[np.ndarray, np.ndarray]:
         """Incidence limit per t (a row per resample or cohort), and y."""
         _, y, surv = self.counts(weights)
-        counts = (kind1(weights) for kind1 in self.kind1)
-        last = (_incidence(surv[..., :-1], c, y, self.exact).take(-1, -1) for c in counts)
-        return np.array(list(last)).reshape(len(self.kind1), *y.shape[:-1]), y
+        at = self.wanted if weights is not None and self.plain else [slice(None)] * len(self.kind1)
+        last = (_incidence(surv[..., :-1][..., i], k(weights)[..., i], y[..., i], self.exact)
+                for k, i in zip(self.kind1, at))
+        return np.array([a.take(-1, -1) for a in last]).reshape(len(self.kind1), *y.shape[:-1]), y
 
 
 def _query_times(s: float, ts: Iterable[float]) -> np.ndarray:
@@ -235,7 +242,8 @@ class _FullCohort:
     asked for the pooled grid (mm) or the ordered ranks (mm-stute).  The last
     weights' denominator is kept for the other form.  Both identify P01 only
     when every subject is observed from the origin, so a delayed entry raises
-    DelayedEntry before anything else (a NaN row in a batch)."""
+    DelayedEntry before anything else (a NaN row in a batch).  Exits after
+    s sit just past s, with no event: a factor of 1, and y up to s unchanged."""
 
     def __init__(self, cohort, s: float, ts, exact: bool = False):
         ts = _query_times(s, ts)
@@ -248,9 +256,9 @@ class _FullCohort:
         if not len(cols.final):
             raise EmptyRiskSet("empty cohort")
         self.event1 = cols.event1(s, ts)
-        state0 = cols.state0
+        state0, stop = cols.state0, np.minimum(cols.exit0, np.nextafter(s, np.inf))
         exits = state0 & (cols.cause0 != _CENSORED) & (cols.exit0 <= s)
-        self.state0 = _ProductLimit(cols.exit0, state0, exits, [], exact)
+        self.state0 = _ProductLimit(stop, state0, exits, [], exact)
         self._last: tuple = (self, None)  # (weights, denominator); self is never weights
         if plain and self.denominator() == 0:
             raise ZeroDenominator(f"estimated state-0 survival at s={s} is zero")
@@ -345,22 +353,21 @@ def _aj(p, weights=None) -> list[Number] | np.ndarray:
     h01, h02 = (_ratio(d, np.maximum(y0, 1), exact) for d in (d01, d02))
     h12 = _ratio(d12, np.maximum(y1, 1), exact)
     # state-0 occupation just before each transition time, multiplied left to
-    # right, times the share of it that falls ill there
-    keep0 = 1 - h01 - h02
+    # right, times the share of it that falls ill there.  keep0 is 0 where all
+    # at risk leave (1 - h01 - h02 can round below it), else >= 1/y0 less a
+    # few ulps (integer d01 + d02 <= y0 - 1): nothing is below +0.0, so a step
+    # with no 0 -> 1 or 1 -> 2 move (stay 1.0, enter +0.0) leaves p1 bit for
+    # bit; under weights, which leave many such steps, only the others run
+    zero = _one(exact) * 0
+    keep0 = np.where((d01 + d02 == y0) & (y0 > 0), zero, 1 - h01 - h02)
     first = np.full((*keep0.shape[:-1], 1), _one(exact), keep0.dtype)
     inflow = np.cumprod(np.concatenate((first, keep0), axis=-1), axis=-1)[..., :-1] * h01
     keep1, enter1 = np.atleast_2d(1 - h12, inflow)
-    # a step with no 0 -> 1 or 1 -> 2 move has stay 1.0 and enter 0.0 of
-    # inflow's sign, so it leaves p1 as it is unless p1 is -0.0 and enter
-    # +0.0; p1 starts at +0.0 and can be -0.0 only after an enter of sign -
-    # (1 - h01 - h02 can round below 0), so where there is one every step
-    # runs, and elsewhere only the others; reads counts the steps that run
-    run = np.atleast_2d((d01 > 0) | (d12 > 0)).any(0) | np.signbit(enter1.astype(float)).any()
-    run = np.flatnonzero(run)
-    keep1, enter1, reads = keep1.take(run, -1), enter1.take(run, -1), np.searchsorted(run, reads)
+    if weights is not None:
+        run = np.flatnonzero(((d01 > 0) | (d12 > 0)).any(0))
+        keep1, enter1, reads = keep1.take(run, -1), enter1.take(run, -1), np.searchsorted(run, reads)
     # per transition time one number for one row (a vector of one costs more
     # per step), or a vector of rows (resamples or cohorts)
-    zero = _one(exact) * 0
     if len(keep1) == 1:
         steps, p1 = zip(keep1[0].tolist(), enter1[0].tolist()), zero
     else:

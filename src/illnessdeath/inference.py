@@ -69,9 +69,9 @@ def resample_estimates(ready: dict, n: int, n_boot: int, seed: int) -> dict[str,
     parts: dict[str, list[np.ndarray]] = {method: [] for method in ready}
     rngs = streams(seed, range(n_boot))
     for first in range(0, n_boot, chunk):
-        resamples = range(first, min(first + chunk, n_boot))
-        draws = (next(rngs).integers(0, n, size=n) for _ in resamples)
-        weights = np.stack([np.bincount(idx, minlength=n) for idx in draws])
+        rows = range(min(chunk, n_boot - first))  # one bincount of (row, subject) keys
+        keys = np.concatenate([next(rngs).integers(0, n, size=n) + n * row for row in rows])
+        weights = np.bincount(keys, minlength=len(rows) * n).reshape(len(rows), n)
         for method, prepared in ready.items():
             parts[method].append(ESTIMATORS[method].evaluate(prepared, weights))
     out = {method: np.concatenate(part, axis=1) for method, part in parts.items() if part}

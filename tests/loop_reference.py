@@ -262,7 +262,8 @@ def aalen_johansen(cohort, query, exact=False):
         h02 = _ratio(d02.get(v, 0), y0, exact) if y0 else one * 0
         h12 = _ratio(d12.get(v, 0), y1, exact) if y1 else one * 0
         p1 = p1 * (1 - h12) + p0 * h01
-        p0 = p0 * (1 - h01 - h02)
+        # everyone at risk leaves: state 0 is empty (1 - h01 - h02 can round off 0)
+        p0 = one * 0 if y0 and d01.get(v, 0) + d02.get(v, 0) == y0 else p0 * (1 - h01 - h02)
     return p1
 
 

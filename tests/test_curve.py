@@ -360,9 +360,9 @@ def test_aj_skipping_idle_steps_equals_the_loop_over_every_step(seed, s, gap, ro
 
 
 def test_aj_runs_every_step_once_state0_occupation_rounds_below_zero():
-    # 1 - 0.8 - 0.2 is -5.6e-17: state 0 empties at 1 and 6, the illness
-    # state at 2 and 4, and p1 is -0.0 from 4 while inflow is +0.0 after 6,
-    # so the 0 -> 2 only step at 8 turns p1 to +0.0 and must not be skipped
+    # 1 - 0.8 - 0.2 rounds to -5.6e-17: state 0 empties by both moves at 1
+    # and 6, the illness state at 2 and 4; state 0's occupation is exactly 0
+    # from 1, so p1 is +0.0 from 4 and the 0 -> 2 only step at 8 leaves it
     ill, absorbed, censored = Cause.ILL, Cause.ABSORBED, Cause.CENSORED
     cohort = [IllnessDeathRecord(f"a{k}", 0.0, 1.0, ill, 2.0, absorbed) for k in range(4)]
     cohort += [IllnessDeathRecord(f"c{k}", 5.0, 6.0, ill, 20.0, censored) for k in range(4)]
@@ -378,6 +378,43 @@ def test_aj_runs_every_step_once_state0_occupation_rounds_below_zero():
     prepared = ESTIMATORS["aj"].prepare(Columns.of(cohort), query.s, [query.t])
     weighted = ESTIMATORS["aj"].evaluate(prepared, np.ones((2, len(cohort)), np.int64))
     assert [repr(x) for x in weighted[0].tolist()] == ["0.0", "0.0"]
+
+
+def test_aj_state0_emptied_by_both_moves_is_exactly_zero():
+    # everyone at risk in state 0 leaves at 1, 4 ill and 1 absorbed, where
+    # 1 - 0.8 - 0.2 rounds to -5.6e-17; the late entrant's illness at 3 then
+    # carries state 0's occupation, exactly 0, into P01(0, 4)
+    ill, absorbed = Cause.ILL, Cause.ABSORBED
+    cohort = [IllnessDeathRecord(f"a{k}", 0.0, 1.0, ill, 2.0, absorbed) for k in range(4)]
+    cohort += [
+        IllnessDeathRecord("b", 0.0, 1.0, absorbed),
+        IllnessDeathRecord("late", 2.5, 3.0, ill, 10.0, absorbed),
+    ]
+    query, aj = TransitionQuery(0.0, 4.0), ESTIMATORS["aj"]
+    assert p01_aalen_johansen(cohort, query, exact=True) == 0
+    assert repr(p01_aalen_johansen(cohort, query)) == "0.0"
+    prepared = aj.prepare(Columns.of(cohort), query.s, [query.t])
+    weighted = aj.evaluate(prepared, np.array([[1] * 6, [2, 1, 1, 1, 1, 3]]))
+    assert [repr(x) for x in weighted[0].tolist()] == ["0.0", "0.0"]
+    batch = aj(_batch([cohort, cohort[:5]], 0), query.s, [query.t])
+    assert [repr(x) for x in batch[0].tolist()] == ["0.0", "0.0"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(y0=st.integers(min_value=1, max_value=2**40), u=st.floats(0, 1), v=st.floats(0, 1))
+@example(y0=5, u=0.8, v=1.0)  # d01 = 4, d02 = 0
+@example(y0=3, u=0.5, v=1.0)
+def test_aj_keeps_a_share_of_state0_unless_everyone_leaves(y0, u, v):
+    # the argument behind aj's step skip: with integer counts and
+    # d01 + d02 <= y0 - 1, 1 - d01/y0 - d02/y0 is 1/y0 or more in exact
+    # arithmetic, and four roundings of at most 2**-53 each take at most
+    # 2**-51 off it in float, so > 0 for any y0 weights reach; where
+    # d01 + d02 = y0 aj takes it as 0
+    d01 = min(int(u * y0), y0 - 1)
+    d02 = min(int(v * (y0 - d01)), y0 - 1 - d01)
+    keep0 = 1 - np.float64(d01) / y0 - np.float64(d02) / y0
+    assert 1 - F(d01, y0) - F(d02, y0) >= F(1, y0)
+    assert keep0 >= 1 / y0 - 2**-51 and keep0 > 0
 
 
 def test_an_empty_t_list_keeps_the_shape_of_every_form():

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import loop_reference as loops
@@ -29,8 +29,11 @@ from illnessdeath import (
     inference,
     simulate_cohort,
 )
-from illnessdeath.counting import Columns
+from illnessdeath.counting import Columns, _at_risk, _pick
 from illnessdeath.estimators import ESTIMATORS, Estimator, prepare_methods
+from illnessdeath.estimators import _FullCohort, _incidence, _prepare_aj, _prepare_check
+from illnessdeath.estimators import _ProductLimit
+from illnessdeath.records import _CENSORED
 
 
 def _quiet_ci(*args, **kwargs):
@@ -267,3 +270,86 @@ def test_weight_two_equals_a_duplicated_row(case, pick):
             got = curve.evaluate(prepared, weights[None, :])[:, 0].tolist()
             assert all(type(x) is Fraction for x in got)
         assert got == expected
+
+
+def _some_weights(seed, n):
+    """A few rows of multiplicities 0 to 2, then a row of zeros."""
+    weights = np.random.default_rng(seed).integers(0, 3, (3, n))
+    return np.vstack((weights, np.zeros((1, n), np.int64)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=boot_cases(), exact=st.booleans())
+def test_state0_survival_stopped_just_past_s_equals_the_full_product_limit(case, exact):
+    # mm's denominator puts every state-0 exit after s at one time just past
+    # s with no event there: a factor of exactly 1, and y up to s as it was;
+    # here with exits tied at s and at that time itself
+    cohort, query, *_, seed = case
+    s, past = query.s, float(np.nextafter(query.s, np.inf))
+    cohort = [r for r in cohort if r.entry == 0]  # mm's cohorts start at the origin
+    cohort += [
+        IllnessDeathRecord("next-c", 0.0, past, Cause.CENSORED),
+        IllnessDeathRecord("next-a", 0.0, past, Cause.ABSORBED),
+    ]
+    if s > 0:
+        cohort += [
+            IllnessDeathRecord("tie-a", 0.0, s, Cause.ABSORBED),
+            IllnessDeathRecord("tie-i", 0.0, s, Cause.ILL, s + 1.0, Cause.ABSORBED),
+        ]
+    cols = Columns.of(cohort)
+    full = _FullCohort(cols, s, [query.t], exact)
+    exits = cols.state0 & (cols.cause0 != _CENSORED) & (cols.exit0 <= s)
+    whole = _ProductLimit(cols.exit0, cols.state0, exits, [], exact)
+    weights = _some_weights(seed, len(cohort))
+    assert repr(full.denominator().tolist()) == repr(whole.counts()[2][..., -1].tolist())
+    want = whole.counts(weights)[2][:, -1]
+    assert repr(full.denominator(weights).tolist()) == repr(want.tolist())
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=boot_cases(), exact=st.booleans())
+def test_weighted_incidence_over_kind1_times_equals_the_full_grid(case, exact):
+    # under weights each t's running sum skips the grid times with none of
+    # its kind-1 subjects, masses of +0.0: here t = s has no kind-1 subject,
+    # and the added one has the first final time of check's grid
+    cohort, query, *_, seed = case
+    s = query.s
+    cols = Columns.of(cohort)
+    first = cols.final[cols.landmark(s)].min(initial=s + 3.0)
+    onset, final = s + (first - s) / 3, s + 2 * (first - s) / 3
+    cohort = [*cohort, IllnessDeathRecord("first", 0.0, onset, Cause.ILL, final, Cause.ABSORBED)]
+    cols, ts = Columns.of(cohort), [s, onset, query.t]
+    grids = [_prepare_check(cols, s, ts, exact)[0]]
+    if not (cols.entry > 0).any():
+        grids.append(_FullCohort(cols, s, ts, exact).pooled)
+    assert grids[0].kind1[0].kept[0].size == 0 and grids[0].kind1[1].kept[1].min() == 0
+    weights = _some_weights(seed, len(cohort))
+    for grid in grids:
+        _, y, surv = grid.counts(weights)
+        every = [_incidence(surv[:, :-1], k(weights), y, exact).take(-1, -1) for k in grid.kind1]
+        assert repr(grid.incidence(weights)[0].tolist()) == repr(np.array(every).tolist())
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=boot_cases())
+def test_weighted_risk_sets_without_cancelled_windows_equal_the_resampled_cohort(case):
+    # aj's weighted risk sets leave out each window with as many grid times
+    # up to its start as up to its end, which covers none; here at least the
+    # late entrants' windows past every t
+    cohort, query, *_, seed = case
+    t = query.t
+    cohort = [
+        *cohort,
+        IllnessDeathRecord("late", t + 1, t + 2, Cause.ABSORBED),
+        IllnessDeathRecord("late-ill", t + 1, t + 2, Cause.ILL, t + 3, Cause.ABSORBED),
+    ]
+    cols = Columns.of(cohort)
+    assume(cols.landmark(query.s).any())
+    weights = _some_weights(seed, len(cohort))
+    for sets in _prepare_aj(cols, query.s, [t])[3]:
+        start, end = (np.searchsorted(sets.times, at, "right") for at in (sets.starts, sets.ends))
+        assert (sets.who & (start == end)).any()
+        for w, got in zip(weights, sets(weights)):
+            copies = np.repeat(np.arange(len(cohort)), w)
+            starts, ends = (_pick(at, sets.who)[copies] for at in (sets.starts, sets.ends))
+            assert got.tolist() == _at_risk(starts, ends, sets.times).tolist()
