@@ -5,6 +5,9 @@ and the Monte-Carlo tables.
 For each row count, writes a table1 cohort CSV (seeded), then times each
 stage in a fresh interpreter, importing the package from ``--src``:
 
+- ``records``: ``simulate_cohort`` and ``write_cohort`` of that same cohort,
+  the records built from the simulator's columns and written back as CSV
+  (its output is the probe's input CSV);
 - ``read_cohort``: the public record reader;
 - ``read_columns``: the column reader, when the package has one;
 - ``read_quoted``: the column reader on a copy of the CSV with every field
@@ -66,7 +69,11 @@ from illnessdeath import cli, records
 # the import stage times the package's import, every other stage its own work
 start = before_import if stage == "import" else perf_counter()
 extra = {}  # the resample stage's own figures
-if stage == "read_cohort":
+if stage == "records":  # path is "rows:seed"
+    from illnessdeath import preset, simulate_cohort
+    rows, seed = map(int, path.split(":"))
+    records.write_cohort(simulate_cohort(preset("table1", n=rows, seed=seed).config), out)
+elif stage == "read_cohort":
     records.read_cohort(path)
 elif stage in ("read_columns", "read_quoted"):
     records.read_columns(path)
@@ -161,6 +168,8 @@ def _stage(src: str, stage: str, source: str, target: Path, reps: int) -> dict:
         out["ms_per_resample"] = {k: statistics.median(p[k] for p in per) for k in per[0]}
         out["resample_sha256"] = runs[0]["resample_sha256"]
         assert all(r["resample_sha256"] == out["resample_sha256"] for r in runs), stage
+    if stage == "records":
+        out["output_sha256"] = _sha256(target)
     if stage in ("estimate", "transform", "boot", "simulate"):
         manifest = Path(str(target) + ".manifest.json")
         out["output_sha256"] = _sha256(target)
@@ -177,7 +186,9 @@ def probe(src: str, rows: int, stages: list[str], seed: int, reps: int, workdir:
     out: dict = {"rows": rows, "input_sha256": _sha256(cohort)}
     for stage in stages:
         source = cohort
-        if stage == "read_quoted":
+        if stage == "records":
+            source = f"{rows}:{seed}"
+        elif stage == "read_quoted":
             source = workdir / f"quoted-{rows}.csv"
             _quote_all(cohort, source)
         out[stage] = _stage(src, stage, str(source), workdir / f"{stage}-{rows}.csv", reps)
@@ -212,7 +223,7 @@ def main(argv: list[str] | None = None) -> int:
              " sys.exit(0 if hasattr(records, 'read_columns') else 1)"],
         ).returncode == 0
         readers = ["read_columns", "read_quoted"] if has_columns else []
-        stages = ["read_cohort", *readers, "estimate", "transform"]
+        stages = ["records", "read_cohort", *readers, "estimate", "transform"]
         stages += ["resample"] if has_columns else []
         results = [probe(src, rows, stages, args.seed, args.reps, workdir) for rows in args.rows]
         results += [probe(src, rows, ["boot"], args.seed, args.reps, workdir) for rows in BOOT_ROWS]

@@ -5,7 +5,9 @@ subject either moves 0 -> 1 -> 2 or 0 -> 2; there is no recovery.  Records
 store the observed pieces of that path under right-censoring and delayed
 entry.  Every estimator reads a cohort as numpy columns (``Columns``), built
 once per cohort.  The record invariants have two forms: the constructor's
-checks, with each record's message, and ``valid_rows``, their vector mask.
+checks, with each record's message, and ``valid_rows``, their vector mask,
+which checks columns once before ``to_records`` fills in their records;
+every constructor call (``dataclasses.replace`` too) still checks its own.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, fields
 from enum import IntEnum
 from operator import itemgetter
 from pathlib import Path
@@ -41,7 +44,7 @@ class EventKind(IntEnum):
 
 
 def _is_time(x) -> bool:
-    return isinstance(x, (int, float)) and math.isfinite(x)
+    return isinstance(x, (int, float, np.integer, np.floating)) and math.isfinite(x)
 
 
 @dataclass(frozen=True)
@@ -89,9 +92,18 @@ class IllnessDeathRecord:
             if self.entry >= self.exit0:
                 raise MalformedRecord(f"{self.id}: entry must precede exit0")
 
+    @classmethod
+    def _filled(cls, *columns: list) -> list[IllnessDeathRecord]:
+        """The records of a list per field, unchecked, each field set as the
+        frozen __init__ sets it (an empty deque runs each map in C)."""
+        cohort = list(map(object.__new__, itertools.repeat(cls, len(columns[0]))))
+        for field, values in zip(fields(cls), columns):
+            deque(map(object.__setattr__, cohort, itertools.repeat(field.name), values), 0)
+        return cohort
+
     @property
     def final_time(self) -> float:
-        """Last time the subject was under observation (Columns.of inlines it)."""
+        """Last time the subject was under observation (_columns_of inlines it)."""
         return self.exit0 if self.exit1 is None else self.exit1
 
     @property
@@ -100,7 +112,7 @@ class IllnessDeathRecord:
 
     @property
     def observed(self) -> bool:
-        """True when the absorbing event was observed (Columns.of inlines it)."""
+        """True when the absorbing event was observed (_columns_of inlines it)."""
         return self.final_cause is Cause.ABSORBED
 
     @property
@@ -108,6 +120,11 @@ class IllnessDeathRecord:
         """True when recruitment happened during the illness stay."""
         return self.cause0 is Cause.ILL and self.entry >= self.exit0
 
+
+# a record built at import: CPython lets a class's instances share one key
+# table once one of them has set its fields, and each record that _filled
+# allocates before that keeps a dict of its own, 2.5 times the memory
+IllnessDeathRecord("", 0.0, 1.0, Cause.CENSORED)
 
 # cause codes as plain ints for the int8 cause0 column: numpy compares an
 # enum member only after looking up attributes on it, about 4x slower
@@ -139,17 +156,7 @@ class Columns(NamedTuple):
         if isinstance(cohort, Columns):
             return cohort
         records = list(cohort)
-        # a list per column (per-record tuples wake the GC); final_time, observed inlined
-        absorbed, n = Cause.ABSORBED, len(records)
-        final_cause = [r.cause0 if r.cause1 is None else r.cause1 for r in records]
-        return cls(
-            np.array([r.entry for r in records], float),
-            np.array([r.exit0 for r in records], float),
-            np.array([r.exit0 if r.exit1 is None else r.exit1 for r in records], float),
-            np.fromiter([r.cause0 for r in records], np.int8, n),
-            np.fromiter([cause is absorbed for cause in final_cause], bool, n),
-            rank_ids([r.id for r in records]),
-        )
+        return cls(*_columns_of(records), rank_ids([r.id for r in records]))
 
     def take(self, rows: np.ndarray) -> Columns:
         """The subjects at a mask, or at indices (repeats allowed); a batch
@@ -225,26 +232,44 @@ def check_columns(cols: Columns, name: Callable[[int], str]) -> None:
     """Raise MalformedRecord unless every row makes a valid record.
 
     ``name(i)`` is the id of row i.  The first bad row is built as its
-    record, so the error is the one the record constructor raises.
+    record by the constructor, so the error is the one it raises.
     """
     valid = valid_rows(cols)
     if not valid.all():
-        row = np.flatnonzero(~valid)[:1]
-        to_records([name(row[0])], cols.take(row))
-        raise MalformedRecord(f"{name(row[0])}: inconsistent columns")
+        row = int(np.argmin(valid))
+        IllnessDeathRecord(name(row), *(field[row] for field in _fields_of(cols)))
+        raise MalformedRecord(f"{name(row)}: inconsistent columns")
 
 
 def to_records(ids: Iterable[str], cols: Columns) -> list[IllnessDeathRecord]:
-    """The records of the rows, with Python float times and Cause members."""
-    columns = (cols.entry, cols.exit0, cols.ill, cols.final, cols.observed)
-    cohort = []
-    for ident, entry, exit0, is_ill, end, absorbed in zip(
-        ids, *(column.tolist() for column in columns)
-    ):
-        cause = Cause.ABSORBED if absorbed else Cause.CENSORED
-        path = (exit0, Cause.ILL, end, cause) if is_ill else (end, cause)
-        cohort.append(IllnessDeathRecord(ident, entry, *path))
-    return cohort
+    """The records of the rows, with Python float times and Cause members,
+    filled in unchecked once check_columns has checked every row."""
+    ids = list(ids)
+    check_columns(cols, ids.__getitem__)
+    return IllnessDeathRecord._filled(ids, *_fields_of(cols))
+
+
+def _fields_of(cols: Columns) -> tuple[list, ...]:
+    """The entry, exit0, cause0, exit1 and cause1 of the rows' records."""
+    ill, code = cols.ill, np.where(cols.observed, _ABSORBED, _CENSORED)
+    members = np.array([*Cause, None], object)  # by code; 3 for no illness exit
+    return (cols.entry.tolist(), np.where(ill, cols.exit0, cols.final).tolist(),
+            members[np.where(ill, _ILL, code)].tolist(), np.where(ill, cols.final, None).tolist(),
+            members[np.where(ill, code, 3)].tolist())
+
+
+def _columns_of(records: list[IllnessDeathRecord]) -> tuple[np.ndarray, ...]:
+    """The entry, exit0, final, cause0 and observed columns of records."""
+    # a list per column (per-record tuples wake the GC); final_time, observed inlined
+    absorbed, n = Cause.ABSORBED, len(records)
+    final_cause = [r.cause0 if r.cause1 is None else r.cause1 for r in records]
+    return (
+        np.array([r.entry for r in records], float),
+        np.array([r.exit0 for r in records], float),
+        np.array([r.exit0 if r.exit1 is None else r.exit1 for r in records], float),
+        np.fromiter([r.cause0 for r in records], np.int8, n),
+        np.fromiter([cause is absorbed for cause in final_cause], bool, n),
+    )
 
 
 def rank_ids(ids: list[str]) -> np.ndarray:
@@ -375,7 +400,7 @@ def read_columns(source: str | Path | IO[str]) -> tuple[Columns, list[str]]:
     each row in turn.
     """
     ids: list[str] = []
-    parts = [Columns.of([])[:5]]
+    parts = [_columns_of([])]
     for block_ids, part in _read_blocks(source):
         ids += block_ids
         parts.append(part)
@@ -439,7 +464,7 @@ def _read_blocks(source: str | Path | IO[str]) -> Iterator[tuple[list[str], tupl
                     raise MalformedRecord(f"line {end}: duplicate id {record.id!r}")
                 seen.add(record.id)
                 cohort.append(record)
-            part, texts[0] = Columns.of(cohort)[:5], [r.id for r in cohort]
+            part, texts[0] = _columns_of(cohort), [r.id for r in cohort]
         else:
             seen |= fresh
         yield texts[0], part
@@ -559,7 +584,8 @@ def write_columns(ids: Sequence[str], cols: Columns, sink: str | Path | IO[str])
         return
     sink.write(",".join(CSV_COLUMNS) + "\n")
     for start in range(0, len(ids), _BLOCK):
-        block_ids, block = ids[start : start + _BLOCK], cols.take(slice(start, start + _BLOCK))
+        block_ids = ids[start : start + _BLOCK]
+        block = Columns(*(column[start : start + _BLOCK] for column in cols[:5]), None)
         values = (np.array(block_ids, object), block.entry, block.exit0, block.cause0,
                   block.final, np.where(block.observed, 2, 0))
         lines = np.empty(len(block_ids), object)
@@ -575,4 +601,4 @@ def write_columns(ids: Sequence[str], cols: Columns, sink: str | Path | IO[str])
 
 def write_cohort(cohort: Sequence[IllnessDeathRecord], sink: str | Path | IO[str]) -> None:
     """Write records as a cohort CSV (write_columns)."""
-    write_columns([r.id for r in cohort], Columns.of(cohort), sink)
+    write_columns([r.id for r in cohort], Columns(*_columns_of(cohort), None), sink)

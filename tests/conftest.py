@@ -39,3 +39,27 @@ def toy_csv(tmp_path, cohort4):
     path = tmp_path / "toy.csv"
     write_cohort(cohort4, path)
     return str(path)
+
+
+@pytest.fixture
+def watch_records(monkeypatch):
+    """Call it to get the ids of the records built from then on: by the
+    constructor, or filled in unchecked from columns (to_records)."""
+
+    def watch() -> list:
+        built = []
+        check, filled = IllnessDeathRecord.__post_init__, IllnessDeathRecord._filled
+
+        def counting_check(record):
+            built.append(record.id)
+            check(record)
+
+        def counting_fill(ids, *columns):
+            built.extend(ids)
+            return filled(ids, *columns)
+
+        monkeypatch.setattr(IllnessDeathRecord, "__post_init__", counting_check)
+        monkeypatch.setattr(IllnessDeathRecord, "_filled", counting_fill)
+        return built
+
+    return watch

@@ -12,7 +12,9 @@ types, warnings and exception types.  Nothing here calls an estimator of
 the package, except the bootstrap loop.  The record loops of the cohort
 CSV reader and writer and of artificial censoring are the reference for
 the column reader, ``write_columns`` and ``Columns.clip``
-(tests/test_ingest.py).  The bootstrap loop at the end builds every
+(tests/test_ingest.py); the loop of records built from columns by the
+record constructor, the reference for ``records.to_records``
+(tests/test_records.py).  The bootstrap loop at the end builds every
 resample as a cohort of its own and runs the package's unweighted curve
 on it, the reference for the weighted resamples of
 ``illnessdeath.inference`` (tests/test_inference.py).  The Monte-Carlo
@@ -300,9 +302,9 @@ BY_METHOD = {
 
 
 # ---------------------------------------------------------------------------
-# The record loops of the cohort CSV reader and writer and of artificial
-# censoring, the reference for the column reader, the column writer and
-# the column clip.
+# The record loops of the cohort CSV reader and writer, of artificial
+# censoring and of columns made records, the reference for the column
+# reader, the column writer, the column clip and records.to_records.
 
 
 def read_cohort(source) -> list[IllnessDeathRecord]:
@@ -343,6 +345,21 @@ def write_cohort(cohort, sink) -> None:
                 "" if r.cause1 is None else int(r.cause1),
             ]
         )
+
+
+def to_records(ids, cols) -> list[IllnessDeathRecord]:
+    """Each row through the record constructor, in turn, with Python float
+    times and Cause members; a subject never ill exits state 0 at its final
+    time."""
+    columns = (cols.entry, cols.exit0, cols.ill, cols.final, cols.observed)
+    cohort = []
+    for ident, entry, exit0, is_ill, end, absorbed in zip(
+        ids, *(column.tolist() for column in columns)
+    ):
+        cause = Cause.ABSORBED if absorbed else Cause.CENSORED
+        path = (exit0, Cause.ILL, end, cause) if is_ill else (end, cause)
+        cohort.append(IllnessDeathRecord(ident, entry, *path))
+    return cohort
 
 
 def artificial_censoring(cohort, tau) -> list[IllnessDeathRecord]:

@@ -266,18 +266,11 @@ def test_a_byte_order_mark_is_skipped(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_cli_builds_no_records(tmp_path, monkeypatch):
+def test_cli_builds_no_records(tmp_path, watch_records):
     cohort = random_cohort(random.Random(5), max_n=40, truncated=True)
     path = tmp_path / "cohort.csv"
     write_cohort(cohort, path)
-    built = []
-    check = IllnessDeathRecord.__post_init__
-
-    def counting_check(record):
-        built.append(record.id)
-        check(record)
-
-    monkeypatch.setattr(IllnessDeathRecord, "__post_init__", counting_check)
+    built = watch_records()
     out = str(tmp_path / "out.csv")
     assert main(["transform", "--input", str(path), "--tau", "4", "--output", out]) == 0
     argv = ["estimate", "--input", out, "--s", "1.5", "--t", "2,3.5", "--method", "all"]

@@ -1,16 +1,24 @@
 import ast
+import copy
+import dataclasses
 import io
 import itertools
 import math
+import pickle
 import random
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import illnessdeath
+import loop_reference as ref
 import oracle_bruteforce as ob
 from cohortgen import random_cohort, to_oracle, with_ill_at_origin
 from illnessdeath import (
@@ -112,6 +120,28 @@ class TestRecordValidation:
             IllnessDeathRecord("a", 0, 2.0, 7)
         with pytest.raises(MalformedRecord, match="a: bad cause1 1"):
             IllnessDeathRecord("a", 0, 2.0, 1, 3.0, 1)
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8, np.float16, np.float32])
+    def test_numpy_scalar_times_are_times(self, kind):
+        r = IllnessDeathRecord("a", kind(0), kind(2), 2)
+        assert r == IllnessDeathRecord("a", 0, 2.0, Cause.ABSORBED)
+        assert type(r.entry) is kind
+        r = IllnessDeathRecord("b", kind(1), kind(0), 1, kind(3), 0)
+        assert r.entered_ill and r.final_time == 3
+        assert IllnessDeathRecord("c", 0.0, 2.0, 2) == IllnessDeathRecord("c", np.int64(0), 2.0, 2)
+
+    @pytest.mark.parametrize("bad", [np.float32("nan"), np.float64("inf"), np.float32("-inf"),
+                                     np.int64(-1), np.float32(-0.5), np.bool_(True)])
+    def test_numpy_scalar_times_keep_the_messages(self, bad):
+        with pytest.raises(MalformedRecord, match="^a: entry must be a finite time >= 0$"):
+            IllnessDeathRecord("a", bad, 2.0, 2)
+        with pytest.raises(MalformedRecord, match="^a: exit0 must be a finite time >= 0$"):
+            IllnessDeathRecord("a", 0.0, bad, 2)
+        with pytest.raises(MalformedRecord, match="^a: exit1 must be finite and >= exit0$"):
+            IllnessDeathRecord("a", 0.0, 0.75, 1, bad, 2)
+
+    def test_bool_times_stay_ints(self):
+        assert IllnessDeathRecord("a", False, True, 2).final_time == 1
 
     def test_ingest_clamps_negative_entry(self):
         r = validate_record({"id": "a", "entry": "-3", "exit0": "2", "cause0": "2"})
@@ -261,7 +291,7 @@ def _record_form_accepts(cols) -> bool:
     """True when the row builds its record and the record gives back the
     same five columns, bit for bit."""
     try:
-        back = Columns.of(to_records(["x"], cols))
+        back = Columns.of(ref.to_records(["x"], cols))
     except MalformedRecord:
         return False
     return all(
@@ -276,6 +306,120 @@ def test_valid_rows_agrees_with_the_record_constructor():
     wrong = [c for c in cases if bool(valid_rows(c)[0]) != _record_form_accepts(c)]
     assert wrong == []
     assert 0 < sum(bool(valid_rows(c)[0]) for c in cases) < len(cases)
+
+
+# record times with signed zeros and ties; bad ones, drawn now and then
+_TIMES = (-0.0, 0.0, 0.5, 1.0, 1.0, 2.5)
+_BAD_TIMES = (-1.0, math.nan, math.inf)
+
+
+@st.composite
+def record_columns(draw) -> Columns:
+    """Columns whose rows are mostly valid: a subject never ill ends at its
+    state-0 exit, an ill one may be recruited ill (exit0 <= entry), and now
+    and then a row takes a bad time or its times out of order."""
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        ill, observed = draw(st.booleans()), draw(st.booleans())
+        times = draw(st.lists(st.sampled_from(_TIMES), min_size=3, max_size=3))
+        low, mid, high = sorted(times)
+        if ill:
+            entry, exit0, final = draw(st.sampled_from([(low, mid, high), (mid, low, high)]))
+        else:
+            entry, exit0, final = draw(st.sampled_from([(low, mid, mid), (low, high, high)]))
+        if draw(st.integers(0, 7)) == 0:
+            times = [entry, exit0, final]
+            times[draw(st.integers(0, 2))] = draw(st.sampled_from(_BAD_TIMES + _TIMES))
+            entry, exit0, final = times
+            final = final if ill else exit0
+        rows.append((entry, exit0, final, 1 if ill else 2 if observed else 0, observed))
+    return _columns(*rows)
+
+
+def _columns(*rows) -> Columns:
+    """Columns of (entry, exit0, final, cause0, observed) rows."""
+    entry, exit0, final, cause0, observed = zip(*rows) if rows else [()] * 5
+    return Columns(np.array(entry, float), np.array(exit0, float), np.array(final, float),
+                   np.array(cause0, np.int8), np.array(observed, bool), np.arange(len(rows)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cols=record_columns())
+# an ill recruit at its onset, signed zeros, and a bad row after good ones
+@example(cols=_columns((1.0, 1.0, 2.5, 1, True), (-0.0, 0.5, 0.5, 0, False)))
+@example(cols=_columns((-0.0, -0.0, 1.0, 1, False), (0.0, 1.0, 1.0, 2, True)))
+@example(cols=_columns((0.0, 1.0, 1.0, 2, True), (0.5, math.nan, 1.0, 1, True),
+                       (-1.0, 1.0, 1.0, 0, False)))
+@example(cols=_columns((1.0, 0.5, 1.0, 1, True)))
+def test_to_records_equals_the_constructor_loop(cols):
+    ids = [f"s{i}" for i in range(len(cols.final))]
+    try:
+        want = ref.to_records(ids, cols)
+    except MalformedRecord as err:
+        with pytest.raises(MalformedRecord) as got:
+            to_records(iter(ids), cols)
+        assert str(got.value) == str(err)
+        return
+    got = to_records(iter(ids), cols)
+    assert got == want
+    assert list(map(repr, got)) == list(map(repr, want))
+    assert list(map(hash, got)) == list(map(hash, want))
+    for record, member in zip(got, want):
+        for field in dataclasses.fields(IllnessDeathRecord):
+            value = getattr(record, field.name)
+            assert type(value) is type(getattr(member, field.name))
+        assert record.cause0 is Cause(record.cause0)
+        assert record.cause1 is member.cause1
+
+
+def test_to_records_are_frozen_records():
+    cohort = random_cohort(random.Random(11), max_n=40, truncated=True)
+    got = to_records([r.id for r in cohort], Columns.of(cohort))
+    assert got == cohort and 0 < sum(r.entered_ill for r in got) < len(got)
+    record = got[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.entry = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.note = "x"
+    # replace goes through the constructor, and checks
+    with pytest.raises(MalformedRecord, match=f"^{record.id}: entry must be a finite time"):
+        dataclasses.replace(record, entry=-1.0)
+    with pytest.raises(MalformedRecord, match=f"^{record.id}: bad cause0 7"):
+        dataclasses.replace(record, cause0=7)
+    assert dataclasses.replace(record, id="y") == IllnessDeathRecord("y", *dataclasses.astuple(record)[1:])
+    for back in (pickle.loads(pickle.dumps(got)), copy.deepcopy(got), list(map(copy.copy, got))):
+        assert back == got and list(map(hash, back)) == list(map(hash, got))
+        assert [r.cause0 for r in back] == [r.cause0 for r in got]
+
+
+# bytes per record of 20000 records, the first ones made in a fresh interpreter
+_RECORD_BYTES = """
+import sys, tracemalloc
+import numpy as np
+from illnessdeath.records import Columns, IllnessDeathRecord, to_records
+n = 20000
+cols = Columns(np.zeros(n), np.ones(n), np.ones(n), np.zeros(n, np.int8), np.zeros(n, bool), None)
+ids, fields = [f"s{i}" for i in range(n)], (0.0, 1.0, 0)
+tracemalloc.start()
+if sys.argv[1] == "filled":
+    cohort = to_records(ids, cols)
+else:
+    cohort = [IllnessDeathRecord(ident, *fields) for ident in ids]
+print(tracemalloc.get_traced_memory()[0] / n)
+"""
+
+
+def test_filled_records_take_the_constructors_memory():
+    # records filled in field by field share the class's attribute layout,
+    # as built ones do, even when no record was built before them
+    def per_record(how):
+        run = subprocess.run([sys.executable, "-c", _RECORD_BYTES, how],
+                             capture_output=True, text=True, check=True)
+        return float(run.stdout)
+
+    built, filled = per_record("built"), per_record("filled")
+    # filled records also hold their own entry and exit0 floats, 24 bytes each
+    assert filled - 48 <= built * 1.1, (filled, built)
 
 
 def test_every_import_is_at_module_level():

@@ -17,7 +17,6 @@ from illnessdeath import (
     Cause,
     DegenerateCohort,
     EstimationError,
-    IllnessDeathRecord,
     MalformedRecord,
     ScenarioConfig,
     TransitionQuery,
@@ -201,15 +200,8 @@ class TestColumnarSimulator:
         with pytest.raises(MalformedRecord, match=f"^{cohort[i].id}: {message}"):
             check_columns(cols, name)
 
-    def test_monte_carlo_builds_no_records(self, monkeypatch):
-        built = []
-        check = IllnessDeathRecord.__post_init__
-
-        def counting_check(record):
-            built.append(record.id)
-            check(record)
-
-        monkeypatch.setattr(IllnessDeathRecord, "__post_init__", counting_check)
+    def test_monte_carlo_builds_no_records(self, watch_records):
+        built = watch_records()
         config = preset("table3", n=40, replications=6, seed=5).config
         run_monte_carlo(config, ("check", "mm", "mm-stute", "aj"), workers=1)
         assert built == []
