@@ -28,6 +28,14 @@ stage in a fresh interpreter, importing the package from ``--src``:
   weights are drawn here, seeded, so both checkouts evaluate the same ones);
 - ``simulate``: ``simulate --scenario S --reps 1000 --seed 7`` for each preset
   S in ``SIMULATE``, the Monte-Carlo layer, with no cohort CSV;
+- ``batch``: the Monte-Carlo harness per batch, for each preset S in
+  ``SIMULATE``: the columns of ``BATCH_REPS`` replications of n = ``BATCH_N``
+  (seed 7), a row each, as ``run_monte_carlo`` batches them, evaluated by
+  every method in registry order at s = 10 and the t values of ``TIMES``
+  (the harness's own).  After one round that fills the lazy caches, at
+  least ``CHUNKS`` rounds, and as many as ``RESAMPLE_S`` seconds hold, are
+  timed.  It reports the median milliseconds per batch of each method,
+  their sum, and the SHA-256 of the first round's value arrays;
 - ``import``: ``import illnessdeath.cli`` itself, what every CLI call pays
   before any work (its peak memory is the package's resident set).
 
@@ -57,6 +65,8 @@ BOOT_ROWS = (10_000, 100_000)
 SIMULATE = ("table1", "table3")
 # the resample stage's timed chunks: at least CHUNKS, and for RESAMPLE_S seconds
 CHUNKS, RESAMPLE_S = 10, 2.0
+# the batch stage's batch: the 50 x 100 replications of the montecarlo benchmark
+BATCH_REPS, BATCH_N = 50, 100
 
 # run in the child: prints {"seconds": ..., "peak_rss_mb": ...}
 CHILD = r"""
@@ -120,12 +130,34 @@ elif stage == "resample":
     median = {name: sorted(ms)[len(ms) // 2] for name, ms in spent.items()}
     extra = {"ms_per_resample": {**median, "total": sum(median.values())},
              "resample_sha256": digest.hexdigest()}
+elif stage == "batch":  # path names the scenario
+    import hashlib
+    import numpy as np
+    from illnessdeath import estimators, preset, simulation
+    config, reps = preset(path, n=BATCH_N, seed=7).config, range(BATCH_REPS)
+    cols = simulation._batch(reps, simulation._draws(config, reps))[1]
+    ts = np.array(TIMES.split(","), float)
+    digest, spent = hashlib.sha256(), {name: [] for name in estimators.ESTIMATORS}
+    rounds, begun = 0, perf_counter()
+    while rounds <= CHUNKS or perf_counter() - begun < RESAMPLE_S:
+        for name, estimator in estimators.ESTIMATORS.items():
+            tick = perf_counter()
+            values = estimator(cols, 10.0, ts)
+            if rounds:
+                spent[name].append((perf_counter() - tick) * 1e3)
+            else:
+                digest.update(values.tobytes())
+        rounds += 1
+    median = {name: sorted(ms)[len(ms) // 2] for name, ms in spent.items()}
+    extra = {"ms_per_batch": {**median, "total": sum(median.values())},
+             "batch_sha256": digest.hexdigest()}
 seconds = perf_counter() - start
 import json, resource
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps({"seconds": seconds, "peak_rss_mb": rss, **extra}))
 """
-for name, value in (("TIMES", repr(TIMES)), ("CHUNKS", CHUNKS), ("RESAMPLE_S", RESAMPLE_S)):
+for name, value in (("TIMES", repr(TIMES)), ("CHUNKS", CHUNKS), ("RESAMPLE_S", RESAMPLE_S),
+                    ("BATCH_REPS", BATCH_REPS), ("BATCH_N", BATCH_N)):
     CHILD = CHILD.replace(name, str(value))
 
 GENERATE = r"""
@@ -168,6 +200,11 @@ def _stage(src: str, stage: str, source: str, target: Path, reps: int) -> dict:
         out["ms_per_resample"] = {k: statistics.median(p[k] for p in per) for k in per[0]}
         out["resample_sha256"] = runs[0]["resample_sha256"]
         assert all(r["resample_sha256"] == out["resample_sha256"] for r in runs), stage
+    if stage == "batch":
+        per = [r["ms_per_batch"] for r in runs]
+        out["ms_per_batch"] = {k: statistics.median(p[k] for p in per) for k in per[0]}
+        out["batch_sha256"] = runs[0]["batch_sha256"]
+        assert all(r["batch_sha256"] == out["batch_sha256"] for r in runs), stage
     if stage == "records":
         out["output_sha256"] = _sha256(target)
     if stage in ("estimate", "transform", "boot", "simulate"):
@@ -200,6 +237,11 @@ def probe_simulate(src: str, scenario: str, reps: int, workdir: Path) -> dict:
     return {"scenario": scenario, "simulate": _stage(src, "simulate", scenario, target, reps)}
 
 
+def probe_batch(src: str, scenario: str, reps: int, workdir: Path) -> dict:
+    target = workdir / f"batch-{scenario}.out"
+    return {"scenario": scenario, "batch": _stage(src, "batch", scenario, target, reps)}
+
+
 def probe_import(src: str, reps: int, workdir: Path) -> dict:
     return {"import": _stage(src, "import", "", workdir / "import.out", reps)}
 
@@ -228,6 +270,7 @@ def main(argv: list[str] | None = None) -> int:
         results = [probe(src, rows, stages, args.seed, args.reps, workdir) for rows in args.rows]
         results += [probe(src, rows, ["boot"], args.seed, args.reps, workdir) for rows in BOOT_ROWS]
         results += [probe_simulate(src, name, args.reps, workdir) for name in SIMULATE]
+        results += [probe_batch(src, name, args.reps, workdir) for name in SIMULATE]
         results.append(probe_import(src, args.reps, workdir))
     text = json.dumps({"src": src, "seed": args.seed, "results": results}, indent=1) + "\n"
     if args.out == "-":

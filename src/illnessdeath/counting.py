@@ -63,14 +63,19 @@ def _grid(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         index = np.full(times.shape, len(grid))
         index[finite] = inverse
         return grid, index
-    order = np.argsort(times, axis=-1)
-    grid = np.take_along_axis(times, order, -1)
+    # flat passes: each row's sort order as places in the flat batch, and
+    # each value's first place by one running maximum, a row starting anew
+    rows, n = times.shape
+    offsets = np.arange(rows)[:, None] * n
+    order = (np.argsort(times, axis=-1) + offsets).ravel()
+    grid = times.ravel()[order].reshape(rows, n)
     m = int((grid < np.inf).sum(-1).max(initial=1))
-    new = np.insert(grid[:, 1:] != grid[:, :-1], 0, True, axis=-1)
-    first = np.maximum.accumulate(np.where(new, np.arange(grid.shape[-1]), 0), axis=-1)
+    new = np.ones((rows, n), bool)
+    new[:, 1:] = grid[:, 1:] != grid[:, :-1]
+    first = np.maximum.accumulate(np.where(new, offsets + np.arange(n), 0).ravel())
     index = np.empty_like(first)
-    np.put_along_axis(index, order, np.where(grid < np.inf, first, m), -1)
-    return grid[:, :m], index
+    index[order] = np.where(grid < np.inf, first.reshape(rows, n) - offsets, m).ravel()
+    return grid[:, :m], index.reshape(rows, n)
 
 
 def _pick(column: np.ndarray, mask) -> np.ndarray:

@@ -23,8 +23,9 @@ floats are those of each row on its own.  The scalar forms are one-point
 curves.  Float and ``exact=True`` (object arrays of Fraction) share the
 array code; every sum and product runs left to right
 (``np.cumsum``/``np.cumprod``), so floats equal a plain loop bit for bit.
-Every product-limit survival and incidence comes from ``_survival`` and
-``_incidence``; tests/loop_reference.py holds the loop forms.
+Every product-limit survival comes from ``_survival`` and every incidence
+from ``_incidence`` or, at the kind-1 times alone, ``_ProductLimit``;
+tests/loop_reference.py holds the loop forms.
 
 Conventions shared by all routines: at tied times, events precede
 censorings; any hazard increment with an empty risk set contributes a unit
@@ -177,17 +178,17 @@ class _ProductLimit:
     rest, each kept subject tallied once at its own grid index, summed from
     the right, exact in integers, on a batch's grid per row (see _grid) at
     the first place of a time, the one with its events.  A time no kept (or
-    weighted) subject has adds a factor of exactly 1 and a zero mass; under
-    weights a t's incidence runs over time 0 and its kind-1 times alone
-    (wanted), as any other adds before * 0 / y = +0.0 to a sum >= +0.0.
+    weighted) subject has adds a factor of exactly 1 and a zero mass; a t's
+    incidence sums its kind-1 times alone (_kind1_sums; under weights with
+    time 0, wanted), as any other adds before * 0 / y = +0.0 to a sum >= +0.0.
     """
 
     def __init__(self, time: np.ndarray, keep, events, event1, exact: bool):
-        self.exact, self.plain = exact, time.ndim == 1
         times, index = _grid(_pick(time, keep))
         m = times.shape[-1]
         self.events, self.rest = _Tally(index, m, events), _Tally(index, m, ~events)
         self.kind1 = [_Tally(index, m, e) for e in event1]
+        self.exact, self.index, self.event1 = exact, index, event1
 
     def counts(self, weights=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Events d, risk sets y, and the survival before each time, then after."""
@@ -202,10 +203,30 @@ class _ProductLimit:
     def incidence(self, weights=None) -> tuple[np.ndarray, np.ndarray]:
         """Incidence limit per t (a row per resample or cohort), and y."""
         _, y, surv = self.counts(weights)
-        at = self.wanted if weights is not None and self.plain else [slice(None)] * len(self.kind1)
+        if weights is None:
+            return self._kind1_sums(surv[..., :-1], y), y
         last = (_incidence(surv[..., :-1][..., i], k(weights)[..., i], y[..., i], self.exact)
-                for k, i in zip(self.kind1, at))
+                for k, i in zip(self.kind1, self.wanted))
         return np.array([a.take(-1, -1) for a in last]).reshape(len(self.kind1), *y.shape[:-1]), y
+
+    def _kind1_sums(self, before: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Each t's incidence limit (a row per cohort) from the masses
+        before * c / max(y, 1) at the grid indices of its c > 0 kind-1
+        subjects alone: one unique over the (t, row, index) keys, then each
+        (t, row) summed left to right from a zero in a padded row.  A key
+        wraps onto its row's grid and a subject onto its row's indices."""
+        m, index, shape = y.shape[-1], self.index, self.event1.shape[:-1]
+        kind1 = np.flatnonzero(self.event1 & (index < m))  # in (t, row, subject) order
+        keys = kind1 // index.shape[-1] * m + index.take(kind1, mode="wrap")
+        keys, c = np.unique(keys, return_counts=True)
+        jumps = _ratio(c, np.maximum(y.take(keys, mode="wrap"), 1), self.exact)
+        masses = before.take(keys, mode="wrap") * jumps
+        cell = keys // m  # t * rows + row
+        place = np.arange(1, len(keys) + 1) - np.searchsorted(cell, cell)
+        zero, width = _one(self.exact) * 0, place.max(initial=0) + 1
+        padded = np.full((math.prod(shape), width), zero, masses.dtype)
+        padded[cell, place] = masses
+        return np.cumsum(padded, axis=-1)[:, -1].reshape(shape)
 
 
 def _query_times(s: float, ts: Iterable[float]) -> np.ndarray:
@@ -231,7 +252,7 @@ def _prepare_check(cohort, s: float, ts, exact: bool = False):
 def _check(p, weights=None) -> list[Number] | np.ndarray:
     grid, final, observed = p
     values, y = grid.incidence(weights)
-    if weights is not None or not grid.plain:
+    if y.ndim > 1:  # under weights or on a batch
         return np.where(y[..., 0] == 0, np.nan, values)  # an empty landmark
     _warn_censored_tail(final[observed], final[~observed])
     return values.tolist()
@@ -330,12 +351,15 @@ def _prepare_aj(cohort, s: float, ts, exact: bool = False):
     state0, ill = cols.state0, cols.ill
     start1 = np.maximum(cols.entry, cols.exit0)
     seen_ill = ill & (start1 < cols.final)  # joins the illness risk set
-    # the transitions 0 -> 1, 0 -> 2 and 1 -> 2 inside (s, max(ts)]
+    # the transitions 0 -> 1, 0 -> 2 and 1 -> 2 inside (s, max(ts)]; both
+    # moves out of state 0 leave at exit0, told apart by cause0
     at0, at1 = ((s < at) & (at <= ts.max(initial=s)) for at in (cols.exit0, cols.final))
-    movers = [(at0 & state0 & ill, cols.exit0), (at0 & (cols.cause0 == _ABSORBED), cols.exit0)]
-    movers.append((at1 & seen_ill & cols.observed, cols.final))
+    to1, to2 = state0 & ill, cols.cause0 == _ABSORBED
+    movers = [(at0 & (to1 | to2), cols.exit0), (at1 & seen_ill & cols.observed, cols.final)]
     times, index = _grid(np.concatenate([_pick(at, who) for who, at in movers], axis=-1))
-    moves = [_Tally(move, times.shape[-1]) for move in np.split(index, 3, axis=-1)]
+    leave0, leave1 = np.split(index, 2, axis=-1)
+    m = times.shape[-1]
+    moves = [_Tally(leave0, m, to1), _Tally(leave0, m, to2), _Tally(leave1, m)]
     risk = [
         _RiskSets(times, who, start, end)
         for who, start, end in ((state0, cols.entry, cols.exit0), (seen_ill, start1, cols.final))

@@ -237,7 +237,8 @@ def check_columns(cols: Columns, name: Callable[[int], str]) -> None:
     valid = valid_rows(cols)
     if not valid.all():
         row = int(np.argmin(valid))
-        IllnessDeathRecord(name(row), *(field[row] for field in _fields_of(cols)))
+        one = Columns(*(column[row : row + 1] for column in cols[:5]), None)
+        IllnessDeathRecord(name(row), *(field[0] for field in _fields_of(one)))
         raise MalformedRecord(f"{name(row)}: inconsistent columns")
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import contextlib
+import itertools
 import math
 import os
 from dataclasses import dataclass, replace
@@ -364,16 +365,23 @@ def run_monte_carlo(
     sizes, cells = (np.concatenate(part, axis=-1) for part in zip(*outcomes))
     if not sizes.any():
         raise DegenerateCohort("every replication retained no subjects")
+    # the cells with no excluded replication reduced along the replication
+    # axis at once, each row's sums the cell's own; the others one by one
+    cells = cells.reshape(-1, reps)
+    kept = np.count_nonzero(~np.isnan(cells), -1)
+    whole = kept == reps
+    mean, var = np.full((2, len(cells)), math.nan)
+    mean[whole] = cells[whole].mean(-1)
+    var[whole] = cells[whole].var(-1, ddof=1) if reps > 1 else math.nan
+    for cell in np.flatnonzero(~whole & (kept > 0)).tolist():
+        arr = cells[cell][~np.isnan(cells[cell])]
+        mean[cell], var[cell] = arr.mean(), arr.var(ddof=1) if len(arr) > 1 else math.nan
     rows, law = [], (config.hazard_ill, config.hazard_direct, config.progression_factor)
-    for e_idx, name in enumerate(estimators):
-        for t_idx, t in enumerate(times):
-            values = cells[e_idx, t_idx]
-            arr = values[~np.isnan(values)]
-            excluded = reps - len(arr)
-            truth = true_p01(TransitionQuery(landmark, t), *law)
-            bias = float(arr.mean()) - truth if len(arr) else math.nan
-            variance = float(arr.var(ddof=1)) if len(arr) > 1 else math.nan
-            rows.append(BiasVarianceRow(name, landmark, t, bias, variance, len(arr), excluded))
+    for (name, t), bias, variance, n in zip(
+        itertools.product(estimators, times), mean.tolist(), var.tolist(), kept.tolist()
+    ):
+        bias -= true_p01(TransitionQuery(landmark, t), *law)
+        rows.append(BiasVarianceRow(name, landmark, t, bias, variance, n, reps - n))
     return BiasVarianceTable(tuple(rows), float(np.mean(sizes)), config, landmark)
 
 

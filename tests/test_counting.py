@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -222,6 +222,36 @@ def test_product_limit_risk_sets_are_sums_from_the_right(seed, s, rows):
         assert y.tolist() == _at_risk(copies.entry[keep], copies.final[keep], times).tolist()
         own = np.searchsorted(times, np.unique(copies.final[keep]))
         assert y[own].tolist() == risk_sets(copies)[1].tolist()
+
+
+_TIMES = st.one_of(st.integers(0, 5).map(float), st.just(np.inf))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda rows: st.integers(1, 9).flatmap(
+            lambda n: arrays(float, (rows, n), elements=_TIMES)
+        )
+    )
+)
+@example(np.array([[np.inf, np.inf, np.inf], [2.0, 2.0, 1.0]]))  # an all-padding row
+@example(np.array([[np.inf], [3.0], [3.0]]))  # width 1
+@example(np.array([[1.0, 1.0], [1.0, 1.0]]))  # a row starting with the last row's value
+def test_batch_grid_equals_each_rows_own_grid(times):
+    # integer-valued rows, so times tie within and across rows: each row is
+    # sorted and cut to the widest row's finite count, and every finite time
+    # is indexed at the first place of its value, the 1-D grid's time
+    grid, index = _grid(times)
+    m = max(1, int((times < np.inf).sum(-1).max()))
+    assert grid.shape == (len(times), m) and index.shape == times.shape
+    for row, g, i in zip(times, grid, index):
+        alone, at = _grid(row)
+        finite = row < np.inf
+        assert g.tolist() == np.sort(row)[:m].tolist()
+        assert i.tolist() == np.where(finite, np.searchsorted(np.sort(row), row), m).tolist()
+        assert g[i[finite]].tolist() == alone[at[finite]].tolist() == row[finite].tolist()
+        assert np.unique(g[g < np.inf]).tolist() == alone.tolist()
 
 
 class TestStepFunction:

@@ -425,6 +425,58 @@ def test_an_empty_t_list_keeps_the_shape_of_every_form():
     for method, steps in ESTIMATORS.items():
         assert steps(batch, 10.0, []).shape == (0, 3), method
         assert steps.evaluate(steps.prepare(cols, 10.0, []), weights).shape == (0, 4), method
+        for exact in (False, True):  # and a plain cohort's list, a batch's array
+            assert _outcome(lambda: steps(cols, 10.0, [], exact)) == [], method
+            assert steps(batch, 10.0, [], exact).shape == (0, 3), method
+
+
+def _tied_kind1_cohort():
+    """Subjects a and b fall ill in (1, 3] and die together at 5: for t = 3
+    one kind-1 mass of two at 5, and e's at 7; for t = 6 e's alone; for
+    t = 1.2 none."""
+    R = IllnessDeathRecord
+    return [
+        R("a", 0.0, 2.0, Cause.ILL, 5.0, Cause.ABSORBED),
+        R("b", 0.0, 2.5, Cause.ILL, 5.0, Cause.ABSORBED),
+        R("c", 0.0, 4.0, Cause.ABSORBED),
+        R("d", 0.0, 4.5, Cause.CENSORED),
+        R("e", 0.0, 1.5, Cause.ILL, 7.0, Cause.ABSORBED),
+        R("f", 0.0, 6.0, Cause.ABSORBED),
+        R("g", 0.0, 5.0, Cause.CENSORED),
+    ]
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_tied_kind1_subjects_give_one_mass_per_time(exact):
+    # the incidence adds a mass only at a t's kind-1 times, one per time
+    # however many subjects tie there: equal to the loop forms, which add
+    # one at every grid time, plain and as a batch row, and to the oracle
+    cohort, s, ts = _tied_kind1_cohort(), 1.0, [3.0, 6.0, 1.2]
+    cols = Columns.of(cohort)
+    assert cols.event1(s, np.array(ts)).sum(-1).tolist() == [3, 1, 0]
+    batch = _batch([cohort, cohort[2:]], 5)
+    mirror, his = to_oracle(cohort), [F(t).limit_denominator(5) for t in ts]
+    for method in ("check", "mm", "mm-stute"):
+        want = [loops.BY_METHOD[method](cohort, TransitionQuery(s, t), exact) for t in ts]
+        got = p01_curve(cohort, s, ts, method, exact)
+        assert repr(got) == repr(want)
+        assert repr(ESTIMATORS[method](batch, s, ts, exact)[:, 0].tolist()) == repr(want)
+        if exact:
+            assert got == [ORACLE[method](mirror, F(s), hi) for hi in his]
+    assert p01_curve(cohort, s, ts, "check")[2] == 0.0
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_an_empty_landmark_batch_row_stays_nan(exact):
+    # a row with nobody in state 0 at s has no kind-1 subject and y = 0: its
+    # sum of no masses is 0, and check and aj must still give NaN for it
+    cohort, s, ts = _tied_kind1_cohort(), 1.0, [3.0, 6.0]
+    early = [IllnessDeathRecord(f"x{i}", 0.0, 0.5 + i / 4, Cause.ABSORBED) for i in range(2)]
+    batch = _batch([cohort, early], 2)
+    for method in ("check", "aj"):
+        values = ESTIMATORS[method](batch, s, ts, exact)
+        assert np.isnan(values[:, 1].astype(float)).all(), method
+        assert repr(values[:, 0].tolist()) == repr(p01_curve(cohort, s, ts, method, exact))
 
 
 def _bits(value):

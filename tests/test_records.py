@@ -36,7 +36,8 @@ from illnessdeath import (
     write_cohort,
 )
 from illnessdeath.estimators import ESTIMATORS
-from illnessdeath.records import Columns, to_records, valid_rows
+from illnessdeath import records as records_module
+from illnessdeath.records import Columns, check_columns, to_records, valid_rows
 
 
 class TestRecordValidation:
@@ -370,6 +371,19 @@ def test_to_records_equals_the_constructor_loop(cols):
             assert type(value) is type(getattr(member, field.name))
         assert record.cause0 is Cause(record.cause0)
         assert record.cause1 is member.cause1
+
+
+def test_a_failing_row_is_built_from_its_own_row_alone(monkeypatch):
+    # check_columns raises the constructor's message for the first bad row,
+    # and turns only that row into record fields, not the whole columns
+    good, bad = (0.0, 1.0, 1.0, 2, True), (-1.0, 1.0, 1.0, 0, False)
+    cols = _columns(*[good] * 700, (0.5, math.nan, 1.0, 1, True), *[good] * 299, bad)
+    seen, fields_of = [], records_module._fields_of
+    monkeypatch.setattr(records_module, "_fields_of",
+                        lambda c: seen.append(len(c.final)) or fields_of(c))
+    with pytest.raises(MalformedRecord, match=r"^s700: exit0 must be a finite time >= 0$"):
+        check_columns(cols, "s{}".format)
+    assert seen == [1]
 
 
 def test_to_records_are_frozen_records():

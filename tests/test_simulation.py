@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import io
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -271,6 +272,22 @@ def test_batches_equal_the_replication_loop(design, batch, workers):
             lambda: run_monte_carlo(config, estimators, times, landmark, workers=workers)
         )
     assert got == want
+
+
+@pytest.mark.parametrize("reps", [7, 8, 9, 127, 128, 129])
+def test_cell_sums_equal_the_replication_loop_past_a_pairwise_block(reps):
+    # a cell with no excluded replication is reduced along the replication
+    # axis of all the cells at once: bit for bit the cell alone, across the
+    # 8-wide unrolled and 128-long pairwise blocks of numpy's sums
+    steady = (ScenarioConfig(n=20, censor_hazard=0.013, seed=11), ("check", "mm", "aj"),
+              list(simulation.DEFAULT_EVAL_TIMES), 10.0)
+    for design, excluded in ((steady, False), (FRAGILE, True)):
+        config, estimators, times, landmark = design
+        config = replace(config, replications=reps)
+        want = _outcome(lambda: loops.run_monte_carlo(config, estimators, times, landmark))
+        table = run_monte_carlo(config, estimators, times, landmark, workers=1)
+        assert (repr(table.rows), table.mean_cohort_size) == want
+        assert any(row.n_excluded for row in table.rows) == excluded
 
 
 @pytest.mark.filterwarnings("ignore")
