@@ -35,7 +35,11 @@ stage in a fresh interpreter, importing the package from ``--src``:
   (the harness's own).  After one round that fills the lazy caches, at
   least ``CHUNKS`` rounds, and as many as ``RESAMPLE_S`` seconds hold, are
   timed.  It reports the median milliseconds per batch of each method,
-  their sum, and the SHA-256 of the first round's value arrays;
+  their sum, and the SHA-256 of the first round's value arrays.  Beside
+  the methods, the front of the harness: each round first draws the batch
+  (``simulation._draws``, every replication's stream) and classifies and
+  checks it (``simulation._batch``), with the median milliseconds of each
+  and the SHA-256 of the first round's draws, retained mask and columns;
 - ``import``: ``import illnessdeath.cli`` itself, what every CLI call pays
   before any work (its peak memory is the package's resident set).
 
@@ -138,8 +142,20 @@ elif stage == "batch":  # path names the scenario
     cols = simulation._batch(reps, simulation._draws(config, reps))[1]
     ts = np.array(TIMES.split(","), float)
     digest, spent = hashlib.sha256(), {name: [] for name in estimators.ESTIMATORS}
+    front, front_spent = hashlib.sha256(), {"_draws": [], "_batch": []}
     rounds, begun = 0, perf_counter()
     while rounds <= CHUNKS or perf_counter() - begun < RESAMPLE_S:
+        ticks = [perf_counter()]
+        draws = simulation._draws(config, reps)
+        ticks.append(perf_counter())
+        alive, batch = simulation._batch(reps, draws)
+        ticks.append(perf_counter())
+        if rounds:
+            for name, a, b in zip(front_spent, ticks, ticks[1:]):
+                front_spent[name].append((b - a) * 1e3)
+        else:
+            for array in (*draws, alive, *batch):
+                front.update(np.ascontiguousarray(array).tobytes())
         for name, estimator in estimators.ESTIMATORS.items():
             tick = perf_counter()
             values = estimator(cols, 10.0, ts)
@@ -150,7 +166,9 @@ elif stage == "batch":  # path names the scenario
         rounds += 1
     median = {name: sorted(ms)[len(ms) // 2] for name, ms in spent.items()}
     extra = {"ms_per_batch": {**median, "total": sum(median.values())},
-             "batch_sha256": digest.hexdigest()}
+             "batch_sha256": digest.hexdigest(),
+             "front_ms_per_batch": {k: sorted(ms)[len(ms) // 2] for k, ms in front_spent.items()},
+             "front_sha256": front.hexdigest()}
 seconds = perf_counter() - start
 import json, resource
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
@@ -205,6 +223,10 @@ def _stage(src: str, stage: str, source: str, target: Path, reps: int) -> dict:
         out["ms_per_batch"] = {k: statistics.median(p[k] for p in per) for k in per[0]}
         out["batch_sha256"] = runs[0]["batch_sha256"]
         assert all(r["batch_sha256"] == out["batch_sha256"] for r in runs), stage
+        front = [r["front_ms_per_batch"] for r in runs]
+        out["front_ms_per_batch"] = {k: statistics.median(p[k] for p in front) for k in front[0]}
+        out["front_sha256"] = runs[0]["front_sha256"]
+        assert all(r["front_sha256"] == out["front_sha256"] for r in runs), stage
     if stage == "records":
         out["output_sha256"] = _sha256(target)
     if stage in ("estimate", "transform", "boot", "simulate"):

@@ -67,6 +67,9 @@ class IllnessDeathRecord:
     cause1: Cause | None = None
 
     def __post_init__(self) -> None:
+        for name in ("entry", "exit0", "exit1"):  # numpy times as floats: == and hash agree
+            if isinstance(value := getattr(self, name), (np.integer, np.floating)):
+                object.__setattr__(self, name, float(value))
         if not _is_time(self.entry) or self.entry < 0:
             raise MalformedRecord(f"{self.id}: entry must be a finite time >= 0")
         if not _is_time(self.exit0) or self.exit0 < 0:

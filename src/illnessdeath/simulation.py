@@ -12,9 +12,11 @@ Reproducibility contract: replication r of a run with seed q draws from
 batch hashed in one pass (_rng), and within a replication the draw order is
 onset times, illness marks, censoring spans, then the two normal blocks of
 the entry sampler.  Results therefore depend only on (seed, r), never on how
-replications are batched or scheduled across workers.  The harness draws
-each replication on its own, then classifies and estimates a batch of them
-at once, a row per replication.
+replications are batched or scheduled across workers.  Each stream fills its
+own row of a batch's standard draws in that order; the scaling, marks and
+entry arithmetic then run once per batch, element for element the floats of
+one draw call per replication.  The batch is classified, checked and
+estimated at once, a row per replication.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from ._rng import streams
 from .errors import DegenerateCohort, EstimationError
 from .estimators import ESTIMATORS, _query_times
 from .records import _ABSORBED, _CENSORED, _ILL, Columns, IllnessDeathRecord, TransitionQuery
-from .records import check_columns, to_records
+from .records import check_columns, to_records, valid_rows
 
 DEFAULT_SEED = 26
 DEFAULT_EVAL_TIMES = (30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0)
@@ -93,18 +95,6 @@ class ScenarioConfig:
         _require_finite("", **{name: getattr(self, name) for name in rates})
 
 
-def _skew_normal(
-    rng: np.random.Generator, n: int, cfg: TruncationConfig
-) -> np.ndarray:
-    # delta representation: |N(0,1)| tilts a second independent normal
-    delta = cfg.shape / math.sqrt(1 + cfg.shape**2)
-    u0 = rng.standard_normal(n)
-    u1 = rng.standard_normal(n)
-    return cfg.location + cfg.scale * (
-        delta * np.abs(u0) + math.sqrt(1 - delta * delta) * u1
-    )
-
-
 def true_p01(
     query: TransitionQuery,
     hazard_ill: float = 0.039,
@@ -127,17 +117,6 @@ def true_p01(
         * (math.exp(-lam * lower) - math.exp(-lam * query.t))
         / math.exp(-lam * query.s)
     )
-
-
-def _exponential(rng: np.random.Generator, n: int, rate: float) -> np.ndarray:
-    """n exponential times; at rate 0 the event never happens and nothing is drawn."""
-    return rng.exponential(1 / rate, n) if rate > 0 else np.full(n, np.inf)
-
-
-def _onset_and_illness(rng, n, ill, direct) -> tuple[np.ndarray, np.ndarray]:
-    """The first two draws of every generator: state-0 exit times and kinds."""
-    lam = ill + direct
-    return _exponential(rng, n, lam), rng.random(n) < ill / lam
 
 
 _POWERS_OF_TEN = 10 ** np.arange(1, 19)
@@ -181,11 +160,13 @@ def _classify(entry, onset, ill, absorb, cens) -> tuple[np.ndarray, Columns]:
 def _batch(reps, draws) -> tuple[np.ndarray, Columns]:
     """The mask of the retained subjects and the columns of a batch of
     replications, a row each, padded where a subject is not retained.  The
-    retained subjects are checked, subject i of replication r as r{r}s{i}."""
+    padded batch is checked at once; only if it fails are the retained
+    subjects checked in row-major order, subject i of replication r as r{r}s{i}."""
     alive, cols = _classify(*draws)
     cols = cols.take(alive)
-    kept = np.argwhere(alive)  # (replication, draw index) of each retained subject
-    check_columns(Columns(*(c[alive] for c in cols)), lambda i: f"r{reps[kept[i, 0]]}s{kept[i, 1]}")
+    if not (valid_rows(cols) | ~alive).all():  # padding is never finite
+        kept = np.argwhere(alive)  # (replication, draw index) of each retained subject
+        check_columns(Columns(*(c[alive] for c in cols)), lambda i: f"r{reps[kept[i, 0]]}s{kept[i, 1]}")
     return alive, cols
 
 
@@ -195,19 +176,36 @@ def _records(rep_index, alive, cols: Columns) -> list[IllnessDeathRecord]:
     return to_records(ids, Columns(*(c[alive] for c in cols)))
 
 
+def _fill(seed: int, reps, n: int, ill: float, direct: float, *rates, normals: int = 0) -> list:
+    """Row r of each block from the stream (seed, reps[r]), in order: state-0
+    exit times at rate ill + direct, illness marks (ill's share), exponential
+    times at each rate (inf at rate 0, where none is drawn), then ``normals``
+    standard normals.  Each draw fills its row; each block is then scaled at
+    once, as exponential(1 / rate) scales standard_exponential() elementwise."""
+    gen = np.random.Generator  # looked up here: numpy loads np.random on first use
+    exp, normal = gen.standard_exponential, gen.standard_normal
+    kinds = (exp, gen.random, *[exp for rate in rates if rate > 0], *[normal] * normals)
+    block = np.empty((len(kinds), len(reps), n))
+    for r, rng in enumerate(streams(seed, reps)):
+        for kind, rows in zip(kinds, block):
+            kind(rng, out=rows[r])
+    onset, mark, *rest = block
+    times = [rest.pop(0) * (1 / rate) if rate > 0 else np.inf for rate in rates]
+    return [onset * (1 / (ill + direct)), mark < ill / (ill + direct), *times, *rest]
+
+
 def _draws(config: ScenarioConfig, reps) -> tuple[np.ndarray, ...]:
     """Entry, onset, illness marks, absorption and censoring times of the
-    replications reps, a row each, each drawn from its own stream."""
-    rows = []
-    for rng in streams(config.seed, reps):
-        onset, ill = _onset_and_illness(rng, config.n, config.hazard_ill, config.hazard_direct)
-        span = _exponential(rng, config.n, config.censor_hazard)
-        if config.truncation is not None:
-            entry = np.maximum(_skew_normal(rng, config.n, config.truncation), 0.0)
-        else:
-            entry = np.zeros(config.n)
-        rows.append((entry, onset, ill, span))
-    entry, onset, ill, span = (np.stack(column) for column in zip(*rows))
+    replications reps, a row each (_fill); the skew-normal entry, |N(0,1)|
+    tilting a second normal, is clamped at the time origin."""
+    trunc, law = config.truncation, (config.hazard_ill, config.hazard_direct, config.censor_hazard)
+    onset, ill, span, *u = _fill(config.seed, reps, config.n, *law, normals=2 * (trunc is not None))
+    if trunc is None:
+        entry = np.zeros(onset.shape)
+    else:
+        delta, (u0, u1) = trunc.shape / math.sqrt(1 + trunc.shape**2), u
+        skew = delta * np.abs(u0) + math.sqrt(1 - delta * delta) * u1
+        entry = np.maximum(trunc.location + trunc.scale * skew, 0.0)
     absorb = np.where(ill, config.progression_factor * onset, onset)
     return entry, onset, ill, absorb, entry + span
 
@@ -249,12 +247,9 @@ def simulate_markov_cohort(
         raise ValueError("censor hazard must be >= 0")
     _require_finite("", hazard_ill=hazard_ill, hazard_direct=hazard_direct,
                     hazard_progression=hazard_progression, censor_hazard=censor_hazard)
-    rng = next(streams(seed, [rep_index]))
-    onset, ill = _onset_and_illness(rng, n, hazard_ill, hazard_direct)
-    sojourn = _exponential(rng, n, hazard_progression)
-    cens = _exponential(rng, n, censor_hazard)
-    absorb = np.where(ill, onset + sojourn, onset)
-    draws = (np.zeros((1, n)), onset[None], ill[None], absorb[None], cens[None])
+    law = (hazard_ill, hazard_direct, hazard_progression, censor_hazard)
+    onset, ill, sojourn, cens = _fill(seed, [rep_index], n, *law)
+    draws = (np.zeros((1, n)), onset, ill, np.where(ill, onset + sojourn, onset), cens)
     return _records(rep_index, *_batch([rep_index], draws))
 
 

@@ -20,7 +20,11 @@ on it, the reference for the weighted resamples of
 ``illnessdeath.inference`` (tests/test_inference.py).  The Monte-Carlo
 loop does the same for each replication, the reference for
 the batches of replications of ``illnessdeath.simulation``
-(tests/test_simulation.py).
+(tests/test_simulation.py); its draw loop, one array per numpy call and
+per replication, stacked, the reference for the rows that
+``simulation._draws`` fills; and the check of a batch's retained subjects
+gathered in row-major order, the reference for ``simulation._batch``'s
+error.
 """
 
 from __future__ import annotations
@@ -57,8 +61,10 @@ from illnessdeath import (
     validate_record,
 )
 from illnessdeath import simulation
+from illnessdeath._rng import streams
 from illnessdeath.counting import Columns
 from illnessdeath.estimators import ESTIMATORS
+from illnessdeath.records import check_columns
 
 
 def _one(exact):
@@ -435,6 +441,51 @@ def bootstrap_ci(cohort, query, estimator="check", n_boot=1000, level=0.95, seed
         n_boot=n_boot,
         n_failed=failed,
     )
+
+
+# ---------------------------------------------------------------------------
+# The draws of a batch of replications as a loop over their streams, each
+# numpy call returning an array of its own, the rows stacked at the end.
+
+
+def _exponential(rng, n, rate):
+    """n exponential times; at rate 0 the event never happens and nothing is drawn."""
+    return rng.exponential(1 / rate, n) if rate > 0 else np.full(n, np.inf)
+
+
+def _skew_normal(rng, n, cfg):
+    # delta representation: |N(0,1)| tilts a second independent normal
+    delta = cfg.shape / math.sqrt(1 + cfg.shape**2)
+    u0 = rng.standard_normal(n)
+    u1 = rng.standard_normal(n)
+    return cfg.location + cfg.scale * (delta * np.abs(u0) + math.sqrt(1 - delta * delta) * u1)
+
+
+def draws(config, reps):
+    """Entry, onset, illness marks, absorption and censoring times of the
+    replications reps, a row each: onsets, illness marks, censoring spans,
+    then the two normal blocks of the entry sampler, from each stream."""
+    rows = []
+    for rng in streams(config.seed, reps):
+        lam = config.hazard_ill + config.hazard_direct
+        onset, ill = _exponential(rng, config.n, lam), rng.random(config.n) < config.hazard_ill / lam
+        span = _exponential(rng, config.n, config.censor_hazard)
+        if config.truncation is not None:
+            entry = np.maximum(_skew_normal(rng, config.n, config.truncation), 0.0)
+        else:
+            entry = np.zeros(config.n)
+        rows.append((entry, onset, ill, span))
+    entry, onset, ill, span = (np.stack(column) for column in zip(*rows))
+    absorb = np.where(ill, config.progression_factor * onset, onset)
+    return entry, onset, ill, absorb, entry + span
+
+
+def batch_check(reps, alive, cols):
+    """Check the retained subjects of a padded batch gathered in row-major
+    order, subject i of replication r named r{r}s{i}."""
+    kept = np.argwhere(alive)
+    retained = Columns(*(c[alive] for c in cols))
+    check_columns(retained, lambda i: f"r{reps[kept[i, 0]]}s{kept[i, 1]}")
 
 
 # ---------------------------------------------------------------------------

@@ -946,3 +946,11 @@ def test_importing_the_cli_loads_no_process_pool():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout == "[]\n"
+
+
+def test_importing_the_cli_loads_no_numpy_random():
+    # numpy loads np.random on first use (about 5 ms once the package is
+    # imported): the simulator and the bootstrap look it up only when they draw
+    code = "import sys, illnessdeath.cli; print('numpy.random' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"

@@ -126,10 +126,27 @@ class TestRecordValidation:
     def test_numpy_scalar_times_are_times(self, kind):
         r = IllnessDeathRecord("a", kind(0), kind(2), 2)
         assert r == IllnessDeathRecord("a", 0, 2.0, Cause.ABSORBED)
-        assert type(r.entry) is kind
+        assert type(r.entry) is float
         r = IllnessDeathRecord("b", kind(1), kind(0), 1, kind(3), 0)
         assert r.entered_ill and r.final_time == 3
         assert IllnessDeathRecord("c", 0.0, 2.0, 2) == IllnessDeathRecord("c", np.int64(0), 2.0, 2)
+
+    @pytest.mark.parametrize("entry,exit0", [(0.1, 2.3), (0.5, 2.25)])
+    def test_numpy_times_are_stored_as_floats(self, entry, exit0):
+        # numpy compares np.float32(0.1) with its CSV read-back as float32,
+        # equal, yet their hashes differ: the record stores a Python float
+        record = IllnessDeathRecord("a", np.float32(entry), np.float32(exit0), 2)
+        ill = IllnessDeathRecord("b", np.int64(0), np.float16(1.5), 1, np.float32(entry) + 3, 0)
+        sink = io.StringIO()
+        write_cohort([record, ill], sink)
+        back = read_cohort(io.StringIO(sink.getvalue()))
+        for a, b in zip([record, ill], back):
+            assert {type(x) for x in (a.entry, a.exit0, b.entry, b.exit0)} == {float}
+            assert (a == b) == (hash(a) == hash(b))
+        assert type(ill.exit1) is float and ill.exit1 == float(np.float32(entry) + 3)
+        assert (record == back[0]) == (entry == 0.5)
+        plain = IllnessDeathRecord("c", 0, 2, 2)
+        assert type(plain.entry) is int and type(plain.exit0) is int  # Python times as given
 
     @pytest.mark.parametrize("bad", [np.float32("nan"), np.float64("inf"), np.float32("-inf"),
                                      np.int64(-1), np.float32(-0.5), np.bool_(True)])

@@ -121,6 +121,12 @@ MARKOV_DIGESTS = {
     1: "5c9ef8ed724913e26aa6c09cd08de22a3cccf2d70d2d59f7bf8e8de70cc6e809",
     2: "50ab011940f97d777e0dcc259b06a5a16b416cd7177909ebab2208f2237740fa",
 }
+# uncensored (the default): no censoring span is drawn; (seed, replication)
+MARKOV_UNCENSORED_DIGESTS = {
+    (0, 0): "cf7093324e2ae3111df0a1e8b9637db8a79f7487dc09813f0e39fddd8895a1e1",
+    (1, 5): "a9d65da7e40a4a361f34654999fd6784ca42eadfe21d14e6859149e4440debf2",
+    (2, 4_000_000_000): "a4fe4959038942be62c5441ef4df8436e4679010d085c765ce618eeb734d4038",
+}
 
 
 class TestPinnedOutput:
@@ -133,6 +139,11 @@ class TestPinnedOutput:
     def test_markov_cohort_bytes(self, seed):
         cohort = simulate_markov_cohort(500, censor_hazard=0.01, seed=seed)
         assert _digest(cohort) == MARKOV_DIGESTS[seed]
+
+    @pytest.mark.parametrize("seed,rep", sorted(MARKOV_UNCENSORED_DIGESTS))
+    def test_uncensored_markov_cohort_bytes(self, seed, rep):
+        cohort = simulate_markov_cohort(300, seed=seed, rep_index=rep)
+        assert _digest(cohort) == MARKOV_UNCENSORED_DIGESTS[(seed, rep)]
 
 
 def _assert_same_columns(got, want):
@@ -208,6 +219,74 @@ class TestColumnarSimulator:
         assert built == []
         simulate_cohort(config, 0)  # the guard does see records being built
         assert built
+
+    @pytest.mark.parametrize(
+        "field,ill,value,message",
+        [
+            (4, False, lambda d, at: np.nan, "exit0 must be a finite time >= 0"),
+            (0, False, lambda d, at: -1.0, "entry must be a finite time >= 0"),
+            (1, True, lambda d, at: -1.0, "exit0 must be a finite time >= 0"),
+            (3, True, lambda d, at: d[1][at] / 2, "exit1 must be finite and >= exit0"),
+        ],
+    )
+    def test_batch_names_a_bad_subject_of_a_later_replication(self, field, ill, value, message):
+        # the padded batch is checked at once; a bad retained subject raises
+        # the message of the retained subjects checked in row-major order
+        config, reps = preset("table3", n=40, seed=5).config, range(11, 15)
+        draws = [column.copy() for column in simulation._draws(config, reps)]
+        alive = simulation._batch(reps, draws)[0]
+        entry, onset, kind, _, cens = draws
+        # retained, seen ill if ill (onset before censoring), entry before onset / 2
+        fit = alive & (onset <= cens) & (entry < onset / 2) & (kind == ill)
+        picks = [int(np.flatnonzero(fit[r])[2]) for r in (2, 3)]
+        assert not alive[2].all()
+        draws[4][2, ~alive[2]] = np.nan  # not retained, so never checked
+        for r, i in ((3, picks[1]), (2, picks[0])):  # the one in row 2 comes first
+            draws[field][r, i] = value(draws, (r, i))
+        with pytest.raises(MalformedRecord) as got:
+            simulation._batch(reps, draws)
+        retained, cols = simulation._classify(*draws)
+        with pytest.raises(MalformedRecord) as want:
+            loops.batch_check(reps, retained, cols.take(retained))
+        assert str(got.value) == str(want.value) == f"r13s{picks[0]}: {message}"
+
+
+@st.composite
+def draw_designs(draw):
+    """Designs and replication ranges for the draws: censored or not,
+    truncated or not, n up to 60, replications from anywhere in [0, 2**32)."""
+    config = ScenarioConfig(
+        n=draw(st.integers(1, 60)),
+        hazard_ill=draw(st.sampled_from([0.039, 0.1, 3.0])),
+        hazard_direct=draw(st.sampled_from([0.026, 0.5])),
+        progression_factor=draw(st.sampled_from([1.7, 4.0])),
+        censor_hazard=draw(st.sampled_from([0.0, 0.013, 0.2, 2])),
+        truncation=draw(st.sampled_from([
+            None, TruncationConfig(), TruncationConfig(location=20.0, scale=5.0, shape=-3.0),
+        ])),
+        seed=draw(st.integers(0, 2**70)),
+    )
+    first = draw(st.integers(0, 2**32 - 20))
+    reps = range(first, first + draw(st.integers(1, 20)))
+    if draw(st.booleans()):  # any indices, in any order
+        reps = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=8, unique=True))
+    return config, reps
+
+
+@settings(max_examples=200, deadline=None)
+@given(design=draw_designs())
+@example(design=(ScenarioConfig(n=1, censor_hazard=0.0), range(1)))
+@example(design=(ScenarioConfig(n=60, censor_hazard=0.0, truncation=TruncationConfig()), [7]))
+@example(design=(preset("table3").config, range(49, 50)))
+@example(design=(preset("table1").config, range(3, 53)))
+def test_draws_equal_the_stream_loop(design):
+    # the rows each stream fills, then transformed once per batch: bit for
+    # bit the arrays of one numpy call per draw and replication, stacked
+    config, reps = design
+    got, want = simulation._draws(config, reps), loops.draws(config, reps)
+    assert len(got) == len(want) == 5
+    for a, b in zip(got, want):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 METHODS = ("check", "mm", "mm-stute", "aj")
