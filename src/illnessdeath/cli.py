@@ -113,10 +113,9 @@ def _emit(
         sys.stderr.write(text)
         return
     with _usage(OSError):
-        handle = open(target, "w", encoding="utf-8", newline="")
-    with handle:
-        write(handle)
-    Path(target + ".manifest.json").write_text(text, encoding="utf-8")
+        with open(target, "w", encoding="utf-8", newline="") as handle:
+            write(handle)
+        Path(target + ".manifest.json").write_text(text, encoding="utf-8")
 
 
 def _tau(tau: float) -> float:

@@ -9,6 +9,7 @@ L < v <= R; at the origin that degenerates to L == 0.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -22,33 +23,31 @@ from .records import _CENSORED, Columns, IllnessDeathRecord, TransitionQuery
 
 class _Tally:
     """The subjects in mask (every one by default) per grid index 0..m-1 (see
-    _grid; m or more counts nowhere), a row per batch row.  With weights
-    (integer multiplicities, a row per resample, a column per subject), each
-    row's total weight per index, summed exactly by one bincount over the
-    (row, index) keys of the subjects that count, which the first such call
-    finds; the int64 cast of the sums would truncate float weights."""
+    _grid; m or more counts nowhere), a row per place in the leading axes of
+    mask and index (a t of event1, a batch row); with weights (integer
+    multiplicities, a row per resample, a column per subject) each resample's
+    total weight, in front.  One bincount over the keys of kept, exact; the
+    int64 cast of the sums would truncate float weights."""
 
     def __init__(self, index: np.ndarray, m: int, mask=True):
         self.index, self.m, self.mask = index, m, mask
 
     def __call__(self, weights: np.ndarray | None = None) -> np.ndarray:
-        m = self.m
-        if weights is None:  # one pass, for one evaluation
-            index = np.where(self.mask, self.index, m)
-            if index.ndim == 1:
-                return np.bincount(index, minlength=m + 1)[:m]
-            rows = len(index)
-            keys = (index + np.arange(rows)[:, None] * (m + 1)).ravel()
-            return np.bincount(keys, None, rows * (m + 1)).reshape(rows, m + 1)[:, :m]
-        subjects, index = self.kept
-        keys = (index + np.arange(len(weights))[:, None] * m).ravel()
-        counts = np.bincount(keys, weights.take(subjects, 1).ravel(), len(weights) * m)
-        return counts.reshape(len(weights), m).astype(np.int64, copy=False)
+        flat, keys, shape = self.kept
+        if weights is not None:  # each resample's keys past the one before
+            keys = (keys + np.arange(len(weights))[:, None] * math.prod(shape)).ravel()
+            shape, weights = (len(weights), *shape), weights.take(flat, 1, mode="wrap").ravel()
+        counts = np.bincount(keys, weights, math.prod(shape))
+        return counts.reshape(shape).astype(np.int64, copy=False)
 
     @cached_property
-    def kept(self) -> tuple[np.ndarray, np.ndarray]:
-        subjects = np.flatnonzero(self.mask & (self.index < self.m))
-        return subjects, self.index[subjects]
+    def kept(self) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+        """The flat places of the subjects that count (modulo n, their
+        columns), their keys row * m + index, the index's rows repeating under
+        the mask's leading axes, and the counts' shape."""
+        counted = self.mask & (self.index < self.m)
+        flat, n, m = np.flatnonzero(counted), counted.shape[-1], self.m
+        return flat, flat // n * m + self.index.take(flat, mode="wrap"), (*counted.shape[:-1], m)
 
 
 def _grid(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

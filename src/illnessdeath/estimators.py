@@ -179,8 +179,8 @@ class _ProductLimit:
     the right, exact in integers, on a batch's grid per row (see _grid) at
     the first place of a time, the one with its events.  A time no kept (or
     weighted) subject has adds a factor of exactly 1 and a zero mass; a t's
-    incidence sums its kind-1 times alone (_kind1_sums; under weights with
-    time 0, wanted), as any other adds before * 0 / y = +0.0 to a sum >= +0.0.
+    incidence sums its kind-1 times alone (keys), as any other adds
+    before * 0 / y = +0.0 to a sum >= +0.0.
     """
 
     def __init__(self, time: np.ndarray, keep, events, event1, exact: bool):
@@ -197,36 +197,32 @@ class _ProductLimit:
         return d, y, _survival(d, y, self.exact)
 
     @cached_property
-    def wanted(self) -> list[np.ndarray]:  # per t: 0 and its kind-1 subjects' grid indices
-        return [np.flatnonzero(np.bincount(np.append(kind1.kept[1], 0))) for kind1 in self.kind1]
+    def keys(self) -> tuple:
+        """The kind-1 tally of every t (see _Tally.kept), its distinct keys and
+        their counts, each key's (t, row) cell and its place in it, from 1,
+        and, for weights, each kind-1 subject tallied at its key."""
+        kind1 = _Tally(self.index, self.events.m, self.event1)
+        keys, inverse, c = np.unique(kind1.kept[1], return_inverse=True, return_counts=True)
+        cell = keys // kind1.m  # t * rows + row
+        place = np.arange(1, len(keys) + 1) - np.searchsorted(cell, cell)
+        return kind1, keys, c, cell, place, _Tally(inverse, len(keys))
 
     def incidence(self, weights=None) -> tuple[np.ndarray, np.ndarray]:
-        """Incidence limit per t (a row per resample or cohort), and y."""
+        """Incidence limit per t (a row per cohort or resample) and y: masses
+        before * c / max(y, 1) at the keys, each cell summed left to right."""
         _, y, surv = self.counts(weights)
+        kind1, keys, c, cell, place, weighed = self.keys
         if weights is None:
-            return self._kind1_sums(surv[..., :-1], y), y
-        last = (_incidence(surv[..., :-1][..., i], k(weights)[..., i], y[..., i], self.exact)
-                for k, i in zip(self.kind1, self.wanted))
-        return np.array([a.take(-1, -1) for a in last]).reshape(len(self.kind1), *y.shape[:-1]), y
-
-    def _kind1_sums(self, before: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Each t's incidence limit (a row per cohort) from the masses
-        before * c / max(y, 1) at the grid indices of its c > 0 kind-1
-        subjects alone: one unique over the (t, row, index) keys, then each
-        (t, row) summed left to right from a zero in a padded row.  A key
-        wraps onto its row's grid and a subject onto its row's indices."""
-        m, index, shape = y.shape[-1], self.index, self.event1.shape[:-1]
-        kind1 = np.flatnonzero(self.event1 & (index < m))  # in (t, row, subject) order
-        keys = kind1 // index.shape[-1] * m + index.take(kind1, mode="wrap")
-        keys, c = np.unique(keys, return_counts=True)
-        jumps = _ratio(c, np.maximum(y.take(keys, mode="wrap"), 1), self.exact)
-        masses = before.take(keys, mode="wrap") * jumps
-        cell = keys // m  # t * rows + row
-        place = np.arange(1, len(keys) + 1) - np.searchsorted(cell, cell)
-        zero, width = _one(self.exact) * 0, place.max(initial=0) + 1
-        padded = np.full((math.prod(shape), width), zero, masses.dtype)
+            before, at = surv[..., :-1].ravel(), y.ravel()
+        else:  # c with a column per resample
+            c = weighed(weights.take(kind1.kept[0], 1, mode="wrap")).T
+            before, at = surv[:, :-1].T, y.T
+        jumps = _ratio(c, np.maximum(at.take(keys, 0, mode="wrap"), 1), self.exact)
+        masses = before.take(keys, 0, mode="wrap") * jumps  # a key wraps onto its row's grid
+        cells, width, columns = self.event1.shape[:-1], place.max(initial=0) + 1, c.shape[1:]
+        padded = np.full((math.prod(cells), width, *columns), _one(self.exact) * 0, masses.dtype)
         padded[cell, place] = masses
-        return np.cumsum(padded, axis=-1)[:, -1].reshape(shape)
+        return np.cumsum(padded, axis=1)[:, -1].reshape(*cells, *columns), y
 
 
 def _query_times(s: float, ts: Iterable[float]) -> np.ndarray:

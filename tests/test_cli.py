@@ -51,11 +51,17 @@ def _run(tmp_path, *argv):
 
 def _check_unwritable_output(tmp_path, capsys, *argv):
     """An --output in a missing directory exits 2 with the OS error, and no
-    output or manifest is written."""
+    output or manifest is written; one whose manifest path is a directory,
+    or whose writes fail (/dev/full, where there is one), exits 2 as well."""
     missing = tmp_path / "no-such-dir"
     assert main([*argv, "--output", str(missing / "out.csv")]) == 2
     assert capsys.readouterr().err.startswith("error: [Errno")
     assert not missing.exists()
+    (tmp_path / "blocked.csv.manifest.json").mkdir()
+    full = [Path("/dev/full")] if Path("/dev/full").exists() else []
+    for target in (tmp_path / "blocked.csv", *full):
+        assert main([*argv, "--output", str(target)]) == 2
+        assert capsys.readouterr().err.startswith("error: [Errno")
 
 
 class TestEstimate:

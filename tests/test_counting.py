@@ -16,7 +16,7 @@ from illnessdeath import (
     TransitionQuery,
     build_counting,
 )
-from illnessdeath.counting import Columns, _at_risk, _grid, _pick, _RiskSets
+from illnessdeath.counting import Columns, _at_risk, _grid, _pick, _RiskSets, _Tally
 from illnessdeath.estimators import _ProductLimit
 
 import oracle_bruteforce as ob
@@ -222,6 +222,48 @@ def test_product_limit_risk_sets_are_sums_from_the_right(seed, s, rows):
         assert y.tolist() == _at_risk(copies.entry[keep], copies.final[keep], times).tolist()
         own = np.searchsorted(times, np.unique(copies.final[keep]))
         assert y[own].tolist() == risk_sets(copies)[1].tolist()
+
+
+def _tally_by_loop(index, m, mask, weights):
+    """_Tally's counts by a loop over each output row's subjects: a row per
+    resample (with weights), then per leading axis of the mask and batch row."""
+    counted = np.broadcast_to(mask, np.broadcast_shapes(np.shape(mask), index.shape))
+    index = np.broadcast_to(index, counted.shape)
+    rows = [None] if weights is None else list(weights)
+    out = np.zeros((len(rows), *counted.shape[:-1], m), np.int64)
+    for r, w in enumerate(rows):
+        for cell in np.ndindex(*counted.shape[:-1]):
+            for i, (j, c) in enumerate(zip(index[cell].tolist(), counted[cell].tolist())):
+                if c and j < m:
+                    out[(r, *cell, j)] += 1 if w is None else int(w[i])
+    return out[0] if weights is None else out
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_tally_equals_a_count_per_row(data):
+    # one bincount over flat (row, index) keys serves plain and batch
+    # indices (padding at m, an all-padding row, width 0), masks with a
+    # leading t axis, and weight rows, a zero row among them
+    draw = data.draw
+    n, m = draw(st.integers(0, 6)), draw(st.integers(0, 4))
+    rows = draw(st.sampled_from([(), (1,), (3,)]))
+    index = draw(arrays(np.int64, (*rows, n), elements=st.integers(0, m)))
+    if rows and draw(st.booleans()):
+        index[0] = m  # an all-padding row
+    kind = draw(st.sampled_from(["every", "none", "mask", "per-t"]))
+    mask = {"every": True, "none": np.zeros(index.shape, bool)}.get(kind)
+    if mask is None:
+        lead = (draw(st.integers(1, 3)),) if kind == "per-t" else ()
+        mask = draw(arrays(bool, (*lead, *index.shape)))
+    weights = None
+    if draw(st.booleans()):
+        weights = draw(arrays(np.int64, (draw(st.integers(1, 3)), n), elements=st.integers(0, 3)))
+        if draw(st.booleans()):
+            weights[draw(st.integers(0, len(weights) - 1))] = 0  # a zero row
+    got, want = _Tally(index, m, mask)(weights), _tally_by_loop(index, m, mask, weights)
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert got.tolist() == want.tolist()
 
 
 _TIMES = st.one_of(st.integers(0, 5).map(float), st.just(np.inf))

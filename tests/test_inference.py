@@ -311,7 +311,8 @@ def test_state0_survival_stopped_just_past_s_equals_the_full_product_limit(case,
 def test_weighted_incidence_over_kind1_times_equals_the_full_grid(case, exact):
     # under weights each t's running sum skips the grid times with none of
     # its kind-1 subjects, masses of +0.0: here t = s has no kind-1 subject,
-    # and the added one has the first final time of check's grid
+    # the added one has the first final time of check's grid, and the last
+    # weight row zeroes every kind-1 subject of t = onset, that one included
     cohort, query, *_, seed = case
     s = query.s
     cols = Columns.of(cohort)
@@ -323,7 +324,7 @@ def test_weighted_incidence_over_kind1_times_equals_the_full_grid(case, exact):
     if not (cols.entry > 0).any():
         grids.append(_FullCohort(cols, s, ts, exact).pooled)
     assert grids[0].kind1[0].kept[0].size == 0 and grids[0].kind1[1].kept[1].min() == 0
-    weights = _some_weights(seed, len(cohort))
+    weights = np.vstack((_some_weights(seed, len(cohort)), ~cols.event1(s, np.array(ts))[1]))
     for grid in grids:
         _, y, surv = grid.counts(weights)
         every = [_incidence(surv[:, :-1], k(weights), y, exact).take(-1, -1) for k in grid.kind1]
