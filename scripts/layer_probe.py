@@ -48,6 +48,16 @@ resident memory of its interpreter, and the SHA-256 of its CLI output and
 manifest, so two checkouts can be compared for speed and for byte identity:
 
     python scripts/layer_probe.py --src src --rows 100000 1000000 --out after.json
+
+Given a second checkout (``--base OTHER/src``, or ``--src`` twice, the base
+first), every stage runs on the two in alternation, ``--reps`` pairs of
+fresh interpreters on the base's cohort CSV, and reports each side's
+figures as above, the per-pair ratios of the change's time to the base's,
+their median, the pairs the change won and whether every digest is equal.
+``--stages`` keeps only the stages named:
+
+    python scripts/layer_probe.py --base ../parent/src --src src --reps 9 \\
+        --stages read_columns read_quoted transform estimate --out paired.json
 """
 
 from __future__ import annotations
@@ -198,16 +208,18 @@ def _quote_all(plain: Path, quoted: Path) -> None:
         csv.writer(sink, quoting=csv.QUOTE_ALL, lineterminator="\n").writerows(csv.reader(rows))
 
 
-def _stage(src: str, stage: str, source: str, target: Path, reps: int) -> dict:
-    """Median wall time and peak RSS of reps fresh interpreters, and the
-    SHA-256 of the stage's output and manifest."""
-    runs = []
-    for _ in range(reps):
-        child = subprocess.run(
-            [sys.executable, "-c", CHILD, src, stage, source, str(target)],
-            capture_output=True, text=True, check=True,
-        )
-        runs.append(json.loads(child.stdout.strip().splitlines()[-1]))
+def _run(src: str, stage: str, source: str, target: Path) -> dict:
+    """One run of the stage in a fresh interpreter."""
+    child = subprocess.run(
+        [sys.executable, "-c", CHILD, src, stage, source, str(target)],
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(child.stdout.strip().splitlines()[-1])
+
+
+def _summary(stage: str, runs: list[dict], target: Path) -> dict:
+    """Median wall time and peak RSS of the runs, and the SHA-256 of the
+    stage's output and manifest."""
     out = {
         "seconds": statistics.median(r["seconds"] for r in runs),
         "runs_s": [r["seconds"] for r in runs],
@@ -238,9 +250,35 @@ def _stage(src: str, stage: str, source: str, target: Path, reps: int) -> dict:
     return out
 
 
-def probe(src: str, rows: int, stages: list[str], seed: int, reps: int, workdir: Path) -> dict:
+def _stage(srcs: list[str], stage: str, source: str, target: Path, reps: int) -> dict:
+    """The stage's summary over reps runs of one checkout; of two, reps
+    pairs of runs, the base first in even pairs and the change first in odd
+    ones, with each side's summary, the change/base ratio of each pair's
+    times, their median, the pairs the change won and whether every digest
+    of the two sides is equal."""
+    if len(srcs) == 1:
+        return _summary(stage, [_run(srcs[0], stage, source, target) for _ in range(reps)], target)
+    # names of one length: a path's length moves the heap layout, and with
+    # it the peak RSS of a stage by up to 2 MB
+    targets = [target.with_name(f"side{side}-{target.name}") for side in (0, 1)]
+    runs: tuple[list, list] = ([], [])
+    for pair in range(reps):
+        for side in (0, 1) if pair % 2 == 0 else (1, 0):
+            runs[side].append(_run(srcs[side], stage, source, targets[side]))
+    base, change = (_summary(stage, r, t) for r, t in zip(runs, targets))
+    ratios = [b["seconds"] / a["seconds"] for a, b in zip(*runs)]
+    return {
+        "base": base, "change": change, "ratios": ratios,
+        "ratio_median": statistics.median(ratios),
+        "change_wins": sum(ratio < 1 for ratio in ratios),
+        "digests_equal": all(base[k] == change[k] for k in base if k.endswith("sha256")),
+    }
+
+
+def probe(srcs: list[str], rows: int, stages: list[str], seed: int, reps: int,
+          workdir: Path) -> dict:
     cohort = workdir / f"cohort-{rows}.csv"
-    subprocess.run([sys.executable, "-c", GENERATE, src, str(rows), str(seed), str(cohort)],
+    subprocess.run([sys.executable, "-c", GENERATE, srcs[0], str(rows), str(seed), str(cohort)],
                    check=True)
     out: dict = {"rows": rows, "input_sha256": _sha256(cohort)}
     for stage in stages:
@@ -250,51 +288,68 @@ def probe(src: str, rows: int, stages: list[str], seed: int, reps: int, workdir:
         elif stage == "read_quoted":
             source = workdir / f"quoted-{rows}.csv"
             _quote_all(cohort, source)
-        out[stage] = _stage(src, stage, str(source), workdir / f"{stage}-{rows}.csv", reps)
+        out[stage] = _stage(srcs, stage, str(source), workdir / f"{stage}-{rows}.csv", reps)
     return out
 
 
-def probe_simulate(src: str, scenario: str, reps: int, workdir: Path) -> dict:
+def probe_simulate(srcs: list[str], scenario: str, reps: int, workdir: Path) -> dict:
     target = workdir / f"simulate-{scenario}.csv"
-    return {"scenario": scenario, "simulate": _stage(src, "simulate", scenario, target, reps)}
+    return {"scenario": scenario, "simulate": _stage(srcs, "simulate", scenario, target, reps)}
 
 
-def probe_batch(src: str, scenario: str, reps: int, workdir: Path) -> dict:
+def probe_batch(srcs: list[str], scenario: str, reps: int, workdir: Path) -> dict:
     target = workdir / f"batch-{scenario}.out"
-    return {"scenario": scenario, "batch": _stage(src, "batch", scenario, target, reps)}
+    return {"scenario": scenario, "batch": _stage(srcs, "batch", scenario, target, reps)}
 
 
-def probe_import(src: str, reps: int, workdir: Path) -> dict:
-    return {"import": _stage(src, "import", "", workdir / "import.out", reps)}
+def probe_import(srcs: list[str], reps: int, workdir: Path) -> dict:
+    return {"import": _stage(srcs, "import", "", workdir / "import.out", reps)}
+
+
+STAGES = ("records", "read_cohort", "read_columns", "read_quoted", "estimate", "transform",
+          "resample", "boot", "simulate", "batch", "import")
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
+    parser.add_argument("--src", action="append", help="a checkout's src; twice to pair them")
+    parser.add_argument("--base", default=None, help="the src to pair --src against")
     parser.add_argument("--rows", type=int, nargs="+", default=[100_000, 1_000_000])
+    parser.add_argument("--stages", nargs="+", choices=STAGES, default=list(STAGES))
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--reps", type=int, default=3)
     parser.add_argument("--workdir", default=None, help="keep the files here")
     parser.add_argument("--out", default="-")
     args = parser.parse_args(argv)
-    src = str(Path(args.src).resolve())
+    srcs = args.src or [str(Path(__file__).resolve().parent.parent / "src")]
+    srcs = [str(Path(src).resolve()) for src in ([args.base] if args.base else []) + srcs]
+    if len(srcs) > 2:
+        parser.error("give one --src, or two sides: --src twice or --src and --base")
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(args.workdir or tmp)
         workdir.mkdir(parents=True, exist_ok=True)
-        has_columns = subprocess.run(
+        has_columns = all(subprocess.run(
             [sys.executable, "-c",
              f"import sys; sys.path.insert(0, {src!r}); from illnessdeath import records;"
              " sys.exit(0 if hasattr(records, 'read_columns') else 1)"],
-        ).returncode == 0
+        ).returncode == 0 for src in srcs)
         readers = ["read_columns", "read_quoted"] if has_columns else []
         stages = ["records", "read_cohort", *readers, "estimate", "transform"]
         stages += ["resample"] if has_columns else []
-        results = [probe(src, rows, stages, args.seed, args.reps, workdir) for rows in args.rows]
-        results += [probe(src, rows, ["boot"], args.seed, args.reps, workdir) for rows in BOOT_ROWS]
-        results += [probe_simulate(src, name, args.reps, workdir) for name in SIMULATE]
-        results += [probe_batch(src, name, args.reps, workdir) for name in SIMULATE]
-        results.append(probe_import(src, args.reps, workdir))
-    text = json.dumps({"src": src, "seed": args.seed, "results": results}, indent=1) + "\n"
+        stages = [stage for stage in stages if stage in args.stages]
+        chosen = set(args.stages)
+        results = [probe(srcs, rows, stages, args.seed, args.reps, workdir) for rows in args.rows]
+        if "boot" in chosen:
+            results += [probe(srcs, rows, ["boot"], args.seed, args.reps, workdir)
+                        for rows in BOOT_ROWS]
+        if "simulate" in chosen:
+            results += [probe_simulate(srcs, name, args.reps, workdir) for name in SIMULATE]
+        if "batch" in chosen:
+            results += [probe_batch(srcs, name, args.reps, workdir) for name in SIMULATE]
+        if "import" in chosen:
+            results.append(probe_import(srcs, args.reps, workdir))
+    sides = {"src": srcs[0]} if len(srcs) == 1 else {"base": srcs[0], "src": srcs[1]}
+    text = json.dumps({**sides, "seed": args.seed, "results": results}, indent=1) + "\n"
     if args.out == "-":
         sys.stdout.write(text)
     else:

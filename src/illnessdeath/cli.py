@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import hashlib
 import json
+import os
 import sys
 import warnings
 from dataclasses import asdict
@@ -99,7 +100,8 @@ def _emit(
 ) -> None:
     """Write to a file with ``<file>.manifest.json`` beside it, or to stdout
     ('-') with the manifest on stderr: everything needed to reproduce the
-    output exactly."""
+    output exactly.  The manifest is opened first, and a failed write
+    removes the files that this run created, never a device or a FIFO."""
     manifest = {
         "subcommand": subcommand,
         "parameters": parameters,
@@ -112,10 +114,19 @@ def _emit(
         write(sys.stdout)
         sys.stderr.write(text)
         return
+    sidecar = target + ".manifest.json"
     with _usage(OSError):
-        with open(target, "w", encoding="utf-8", newline="") as handle:
-            write(handle)
-        Path(target + ".manifest.json").write_text(text, encoding="utf-8")
+        made = [path for path in (sidecar, target) if not os.path.lexists(path)]
+        try:
+            with (open(sidecar, "w", encoding="utf-8") as note,
+                  open(target, "w", encoding="utf-8", newline="") as handle):
+                write(handle)
+                note.write(text)
+        except BaseException:
+            for path in made:
+                with contextlib.suppress(OSError):
+                    os.remove(path)
+            raise
 
 
 def _tau(tau: float) -> float:

@@ -394,7 +394,10 @@ def validate_record(raw: Mapping[str, object], line: int = 0) -> IllnessDeathRec
 
 def read_cohort(source: str | Path | IO[str]) -> list[IllnessDeathRecord]:
     """Read a cohort CSV; raises MalformedRecord with the offending line."""
-    return [r for ids, part in _read_blocks(source) for r in to_records(ids, Columns(*part, None))]
+    cohort: list[IllnessDeathRecord] = []
+    for ids, part in _read_blocks(source, lambda: (r.id for r in cohort)):
+        cohort += to_records(ids, Columns(*part, None))
+    return cohort
 
 
 def read_columns(source: str | Path | IO[str]) -> tuple[Columns, list[str]]:
@@ -405,7 +408,7 @@ def read_columns(source: str | Path | IO[str]) -> tuple[Columns, list[str]]:
     """
     ids: list[str] = []
     parts = [_columns_of([])]
-    for block_ids, part in _read_blocks(source):
+    for block_ids, part in _read_blocks(source, lambda: ids):
         ids += block_ids
         parts.append(part)
     rank = rank_ids(ids)  # before the blocks are joined, which lowers the peak memory
@@ -417,9 +420,12 @@ def read_columns(source: str | Path | IO[str]) -> tuple[Columns, list[str]]:
 _BLOCK = 4096
 
 
-def _read_blocks(source: str | Path | IO[str]) -> Iterator[tuple[list[str], tuple]]:
+def _read_blocks(
+    source: str | Path | IO[str], earlier: Callable[[], Iterable[str]]
+) -> Iterator[tuple[list[str], tuple]]:
     """The ids and the entry, exit0, final, cause0 and observed columns of
-    each block of rows of a cohort CSV.
+    each block of rows of a cohort CSV; ``earlier()`` gives the ids of the
+    blocks already yielded.
 
     Blank rows are skipped, short rows read blank, extra fields are ignored
     and a repeated column name keeps its last column.  A block that fails
@@ -429,13 +435,16 @@ def _read_blocks(source: str | Path | IO[str]) -> Iterator[tuple[list[str], tupl
     the ids are stripped: float and int skip surrounding whitespace
     themselves, never more than str.strip does, and a field they reject
     (whitespace alone, or the separators \\x1c-\\x1f that only str.strip
-    skips) sends its block to validate_record.  A path must hold UTF-8 text,
-    and a byte-order mark that starts a path or a stream is skipped.
+    skips) sends its block to validate_record.  Repeated ids are found in one
+    set pass, adding the block's ids to the earlier ones: a repeat leaves
+    the set short, and the row loop then names it on the earlier ids alone.
+    A path must hold UTF-8 text, and a byte-order mark that starts a path or
+    a stream is skipped.
     """
     if isinstance(source, (str, Path)):
         with open(source, encoding="utf-8", newline="") as handle:
             try:
-                yield from _read_blocks(handle)
+                yield from _read_blocks(handle, earlier)
             except UnicodeDecodeError as err:
                 raise MalformedRecord(f"{source}: not UTF-8 text: {err.reason}") from None
         return
@@ -458,9 +467,12 @@ def _read_blocks(source: str | Path | IO[str]) -> Iterator[tuple[list[str], tupl
     seen: set[str] = set()
     for texts, ends in _field_blocks(lines, line, len(header), fields):
         texts[0] = list(map(str.strip, texts[0]))
-        part = _block_columns(texts)
-        fresh = set(texts[0])
-        if part is None or len(fresh) < len(texts[0]) or not seen.isdisjoint(fresh):
+        part, size = _block_columns(texts), len(seen)
+        if part is not None:
+            seen.update(texts[0])
+        if part is None or len(seen) != size + len(texts[0]):
+            if len(seen) != size:  # back to the ids before this block
+                seen = set(earlier())
             cohort = []
             for row, end in zip(zip(*texts), ends):
                 record = validate_record(dict(zip(CSV_COLUMNS, row)), end)
@@ -469,8 +481,6 @@ def _read_blocks(source: str | Path | IO[str]) -> Iterator[tuple[list[str], tupl
                 seen.add(record.id)
                 cohort.append(record)
             part, texts[0] = _columns_of(cohort), [r.id for r in cohort]
-        else:
-            seen |= fresh
         yield texts[0], part
 
 
@@ -494,22 +504,28 @@ def _split(lines: list[str], width: int) -> list[str] | None:
     line as one row of ``width`` fields split at every comma: no quote and
     no NUL, every line ending in \\n or \\r\\n (the last may end in
     neither) with no other \\r or \\n, none longer than the field size
-    limit and ``width - 1`` commas on each.  None otherwise."""
+    limit and ``width - 1`` commas on each.  None otherwise.  The line ends
+    are checked on the block's UTF-8 bytes (NUL, \\n and \\r are never part
+    of a multi-byte character; a lone surrogate from an iterable passes),
+    and a line is no longer than the bytes between its NULs."""
     n, text = len(lines), "\0,".join(lines)  # a NUL ends each line but the last
+    raw = np.frombuffer(f"{text},".encode("utf-8", "surrogatepass"), np.uint8)  # a byte past a last \r
+    stops, limit = np.flatnonzero(raw == 0), csv.field_size_limit()
     if (
         '"' in text
-        or text.count("\0") != n - 1
-        or text.count("\n\0") != n - 1
-        or text.count("\n") != n - 1 + lines[-1].endswith("\n")
-        or "\r" in text and text.count("\r") != text.count("\r\n")
-        or len(text) > (limit := csv.field_size_limit()) and max(map(len, lines)) > limit
+        or len(stops) != n - 1
+        or np.count_nonzero(raw == 10) != n - 1 + lines[-1].endswith("\n")
+        or "\r" in text and (raw[np.flatnonzero(raw == 13) + 1] != 10).any()
+        or np.diff(stops, prepend=0, append=len(raw)).max() > limit and max(map(len, lines)) > limit
     ):
         return None
     flat = text.split(",")
-    ends = flat[width - 1 :: width]  # each line's last field, with its line end
-    if len(flat) != n * width or "".join(ends).count("\0") != n - 1:
+    # the lines' last fields, line ends cut: n parts when each but the last
+    # ends in \n and its line's NUL (no NUL can go with an earlier line's \n)
+    ends = "".join(flat[width - 1 :: width]).replace("\r", "").removesuffix("\n").split("\n\0")
+    if len(flat) != n * width or len(ends) != n:
         return None
-    flat[width - 1 :: width] = [x.rstrip("\r\n\0") for x in ends]
+    flat[width - 1 :: width] = ends
     return flat
 
 
@@ -542,11 +558,15 @@ def _block_columns(texts: list[list[str]]) -> tuple[np.ndarray, ...] | None:
     texts, or None unless every row certainly makes a valid record."""
     ident, entry, exit0, cause0, exit1, cause1 = texts
     n = len(ident)
-    if "" in ident or "" in exit0 or "" in cause0:
+    # a blank exit0 fails its parse, but a blank cause0 beside a two-digit
+    # code would pass the digit count below
+    if "" in ident or "" in cause0:
         return None
     try:
-        entry = [x or "0" for x in entry] if "" in entry else entry  # blank is 0
-        start = np.fromiter(map(float, entry), float, n)
+        try:
+            start = np.fromiter(map(float, entry), float, n)
+        except ValueError:  # blank is 0
+            start = np.fromiter(map(float, [x or "0" for x in entry]), float, n)
         end0 = np.fromiter(map(float, exit0), float, n)
         codes = cause0 + list(filter(None, cause1))
         digits = "".join(codes)  # one ASCII digit each: read as bytes
@@ -557,9 +577,8 @@ def _block_columns(texts: list[list[str]]) -> tuple[np.ndarray, ...] | None:
         code0, code1 = codes[:n], codes[n:]
         ill = code0 == Cause.ILL
         # exit1 and cause1 are given exactly when the subject fell ill
-        for given in (exit1, cause1):
-            if not (np.fromiter(map(bool, given), bool, n) == ill).all():
-                return None
+        if not ((np.array([exit1, cause1], object) != "") == ill).all():
+            return None
         end1 = np.fromiter(map(float, filter(None, exit1)), float)
     except (ValueError, OverflowError):
         return None

@@ -12,8 +12,9 @@ types, warnings and exception types.  Nothing here calls an estimator of
 the package, except the bootstrap loop.  The record loops of the cohort
 CSV reader and writer and of artificial censoring are the reference for
 the column reader, ``write_columns`` and ``Columns.clip``
-(tests/test_ingest.py); the loop of records built from columns by the
-record constructor, the reference for ``records.to_records``
+(tests/test_ingest.py), and the text form of its plain-block gate, the
+reference for ``records._split``; the loop of records built from columns
+by the record constructor, the reference for ``records.to_records``
 (tests/test_records.py).  The bootstrap loop at the end builds every
 resample as a cohort of its own and runs the package's unweighted curve
 on it, the reference for the weighted resamples of
@@ -334,6 +335,29 @@ def read_cohort(source) -> list[IllnessDeathRecord]:
     except csv.Error as err:
         raise MalformedRecord(f"line {reader.reader.line_num}: {err}") from None
     return cohort
+
+
+def split(lines, width):
+    """The plain-block gate of the column reader, on the block's text: its
+    fields split at the commas when every line is one csv.reader row of
+    ``width`` fields with a plain line end, None otherwise (the reference
+    for records._split)."""
+    n, text = len(lines), "\0,".join(lines)  # a NUL ends each line but the last
+    if (
+        '"' in text
+        or text.count("\0") != n - 1
+        or text.count("\n\0") != n - 1
+        or text.count("\n") != n - 1 + lines[-1].endswith("\n")
+        or "\r" in text and text.count("\r") != text.count("\r\n")
+        or len(text) > (limit := csv.field_size_limit()) and max(map(len, lines)) > limit
+    ):
+        return None
+    flat = text.split(",")
+    ends = flat[width - 1 :: width]  # each line's last field, with its line end
+    if len(flat) != n * width or "".join(ends).count("\0") != n - 1:
+        return None
+    flat[width - 1 :: width] = [x.rstrip("\r\n\0") for x in ends]
+    return flat
 
 
 def write_cohort(cohort, sink) -> None:

@@ -52,16 +52,21 @@ def _run(tmp_path, *argv):
 def _check_unwritable_output(tmp_path, capsys, *argv):
     """An --output in a missing directory exits 2 with the OS error, and no
     output or manifest is written; one whose manifest path is a directory,
-    or whose writes fail (/dev/full, where there is one), exits 2 as well."""
+    that is a directory itself, or whose writes fail (/dev/full, where there
+    is one), exits 2 as well, and leaves no file that was not there before."""
     missing = tmp_path / "no-such-dir"
     assert main([*argv, "--output", str(missing / "out.csv")]) == 2
     assert capsys.readouterr().err.startswith("error: [Errno")
     assert not missing.exists()
     (tmp_path / "blocked.csv.manifest.json").mkdir()
+    (tmp_path / "folder").mkdir()
     full = [Path("/dev/full")] if Path("/dev/full").exists() else []
-    for target in (tmp_path / "blocked.csv", *full):
+    for target in (tmp_path / "blocked.csv", tmp_path / "folder", *full):
+        manifest = Path(f"{target}.manifest.json")
+        before = target.exists(), manifest.exists()
         assert main([*argv, "--output", str(target)]) == 2
         assert capsys.readouterr().err.startswith("error: [Errno")
+        assert (target.exists(), manifest.exists()) == before
 
 
 class TestEstimate:

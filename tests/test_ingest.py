@@ -6,7 +6,9 @@ record loops.
 (``loop_reference.read_cohort``), bit for bit and dtype for dtype, or the
 same first MalformedRecord; ``write_columns`` must write the bytes of the
 record loop of ``csv.writer`` rows; ``Columns.clip`` must give the columns
-of the record loop of artificial censoring.  The CLI reads columns only.
+of the record loop of artificial censoring; ``records._split``, the gate of
+plain blocks, must decide and cut every block as its text form
+(``loop_reference.split``) does.  The CLI reads columns only.
 """
 
 from __future__ import annotations
@@ -98,12 +100,27 @@ HEADER = "id,entry,exit0,cause0,exit1,cause1\n"
 @example(text=HEADER + '"A\n1",0,1,2,,\n"B",0,1,2,,\n"C",0,x,2,,\n', block=2)
 # a repeated id in a later block that csv.reader reads
 @example(text=HEADER + '"A",0,1,2,,\n"B",0,1,2,,\n"C",0,1,2,,\n"A",0,1,2,,\n', block=2)
+# a repeated id in a block that passes every column check: found by the
+# set of every id read, then named by the row loop on the earlier ids alone;
+# inside the block, from an earlier one, both, all of the block, and after
+# or before a bad row
+@example(text=HEADER + "A,0,1,2,,\nB,0,1,2,,\nC,0,1,2,,\nC,0,1,2,,\n", block=2)
+@example(text=HEADER + "A,0,1,2,,\nB,0,1,2,,\nC,0,1,1,3,2\nB,0,1,2,,\n", block=3)
+@example(text=HEADER + "A,0,1,2,,\nB,0,1,2,,\nC,0,1,2,,\nB,0,1,2,,\nD,0,1,2,,\nD,0,1,2,,\n",
+         block=3)
+@example(text=HEADER + "A,0,1,2,,\nB,0,1,2,,\nC,0,1,2,,\nD,0,1,2,,\nD,0,1,2,,\nB,0,1,2,,\n",
+         block=3)
+@example(text=HEADER + "A,0,1,2,,\nB,0,1,2,,\nB,0,1,2,,\nA,0,1,2,,\n", block=2)
+@example(text=HEADER + "A,0,1,2,,\nB,0,1,2,,\nC,0,1,2,,\nA,0,1,2,,\nD,0,x,2,,\n", block=3)
+@example(text=HEADER + "A,0,1,2,,\nB,0,1,2,,\nC,0,1,2,,\nD,0,x,2,,\nA,0,1,2,,\n", block=3)
 # a repeated column name reads its last column
 @example(text="id,exit0,cause0,exit0\nA,x,2,1\n", block=4096)
 # rules the masks check beside the record invariants
 @example(text=HEADER + "A,0,1,1,2,1\n", block=4096)
 @example(text=HEADER + "A,0,1,2,,\n \t,0,1,2,,\n", block=4096)
 @example(text=HEADER + "A,3,1,1,3,2\n", block=4096)
+# a blank cause0 beside a code of two digits: as many digits as codes
+@example(text=HEADER + "A,0,1,22,,\nB,0,1,,,\n", block=4096)
 # the vectorised checks doubt a valid row; the record loop accepts it
 @example(text=HEADER + "A,0,1,+2,,\nB,-0,2, 1 ,3,٢\n", block=4096)
 @example(text=HEADER + "A,0,1,٢,,\nB,0,1,1,2,\u00b2\n", block=1)
@@ -166,6 +183,40 @@ def test_nul_lines_are_for_csv_reader():
     # csv.reader rejects NUL before Python 3.11; lines with one are its to read
     assert records._split(["A,1,2\n", "B,1,2\n"], 3) == ["A", "1", "2", "B", "1", "2"]
     assert records._split(["A\x00,1,2\n", "B,1,2\n"], 3) is None
+
+
+# line bodies of the characters the gate reads, a two-byte one and a lone
+# surrogate (which lines from an iterable may hold) among them, and line ends
+_BODIES = st.text(st.sampled_from([*'a1,"\0\n\r', "\u00e9", "\ud800"]), max_size=5)
+_ENDS = st.sampled_from(["\n", "\n", "\r\n", "", "\r", "\n\r"])
+
+
+@settings(max_examples=1500, deadline=None)
+@given(bodies=st.lists(_BODIES, min_size=1, max_size=5), ends=st.lists(_ENDS, min_size=5,
+       max_size=5), width=st.integers(1, 4), final=st.booleans(), limit=st.integers(1, 12))
+# a bare \r at the end of a line, after a two-byte character, after a line
+@example(bodies=["\r"], ends=[""] * 5, width=1, final=False, limit=12)
+@example(bodies=["11a\u00e9a\r"], ends=[""] * 5, width=1, final=False, limit=12)
+@example(bodies=["", "\r"], ends=["\n"] + [""] * 4, width=1, final=False, limit=12)
+# CRLF line ends; a lone surrogate; a line of more bytes than the limit, but
+# not more characters
+@example(bodies=["a,1", "b,\u00e9"], ends=["\r\n"] * 5, width=2, final=False, limit=12)
+@example(bodies=["a\ud800,1", "\u00e9,\ud800"], ends=["\n"] * 5, width=2, final=True,
+         limit=12)
+@example(bodies=["\u00e9\u00e9", "a"], ends=["\n"] * 5, width=1, final=False, limit=3)
+# an empty first line, and a NUL after a line end
+@example(bodies=["", "\n", "A"], ends=["", "\n", "\n", "", ""], width=1, final=True, limit=12)
+@example(bodies=["", "x\n\0"], ends=[""] * 5, width=1, final=False, limit=12)
+def test_split_equals_the_text_gate(bodies, ends, width, final, limit):
+    # the byte checks of records._split decide every block as the str.count
+    # checks on its text do, and cut the same fields
+    lines = [body + end for body, end in zip(bodies, ends)]
+    lines[-1] = bodies[-1] + "\n" * final
+    old = csv.field_size_limit(limit)
+    try:
+        assert records._split(lines, width) == ref.split(lines, width)
+    finally:
+        csv.field_size_limit(old)
 
 
 def test_generated_texts_reach_every_outcome():
