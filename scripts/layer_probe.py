@@ -49,11 +49,11 @@ manifest, so two checkouts can be compared for speed and for byte identity:
 
     python scripts/layer_probe.py --src src --rows 100000 1000000 --out after.json
 
-Given a second checkout (``--base OTHER/src``, or ``--src`` twice, the base
-first), every stage runs on the two in alternation, ``--reps`` pairs of
-fresh interpreters on the base's cohort CSV, and reports each side's
-figures as above, the per-pair ratios of the change's time to the base's,
-their median, the pairs the change won and whether every digest is equal.
+Given a second checkout as ``--base OTHER/src``, every stage runs on the
+base and on ``--src`` in alternation, ``--reps`` pairs of fresh interpreters
+on the base's cohort CSV, and reports each side's figures as above, the
+per-pair ratios of the change's time to the base's, their median, the pairs
+the change won and whether every digest is equal.
 ``--stages`` keeps only the stages named:
 
     python scripts/layer_probe.py --base ../parent/src --src src --reps 9 \\
@@ -306,13 +306,17 @@ def probe_import(srcs: list[str], reps: int, workdir: Path) -> dict:
     return {"import": _stage(srcs, "import", "", workdir / "import.out", reps)}
 
 
-STAGES = ("records", "read_cohort", "read_columns", "read_quoted", "estimate", "transform",
-          "resample", "boot", "simulate", "batch", "import")
+# the stages on the --rows cohorts, those of them that need records.read_columns,
+# and every stage
+COHORT = ("records", "read_cohort", "read_columns", "read_quoted", "estimate", "transform",
+          "resample")
+COLUMNS = ("read_columns", "read_quoted", "resample")
+STAGES = (*COHORT, "boot", "simulate", "batch", "import")
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", action="append", help="a checkout's src; twice to pair them")
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
     parser.add_argument("--base", default=None, help="the src to pair --src against")
     parser.add_argument("--rows", type=int, nargs="+", default=[100_000, 1_000_000])
     parser.add_argument("--stages", nargs="+", choices=STAGES, default=list(STAGES))
@@ -321,10 +325,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workdir", default=None, help="keep the files here")
     parser.add_argument("--out", default="-")
     args = parser.parse_args(argv)
-    srcs = args.src or [str(Path(__file__).resolve().parent.parent / "src")]
-    srcs = [str(Path(src).resolve()) for src in ([args.base] if args.base else []) + srcs]
-    if len(srcs) > 2:
-        parser.error("give one --src, or two sides: --src twice or --src and --base")
+    srcs = [str(Path(src).resolve()) for src in (args.base, args.src) if src]
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(args.workdir or tmp)
         workdir.mkdir(parents=True, exist_ok=True)
@@ -333,20 +334,17 @@ def main(argv: list[str] | None = None) -> int:
              f"import sys; sys.path.insert(0, {src!r}); from illnessdeath import records;"
              " sys.exit(0 if hasattr(records, 'read_columns') else 1)"],
         ).returncode == 0 for src in srcs)
-        readers = ["read_columns", "read_quoted"] if has_columns else []
-        stages = ["records", "read_cohort", *readers, "estimate", "transform"]
-        stages += ["resample"] if has_columns else []
-        stages = [stage for stage in stages if stage in args.stages]
-        chosen = set(args.stages)
+        stages = [stage for stage in COHORT
+                  if stage in args.stages and (has_columns or stage not in COLUMNS)]
         results = [probe(srcs, rows, stages, args.seed, args.reps, workdir) for rows in args.rows]
-        if "boot" in chosen:
+        if "boot" in args.stages:
             results += [probe(srcs, rows, ["boot"], args.seed, args.reps, workdir)
                         for rows in BOOT_ROWS]
-        if "simulate" in chosen:
+        if "simulate" in args.stages:
             results += [probe_simulate(srcs, name, args.reps, workdir) for name in SIMULATE]
-        if "batch" in chosen:
+        if "batch" in args.stages:
             results += [probe_batch(srcs, name, args.reps, workdir) for name in SIMULATE]
-        if "import" in chosen:
+        if "import" in args.stages:
             results.append(probe_import(srcs, args.reps, workdir))
     sides = {"src": srcs[0]} if len(srcs) == 1 else {"base": srcs[0], "src": srcs[1]}
     text = json.dumps({**sides, "seed": args.seed, "results": results}, indent=1) + "\n"

@@ -509,13 +509,16 @@ def _split(lines: list[str], width: int) -> list[str] | None:
     of a multi-byte character; a lone surrogate from an iterable passes),
     and a line is no longer than the bytes between its NULs."""
     n, text = len(lines), "\0,".join(lines)  # a NUL ends each line but the last
-    raw = np.frombuffer(f"{text},".encode("utf-8", "surrogatepass"), np.uint8)  # a byte past a last \r
-    stops, limit = np.flatnonzero(raw == 0), csv.field_size_limit()
+    raw = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
+    # one block-sized mask: the places of every NUL, \n and \r (and \t, \v, \f)
+    at = np.flatnonzero(raw <= 13)
+    code, limit = raw[at], csv.field_size_limit()
+    stops = at[code == 0]
     if (
         '"' in text
         or len(stops) != n - 1
-        or np.count_nonzero(raw == 10) != n - 1 + lines[-1].endswith("\n")
-        or "\r" in text and (raw[np.flatnonzero(raw == 13) + 1] != 10).any()
+        or np.count_nonzero(code == 10) != n - 1 + lines[-1].endswith("\n")
+        or "\r" in text and (text.endswith("\r") or (raw[at[code == 13] + 1] != 10).any())
         or np.diff(stops, prepend=0, append=len(raw)).max() > limit and max(map(len, lines)) > limit
     ):
         return None

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -29,7 +30,7 @@ from illnessdeath import (
     write_cohort,
 )
 from cohortgen import random_cohort
-from illnessdeath import estimators, inference
+from illnessdeath import cli, estimators, inference
 from illnessdeath._rng import streams
 from illnessdeath.cli import build_parser, main
 from illnessdeath.estimators import ESTIMATORS, Estimator
@@ -53,7 +54,8 @@ def _check_unwritable_output(tmp_path, capsys, *argv):
     """An --output in a missing directory exits 2 with the OS error, and no
     output or manifest is written; one whose manifest path is a directory,
     that is a directory itself, or whose writes fail (/dev/full, where there
-    is one), exits 2 as well, and leaves no file that was not there before."""
+    is one, or a write that fails midway once both files are open), exits 2
+    as well, and leaves no file that was not there before."""
     missing = tmp_path / "no-such-dir"
     assert main([*argv, "--output", str(missing / "out.csv")]) == 2
     assert capsys.readouterr().err.startswith("error: [Errno")
@@ -67,6 +69,20 @@ def _check_unwritable_output(tmp_path, capsys, *argv):
         assert main([*argv, "--output", str(target)]) == 2
         assert capsys.readouterr().err.startswith("error: [Errno")
         assert (target.exists(), manifest.exists()) == before
+    emit = cli._emit
+
+    def full_disk(target, write, *args):
+        def write_then_fail(handle):
+            write(handle)
+            raise OSError(errno.ENOSPC, "No space left on device")
+        emit(target, write_then_fail, *args)
+
+    target = tmp_path / "full.csv"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_emit", full_disk)
+        assert main([*argv, "--output", str(target)]) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 28]")
+    assert not target.exists() and not Path(f"{target}.manifest.json").exists()
 
 
 class TestEstimate:
